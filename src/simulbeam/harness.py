@@ -79,38 +79,26 @@ class RunConfig:
     context: ContextMode = ContextMode.BLOCKWISE
     retranslation: bool = False
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
-    repetition_ngram: int = 1
-    max_len_ratio: float = 10.0
-    max_len_offset: int = 20
-    length_norm: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.beam_size < 1:
-            raise ConfigError("beam size must be at least 1")
         if self.block_symbols < 1:
             raise ConfigError("block size must be at least 1 symbol")
         if self.block_ms is not None and self.block_ms <= 0:
             raise ConfigError("block_ms must be positive")
-        if self.policy is PolicyKind.HOLD and self.policy_param < 0:
-            raise ConfigError("hold-n requires n >= 0")
-        if self.policy is PolicyKind.LOCAL_AGREEMENT and self.policy_param < 2:
-            raise ConfigError("local agreement requires n >= 2 to compare contexts")
         if self.retranslation and self.policy is not PolicyKind.NONE:
             raise ConfigError("commit policies do not apply to re-translation output")
+        try:
+            self.search_config()
+            self.policy_state()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def search_config(self) -> SearchConfig:
         detection = self.repetition_detection
         if detection is None:
             detection = self.context is ContextMode.BLOCKWISE
-        return SearchConfig(
-            beam_size=self.beam_size,
-            max_len_ratio=self.max_len_ratio,
-            max_len_offset=self.max_len_offset,
-            length_norm=self.length_norm,
-            repetition_detection=detection,
-            repetition_ngram=self.repetition_ngram,
-        )
+        return SearchConfig(beam_size=self.beam_size, repetition_detection=detection)
 
     def policy_state(self) -> PolicyState:
         if self.policy is PolicyKind.HOLD:
@@ -312,10 +300,7 @@ def sweep(
             raise ConfigError(f"cannot sweep {field!r}; choose from {SWEEPABLE_FIELDS}")
     points = []
     for field, value in sorted(grid, key=lambda item: (item[0], item[1])):
-        try:
-            cfg = replace(base_cfg, **{field: int(value)})
-        except ConfigError:
-            raise
+        cfg = replace(base_cfg, **{field: int(value)})
         points.append(SweepPoint(field, int(value), run_corpus(corpus, model_factory, cfg, eos_id)))
     return points
 

@@ -138,11 +138,6 @@ def corpus_bleu(
     return 100.0 * brevity * exp(fsum(log_precisions) / max_order)
 
 
-def count_forward_passes(transcript: SessionTranscript) -> int:
-    """Decoder forward passes consumed by a session (one per model query)."""
-    return transcript.forward_passes
-
-
 @dataclass(frozen=True)
 class UtteranceReport:
     """Per-utterance metric row."""

@@ -128,10 +128,6 @@ class ModelSession(ABC):
     def forward_pass_count(self) -> int:
         """Number of distribution queries served so far."""
 
-    @abstractmethod
-    def blocks_ingested(self) -> int:
-        """Number of blocks ingested so far."""
-
 
 ModelFactory = Callable[[], ModelSession]
 
@@ -211,9 +207,6 @@ class _ToySession(ModelSession):
 
     def forward_pass_count(self) -> int:
         return self._forward_passes
-
-    def blocks_ingested(self) -> int:
-        return len(self._blocks)
 
 
 def make_toy_model(

@@ -15,14 +15,19 @@ Three decoding strategies drive a :class:`~simulbeam.model.ModelSession`:
   the sole survivor, which typically yields a longer reliable prefix from the
   same amount of source.
 
+All three run one beam loop (:func:`_beam_loop`: expand, prune, classify each
+candidate as continuing or triggered) and differ only in the trigger and in
+what a triggered beam does. While source remains the trigger is the stop
+heuristic: ``bwbs`` then trims every beam and ends the block, ``ibwbs`` trims
+the one beam into the stopped pool and shrinks the width. On the final block
+the source is complete, so the trigger is a trailing EOS and, for every
+strategy, the beam is marked finished, moves to the pool and shrinks the width
+(:func:`_final_block`); the full re-decode is a re-scored prefix plus that.
+
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
 local-agreement policy to decide how much of it to commit, and records the
 commit stream with source timestamps.
-
-On the final block the source is complete, so the stop heuristic no longer
-signals missing context: EOS becomes a legitimate terminator, repetitions are
-ignored, and decoding runs to completion.
 """
 
 from __future__ import annotations
@@ -81,6 +86,13 @@ class PolicyState:
     history: tuple[tuple[int, ...], ...] = ()
     committed: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind is PolicyKind.HOLD and self.n < 0:
+            raise ValueError("hold-n requires n >= 0")
+        if self.kind is PolicyKind.LOCAL_AGREEMENT and self.n < 2:
+            # LA-1 would commit each whole best output: that is policy none.
+            raise ValueError("local agreement requires n >= 2 to compare contexts")
+
     @staticmethod
     def none() -> PolicyState:
         return PolicyState(PolicyKind.NONE)
@@ -88,16 +100,12 @@ class PolicyState:
     @staticmethod
     def hold(n: int) -> PolicyState:
         """Withhold the last ``n`` tokens of each best output."""
-        if n < 0:
-            raise ValueError("hold-n requires n >= 0")
         return PolicyState(PolicyKind.HOLD, n=n)
 
     @staticmethod
     def local_agreement(n: int) -> PolicyState:
         """Commit the longest common prefix of the best outputs from ``n``
         consecutive input contexts."""
-        if n < 1:
-            raise ValueError("local agreement requires n >= 1")
         return PolicyState(PolicyKind.LOCAL_AGREEMENT, n=n)
 
 
@@ -123,9 +131,9 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
             candidate = committed
         else:
             candidate = outputs[-state.n]
-            for other in outputs[-state.n + 1 :] if state.n > 1 else ():
+            for other in outputs[-state.n + 1 :]:
                 candidate = longest_common_prefix(candidate, other)
-        history = outputs[-(state.n - 1) :] if state.n > 1 else ()
+        history = outputs[-(state.n - 1) :]
     new: tuple[int, ...] = ()
     if len(candidate) > len(committed) and candidate[: len(committed)] == committed:
         new = tuple(candidate[len(committed) :])
@@ -193,32 +201,81 @@ def _trim_stop(hyp: Hypothesis, floor: int) -> Hypothesis:
     return hyp.sliced(max(len(hyp.tokens) - 2, floor), stopped=True)
 
 
-def _run_to_completion(
+def _beam_loop(
+    seeds: Sequence[Hypothesis],
+    session: ModelSession,
+    width: int,
+    max_total: int,
+    triggered: Callable[[Hypothesis], bool],
+    on_trigger: Callable[[Hypothesis], Hypothesis],
+    halt: bool = False,
+) -> tuple[list[Hypothesis], list[Hypothesis]]:
+    """Expand, prune to ``width`` and classify each ranked candidate until no
+    beam or slot is left or the length cap is reached. A triggered candidate
+    goes through ``on_trigger`` into the pool and vacates its slot (no
+    refill); with ``halt`` the first trigger instead sends every ranked
+    candidate there and ends the loop. Returns ``(pool, still_active)``."""
+    pool: list[Hypothesis] = []
+    active = list(seeds)
+    while active and len(active[0].tokens) < max_total and width > 0:
+        ranked = _prune(_expand(active, session), width)
+        active = []
+        for hyp in ranked:
+            if not triggered(hyp):
+                active.append(hyp)
+            elif halt:
+                return [on_trigger(h) for h in ranked], []
+            else:
+                pool.append(on_trigger(hyp))
+                width -= 1
+    return pool, active
+
+
+def _final_block(
     seeds: Sequence[Hypothesis],
     session: ModelSession,
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
-    """Beam search until every slot has accepted EOS or the length cap hits.
-
-    Finished beams vacate their slot (the width shrinks; no refill), which
-    keeps all strategies' final-block behavior identical. Returns
-    ``(finished, still_active)``.
+    """Decode to completion on the complete source: EOS finishes a beam,
+    repetitions are ignored. Returns ``(ranked, pool)``: the pool is the
+    finished beams then any still active at the length cap; ``ranked`` is
+    the finished beams, else those still active, else the seeds, best-first.
     """
-    active = [h for h in seeds]
-    finished: list[Hypothesis] = []
-    width = cfg.beam_size
-    while active and len(active[0].tokens) < max_total and width > 0:
-        still: list[Hypothesis] = []
-        for hyp in _prune(_expand(active, session), width):
-            if hyp.tokens[-1] == eos_id:
-                finished.append(replace(hyp, finished=True))
-                width -= 1
-            else:
-                still.append(hyp)
-        active = still
-    return finished, active
+    finished, leftover = _beam_loop(
+        seeds,
+        session,
+        cfg.beam_size,
+        max_total,
+        triggered=lambda h: h.tokens[-1] == eos_id,
+        on_trigger=lambda h: replace(h, finished=True),
+    )
+    candidates = finished or leftover or seeds
+    ranked = sorted(candidates, key=lambda h: _selection_rank(h, cfg.length_norm))
+    return ranked, finished + leftover
+
+
+def _mid_source_block(
+    state: BeamState,
+    session: ModelSession,
+    cfg: SearchConfig,
+    eos_id: int,
+    max_total: int,
+    halt: bool = False,
+) -> tuple[list[Hypothesis], list[Hypothesis]]:
+    """One block while source remains: a beam that shows a repetition or EOS
+    is trimmed (see :func:`_trim_stop`). Returns ``(pool, still_active)``."""
+    floor = len(state.committed)
+    return _beam_loop(
+        state.active,
+        session,
+        cfg.beam_size,
+        max_total,
+        triggered=lambda h: detect_stop(h, cfg, eos_id) is not StopReason.NONE,
+        on_trigger=lambda h: _trim_stop(h, floor),
+        halt=halt,
+    )
 
 
 def standard_beam_search(
@@ -241,14 +298,8 @@ def standard_beam_search(
     for position, token in enumerate(committed):
         logprobs = session.next_token_logprobs(tuple(committed[:position]))
         prefix = prefix.extended(int(token), float(logprobs[int(token)]))
-    if len(prefix.tokens) >= max_total:
-        return prefix
-    finished, active = _run_to_completion([prefix], session, cfg, eos_id, max_total)
-    if finished:
-        return select_best(finished, cfg.length_norm)
-    if active:
-        return select_best(active, cfg.length_norm)
-    return prefix
+    ranked, _ = _final_block([prefix], session, cfg, eos_id, max_total)
+    return ranked[0]
 
 
 def bwbs_block(
@@ -267,24 +318,16 @@ def bwbs_block(
     more source. No pruning to a single hypothesis happens here, so snapshots
     may revise across blocks (re-translation semantics).
 
-    With ``final=True`` the source is complete: the trigger is disabled and
+    With ``final=True`` the source is complete: the stop heuristic is off and
     the block runs to completion; beams are returned best-first.
     """
     if not state.active:
         raise ValueError("bwbs_block requires at least one active hypothesis")
-    floor = len(state.committed)
     if final:
-        finished, leftover = _run_to_completion(state.active, session, cfg, eos_id, max_total)
-        pool = finished or leftover or list(state.active)
-        ranked = sorted(pool, key=lambda h: _selection_rank(h, cfg.length_norm))
-        return BeamState(active=tuple(ranked), stopped=(), committed=state.committed)
-    active = list(state.active)
-    while active and len(active[0].tokens) < max_total:
-        active = _prune(_expand(active, session), cfg.beam_size)
-        if any(detect_stop(h, cfg, eos_id) is not StopReason.NONE for h in active):
-            active = [_trim_stop(h, floor) for h in active]
-            break
-    return BeamState(active=tuple(active), stopped=(), committed=state.committed)
+        ranked, _ = _final_block(state.active, session, cfg, eos_id, max_total)
+        return BeamState(active=tuple(ranked), committed=state.committed)
+    halted, active = _mid_source_block(state, session, cfg, eos_id, max_total, halt=True)
+    return BeamState(active=tuple(halted or active), committed=state.committed)
 
 
 def ibwbs_block(
@@ -309,26 +352,10 @@ def ibwbs_block(
     """
     if not state.active:
         raise ValueError("ibwbs_block requires at least one active hypothesis")
-    floor = len(state.committed)
     if final:
-        finished, leftover = _run_to_completion(state.active, session, cfg, eos_id, max_total)
-        pool = finished or leftover or list(state.active)
-        best = select_best(pool, cfg.length_norm)
-        return BeamState(
-            active=(best,), stopped=tuple(finished + leftover), committed=state.committed
-        )
-    active = list(state.active)
-    stopped: list[Hypothesis] = []
-    width = cfg.beam_size
-    while active and len(active[0].tokens) < max_total and width > 0:
-        still: list[Hypothesis] = []
-        for hyp in _prune(_expand(active, session), width):
-            if detect_stop(hyp, cfg, eos_id) is not StopReason.NONE:
-                stopped.append(_trim_stop(hyp, floor))
-                width -= 1
-            else:
-                still.append(hyp)
-        active = still
+        ranked, pool = _final_block(state.active, session, cfg, eos_id, max_total)
+        return BeamState(active=(ranked[0],), stopped=tuple(pool), committed=state.committed)
+    stopped, active = _mid_source_block(state, session, cfg, eos_id, max_total)
     stopped.extend(active)  # length cap reached: survivors join unmodified
     best = select_best(stopped, cfg.length_norm)
     return BeamState(active=(best,), stopped=tuple(stopped), committed=state.committed)

@@ -72,9 +72,6 @@ class ScriptedSession(ModelSession):
     def forward_pass_count(self) -> int:
         return self._forward_passes
 
-    def blocks_ingested(self) -> int:
-        return self._blocks
-
 
 def two_path_script() -> dict[int, dict[tuple, dict[int, float]]]:
     """Two competing decode paths over the reference ``[B, C, D, E]``.

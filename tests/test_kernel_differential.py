@@ -1,0 +1,125 @@
+"""Differential test: the shared beam step against the per-strategy loops
+it replaced (``reference_search``).
+
+Both sides decode the same blocks from the same seeds on twin sessions, and
+must agree exactly on every returned beam (tokens, log-probabilities and
+``stopped``/``finished`` flags), on the stopped pool, on any error raised,
+and on the forward passes spent.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_search
+from conftest import ScriptedSession, as_blocks, random_toy
+from simulbeam import (
+    BeamState,
+    Block,
+    ContextMode,
+    Hypothesis,
+    InsufficientContextMode,
+    SearchConfig,
+    bwbs_block,
+    ibwbs_block,
+    make_toy_model,
+    standard_beam_search,
+)
+
+STRATEGIES = {
+    "bs": (standard_beam_search, reference_search.standard_beam_search),
+    "bwbs": (bwbs_block, reference_search.bwbs_block),
+    "ibwbs": (ibwbs_block, reference_search.ibwbs_block),
+}
+
+
+@st.composite
+def toy_models(draw):
+    """A random toy transducer in any insufficient-context mode, with its
+    utterance cut into blocks."""
+    mode = draw(st.sampled_from(list(InsufficientContextMode)))
+    spec, vocab, source = random_toy(random.Random(draw(st.integers(0, 2**32 - 1))), mode=mode)
+    factory = make_toy_model(spec, vocab, draw(st.sampled_from(list(ContextMode))))
+    blocks = as_blocks(source, draw(st.integers(1, 4)))
+    return factory, vocab.size, vocab.eos_id, blocks
+
+
+@st.composite
+def scripted_models(draw):
+    """A random probability table: peaked pins make repeats, premature EOS
+    and exact ties; pins summing to one make zero-probability tokens."""
+    vocab_size = draw(st.integers(2, 5))
+    token = st.integers(0, vocab_size - 1)
+    pins = st.dictionaries(token, st.sampled_from([0.0, 0.1, 0.45, 0.9]), max_size=2).filter(
+        lambda d: sum(d.values()) <= 1.0
+    )
+    prefixes = st.lists(token, max_size=3).map(tuple)
+    n_blocks = draw(st.integers(1, 3))
+    script = {
+        level: draw(st.dictionaries(prefixes, pins, max_size=8))
+        for level in range(1, n_blocks + 1)
+    }
+    blocks = [
+        Block(payload=(), duration_ms=100.0, is_final=level == n_blocks)
+        for level in range(1, n_blocks + 1)
+    ]
+    return (lambda: ScriptedSession(script, vocab_size)), vocab_size, vocab_size - 1, blocks
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.one_of(toy_models(), scripted_models()),
+    algo=st.sampled_from(sorted(STRATEGIES)),
+    beam=st.integers(1, 6),
+    detection=st.booleans(),
+    ngram=st.integers(1, 2),
+    length_norm=st.booleans(),
+    data=st.data(),
+)
+def test_kernel_matches_reference(model, algo, beam, detection, ngram, length_norm, data):
+    factory, vocab_size, eos_id, blocks = model
+    cfg = SearchConfig(
+        beam_size=beam,
+        length_norm=length_norm,
+        repetition_detection=detection,
+        repetition_ngram=ngram,
+    )
+    token = st.integers(0, vocab_size - 1)
+    logprob = st.sampled_from([-0.05, -0.7, -2.3])
+    committed = tuple(data.draw(st.lists(token, max_size=3), label="committed"))
+    extra = data.draw(st.integers(0, 2), label="extra")
+    seeds = []
+    for _ in range(data.draw(st.integers(1, 3), label="seeds")):
+        tokens = committed + tuple(data.draw(st.lists(token, min_size=extra, max_size=extra)))
+        logprobs = tuple(data.draw(st.lists(logprob, min_size=len(tokens), max_size=len(tokens))))
+        seeds.append(Hypothesis(tokens, logprobs))
+    max_total = len(seeds[0]) + data.draw(st.integers(0, 6), label="headroom")
+
+    new_fn, ref_fn = STRATEGIES[algo]
+    new_session, ref_session = factory(), factory()
+    state = BeamState(active=tuple(seeds), committed=committed)
+    for block in blocks:
+        new_session.ingest_block(block)
+        ref_session.ingest_block(block)
+        if algo == "bs":
+            new = _outcome(new_fn, new_session, committed, cfg, eos_id, max_total)
+            ref = _outcome(ref_fn, ref_session, committed, cfg, eos_id, max_total)
+        else:
+            new = _outcome(new_fn, state, new_session, cfg, eos_id, max_total, block.is_final)
+            ref = _outcome(ref_fn, state, ref_session, cfg, eos_id, max_total, block.is_final)
+        assert new == ref
+        assert new_session.forward_pass_count() == ref_session.forward_pass_count()
+        if new[0] == "raised":
+            break
+        if isinstance(new[1], BeamState):
+            state = BeamState(active=new[1].active, committed=committed)

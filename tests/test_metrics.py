@@ -23,7 +23,6 @@ from simulbeam import (
     average_lagging,
     bwbs_block,
     corpus_bleu,
-    count_forward_passes,
     decode_session,
     laal,
     make_toy_model,
@@ -179,7 +178,7 @@ class TestForwardPassAccounting:
             cfg=SearchConfig(beam_size=1),
         )
         out_len = len(transcript.final_output)
-        assert count_forward_passes(transcript) == out_len + 1
+        assert transcript.forward_passes == out_len + 1
 
     def test_full_width_steps_cost_width_times_steps(self):
         session = ScriptedSession({}, vocab_size=6)
@@ -192,7 +191,7 @@ class TestForwardPassAccounting:
 
     def test_transcript_carries_session_count(self):
         transcript = SessionTranscript((), (), 100.0, forward_passes=17)
-        assert count_forward_passes(transcript) == 17
+        assert transcript.forward_passes == 17
 
 
 class TestTokenDelays:

@@ -106,13 +106,6 @@ class TestToyScoring:
 
 
 class TestSessionContract:
-    def test_blocks_ingested_counts(self, repeat_toy):
-        _, _, factory = repeat_toy
-        session = factory()
-        assert session.blocks_ingested() == 0
-        session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=False))
-        assert session.blocks_ingested() == 1
-
     def test_ingest_after_final_rejected(self, repeat_toy):
         _, _, factory = repeat_toy
         session = factory()

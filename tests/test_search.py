@@ -105,6 +105,10 @@ class TestApplyPolicy:
             PolicyState.hold(-1)
         with pytest.raises(ValueError):
             PolicyState.local_agreement(0)
+        with pytest.raises(ValueError):
+            PolicyState.local_agreement(1)
+        with pytest.raises(ValueError):
+            PolicyState(PolicyKind.LOCAL_AGREEMENT, n=1)
 
 
 class TestSelectBest:

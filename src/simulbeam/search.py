@@ -24,6 +24,13 @@ the source is complete, so the trigger is a trailing EOS and, for every
 strategy, the beam is marked finished, moves to the pool and shrinks the width
 (:func:`_final_block`); the full re-decode is a re-scored prefix plus that.
 
+A step queries the model once per active beam, rejects NaN and ``+inf``
+log-probabilities with a ``ValueError`` naming the prefix, and builds only
+the extensions that can survive pruning to the current width
+(:func:`_survivors`), so the work besides the model grows with the width, not
+with the vocabulary. The ranking is exact: by the ``math.fsum`` score, then by
+token order.
+
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
 local-agreement policy to decide how much of it to commit, and records the
@@ -36,6 +43,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     CommitEvent,
@@ -150,34 +159,70 @@ class BeamState:
     committed: tuple[int, ...] = ()
 
 
-def _expand(active: Sequence[Hypothesis], session: ModelSession) -> list[Hypothesis]:
-    """All single-token extensions of the active beams with finite scores.
+def _query(session: ModelSession, prefix: tuple[int, ...]) -> np.ndarray:
+    """One forward pass, rejecting NaN and ``+inf`` log-probabilities: a NaN
+    would vanish from every comparison and ``+inf`` is no probability."""
+    logprobs = session.next_token_logprobs(prefix)
+    # ndarray.max without its Python-level wrapper: this runs on every pass.
+    if not np.maximum.reduce(logprobs) < np.inf:
+        raise ValueError(f"model returned a NaN or +inf log-probability after prefix {prefix}")
+    return logprobs
+
+
+def _survivors(parent: Hypothesis, logprobs: np.ndarray, width: int) -> np.ndarray:
+    """Ids of a superset of the tokens whose extensions of
+    ``parent`` rank in its top ``width`` by ``(-score, token)``.
+
+    A score is the exactly rounded sum of the parent's log-probabilities and
+    the new one, so it never falls as the new log-prob rises, and two new
+    log-probs give equal scores only if they lie within one ulp of the
+    score. With ``kth`` the ``width``-th best log-prob, tokens below the
+    ``margin`` band around it score below at least ``width`` others. If the
+    band holds only ``kth`` itself, its tokens tie and the lowest ids fill
+    the slots the tokens above the band leave; otherwise rounding may merge
+    distinct values, and the whole band goes to the exact sort.
+    """
+    keep = (logprobs > -np.inf).nonzero()[0]
+    if keep.size <= width:
+        return keep
+    kth = float(np.partition(logprobs, logprobs.size - width)[logprobs.size - width])
+    margin = 2 * math.ulp(math.fsum(parent.token_logprobs + (kth,)))
+    values = logprobs[keep]
+    inside = values >= kth - margin
+    keep, values = keep[inside], values[inside]
+    near = values <= kth + margin
+    if (values[near] == kth).all():
+        above = keep[~near]
+        keep = np.concatenate((above, keep[near][: width - above.size]))
+    return keep
+
+
+def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
+    """The single-token extensions of the active beams that can survive
+    pruning to ``width`` (see :func:`_survivors`).
 
     Zero-probability tokens are skipped: they can never belong to a valid
-    hypothesis and would break score finiteness.
+    hypothesis and would break score finiteness. A beam whose tokens repeat
+    an earlier beam's still costs its forward pass but adds nothing:
+    duplicate candidates merge into the earlier beam's copies.
     """
     pool: list[Hypothesis] = []
+    seen: set[tuple[int, ...]] = set()
     for hyp in active:
-        logprobs = session.next_token_logprobs(hyp.tokens)
-        for token, logprob in enumerate(logprobs):
-            lp = float(logprob)
-            if lp > -math.inf:
-                pool.append(hyp.extended(token, lp))
+        logprobs = _query(session, hyp.tokens)
+        if hyp.tokens in seen:
+            continue
+        seen.add(hyp.tokens)
+        keep = _survivors(hyp, logprobs, width)
+        pool.extend(map(hyp.extended, keep.tolist(), logprobs[keep].tolist()))
     return pool
 
 
 def _prune(pool: Iterable[Hypothesis], width: int) -> list[Hypothesis]:
-    """Top ``width`` distinct candidates by cumulative score.
-
-    Ties break on token order and duplicates merge, so replay is
-    deterministic and beams that collapse onto the same prefix do not waste
-    beam slots.
-    """
-    seen: dict[tuple[int, ...], Hypothesis] = {}
-    for hyp in pool:
-        seen.setdefault(hyp.tokens, hyp)
-    ranked = sorted(seen.values(), key=lambda h: (-h.score, h.tokens))
-    return ranked[:width]
+    """Top ``width`` candidates by cumulative score; ties break on token
+    order, so replay is deterministic. Candidates must be distinct, as
+    :func:`_expand` leaves them."""
+    return sorted(pool, key=lambda h: (-h.score, h.tokens))[:width]
 
 
 def _selection_rank(hyp: Hypothesis, length_norm: bool) -> tuple:
@@ -218,7 +263,7 @@ def _beam_loop(
     pool: list[Hypothesis] = []
     active = list(seeds)
     while active and len(active[0].tokens) < max_total and width > 0:
-        ranked = _prune(_expand(active, session), width)
+        ranked = _prune(_expand(active, session, width), width)
         active = []
         for hyp in ranked:
             if not triggered(hyp):
@@ -296,7 +341,7 @@ def standard_beam_search(
     """
     prefix = Hypothesis()
     for position, token in enumerate(committed):
-        logprobs = session.next_token_logprobs(tuple(committed[:position]))
+        logprobs = _query(session, tuple(committed[:position]))
         prefix = prefix.extended(int(token), float(logprobs[int(token)]))
     ranked, _ = _final_block([prefix], session, cfg, eos_id, max_total)
     return ranked[0]

@@ -73,6 +73,27 @@ class ScriptedSession(ModelSession):
         return self._forward_passes
 
 
+class VectorSession(ModelSession):
+    """Model whose log-probability vectors come straight from a function of
+    ``(blocks ingested, prefix)``, so tests can set exact float values:
+    ties, one-ulp neighbours, NaN or ``+inf``."""
+
+    def __init__(self, logprobs):
+        self._logprobs = logprobs
+        self._blocks = 0
+        self._forward_passes = 0
+
+    def ingest_block(self, block: Block) -> None:
+        self._blocks += 1
+
+    def next_token_logprobs(self, prefix) -> np.ndarray:
+        self._forward_passes += 1
+        return np.array(self._logprobs(self._blocks, tuple(prefix)), dtype=float)
+
+    def forward_pass_count(self) -> int:
+        return self._forward_passes
+
+
 def two_path_script() -> dict[int, dict[tuple, dict[int, float]]]:
     """Two competing decode paths over the reference ``[B, C, D, E]``.
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from simulbeam import dump_corpus, spec_to_json
+from simulbeam import dump_corpus, make_toy_model, spec_to_json
 from simulbeam.cli import main
 
 from conftest import ladder_record, ladder_spec
@@ -49,6 +50,24 @@ class TestDecode:
     def test_unknown_id_is_input_error(self, workspace):
         _, corpus, model = workspace
         assert run(["decode", "--corpus", corpus, "--model", model, "--id", "nope"]) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_positive_inf_from_the_model_is_input_error(
+        self, workspace, capsys, monkeypatch, bad
+    ):
+        _, corpus, model = workspace
+        toy_session = type(make_toy_model(*ladder_spec())())
+        original = toy_session.next_token_logprobs
+
+        def broken(self, prefix):
+            logprobs = original(self, prefix)
+            logprobs[-1] = bad
+            return logprobs
+
+        monkeypatch.setattr(toy_session, "next_token_logprobs", broken)
+        assert run(["decode", "--corpus", corpus, "--model", model]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "after prefix" in err
 
 
 class TestEval:

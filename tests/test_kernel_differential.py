@@ -4,18 +4,21 @@ it replaced (``reference_search``).
 Both sides decode the same blocks from the same seeds on twin sessions, and
 must agree exactly on every returned beam (tokens, log-probabilities and
 ``stopped``/``finished`` flags), on the stopped pool, on any error raised,
-and on the forward passes spent.
+and on the forward passes spent. Each model strategy also gives the
+log-probabilities the seed beams draw from.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_search
-from conftest import ScriptedSession, as_blocks, random_toy
+from conftest import ScriptedSession, VectorSession, as_blocks, random_toy
 from simulbeam import (
     BeamState,
     Block,
@@ -28,6 +31,8 @@ from simulbeam import (
     make_toy_model,
     standard_beam_search,
 )
+
+SMALL_LOGPROBS = st.sampled_from([-0.05, -0.7, -2.3])
 
 STRATEGIES = {
     "bs": (standard_beam_search, reference_search.standard_beam_search),
@@ -44,7 +49,7 @@ def toy_models(draw):
     spec, vocab, source = random_toy(random.Random(draw(st.integers(0, 2**32 - 1))), mode=mode)
     factory = make_toy_model(spec, vocab, draw(st.sampled_from(list(ContextMode))))
     blocks = as_blocks(source, draw(st.integers(1, 4)))
-    return factory, vocab.size, vocab.eos_id, blocks
+    return factory, vocab.size, vocab.eos_id, blocks, SMALL_LOGPROBS
 
 
 @st.composite
@@ -66,7 +71,36 @@ def scripted_models(draw):
         Block(payload=(), duration_ms=100.0, is_final=level == n_blocks)
         for level in range(1, n_blocks + 1)
     ]
-    return (lambda: ScriptedSession(script, vocab_size)), vocab_size, vocab_size - 1, blocks
+    factory = partial(ScriptedSession, script, vocab_size)
+    return factory, vocab_size, vocab_size - 1, blocks, SMALL_LOGPROBS
+
+
+@st.composite
+def vector_models(draw):
+    """Raw log-prob vectors over up to 40 tokens, drawn per prefix from a
+    few values, their neighbours one ulp (of themselves or of a large seed
+    score) away, and ``-inf``, so exact ties and scores that rounding
+    merges against large seed log-probs are common."""
+    vocab_size = draw(st.integers(2, 40))
+    bases = draw(st.lists(st.sampled_from([-0.05, -0.5, -0.7, -2.3]), min_size=1, max_size=3))
+    offsets = draw(st.lists(st.sampled_from([-2, -1, -0.5, 0.5, 1, 2]), min_size=1, max_size=3))
+    palette = [-math.inf]
+    for b in bases:
+        palette += [b, math.nextafter(b, 0), math.nextafter(b, -math.inf)]
+        palette += [b + k * math.ulp(big) for k in offsets for big in (1000.0, 1e6)]
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def logprobs(level, prefix):
+        rng = random.Random(f"{seed}/{level}/{prefix}")
+        return [rng.choice(palette) for _ in range(vocab_size)]
+
+    n_blocks = draw(st.integers(1, 3))
+    blocks = [
+        Block(payload=(), duration_ms=100.0, is_final=level == n_blocks)
+        for level in range(1, n_blocks + 1)
+    ]
+    seed_logprobs = st.sampled_from([-0.05, -1000.0, -1e6 - 0.3])
+    return partial(VectorSession, logprobs), vocab_size, vocab_size - 1, blocks, seed_logprobs
 
 
 def _outcome(fn, *args):
@@ -78,7 +112,7 @@ def _outcome(fn, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    model=st.one_of(toy_models(), scripted_models()),
+    model=st.one_of(toy_models(), scripted_models(), vector_models()),
     algo=st.sampled_from(sorted(STRATEGIES)),
     beam=st.integers(1, 6),
     detection=st.booleans(),
@@ -87,7 +121,7 @@ def _outcome(fn, *args):
     data=st.data(),
 )
 def test_kernel_matches_reference(model, algo, beam, detection, ngram, length_norm, data):
-    factory, vocab_size, eos_id, blocks = model
+    factory, vocab_size, eos_id, blocks, logprob = model
     cfg = SearchConfig(
         beam_size=beam,
         length_norm=length_norm,
@@ -95,7 +129,6 @@ def test_kernel_matches_reference(model, algo, beam, detection, ngram, length_no
         repetition_ngram=ngram,
     )
     token = st.integers(0, vocab_size - 1)
-    logprob = st.sampled_from([-0.05, -0.7, -2.3])
     committed = tuple(data.draw(st.lists(token, max_size=3), label="committed"))
     extra = data.draw(st.integers(0, 2), label="extra")
     seeds = []

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+
+import reference_search
 
 from simulbeam import (
     Algorithm,
@@ -13,6 +16,7 @@ from simulbeam import (
     ContextMode,
     DecodeMode,
     Hypothesis,
+    InsufficientContextMode,
     PolicyKind,
     PolicyState,
     SearchConfig,
@@ -34,6 +38,7 @@ from conftest import (
     E,
     TWO_PATH_EOS,
     ScriptedSession,
+    VectorSession,
     as_blocks,
     exhaustive_best,
     ladder_spec,
@@ -334,6 +339,94 @@ class TestStandardBeamSearch:
         # One query for the forced position plus one per extension step.
         assert session.forward_pass_count() - before == 1 + 2
         assert best.tokens == (0, 1, vocab.eos_id)
+
+
+def _wide_toy(mode=InsufficientContextMode.REPEAT):
+    """V=1001 toy with noise: besides its favoured token(s), the other ids
+    all tie at ``epsilon / rest``."""
+    vocab = make_vocab(1000)
+    spec = ToyTransducerSpec(
+        mapping={s: (2 * s, 2 * s + 1) for s in range(500)},
+        noise_epsilon=0.05,
+        insufficient_context_mode=mode,
+    )
+    return spec, vocab
+
+
+class TestBeamStep:
+    @pytest.mark.parametrize(
+        "block_ops",
+        [(bwbs_block, reference_search.bwbs_block), (ibwbs_block, reference_search.ibwbs_block)],
+    )
+    def test_rounding_collapse_breaks_tie_on_token_order(self, block_ops):
+        # Against a -1000 seed, -0.5 and the next float up round to one
+        # score, so token 1 beats token 3 on token order even though
+        # token 3 has the higher log-prob.
+        close = math.nextafter(-0.5, 0)
+        assert math.fsum((-1000.0, -0.5)) == math.fsum((-1000.0, close))
+        vector = [-math.inf, -0.5, -math.inf, close, -math.inf]
+        seed = Hypothesis((2,), (-1000.0,))
+        results = []
+        for fn in block_ops:
+            session = VectorSession(lambda level, prefix: vector)
+            session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
+            results.append(fn(BeamState(active=(seed,)), session, SearchConfig(beam_size=1),
+                              eos_id=4, max_total=2))
+        new, reference = results
+        assert new.active[0].tokens == (2, 1)
+        assert new == reference
+
+    def test_exact_ties_keep_lowest_ids(self):
+        spec, vocab = _wide_toy()
+        results = []
+        for fn in (bwbs_block, reference_search.bwbs_block):
+            session = make_toy_model(spec, vocab)()
+            session.ingest_block(Block(payload=(250,), duration_ms=100.0, is_final=False))
+            results.append(fn(BeamState(active=(Hypothesis(),)), session,
+                              SearchConfig(beam_size=3), eos_id=vocab.eos_id, max_total=1))
+        new, reference = results
+        # Token 500 is favoured; the other 1000 ids tie on the noise mass.
+        assert [h.tokens for h in new.active] == [(500,), (0,), (1,)]
+        assert new == reference
+
+    @pytest.mark.parametrize("mode", list(InsufficientContextMode))
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_builds_at_most_beam_size_candidates_per_forward_pass(self, algo, mode,
+                                                                  monkeypatch):
+        extended = Hypothesis.extended
+        calls = []
+
+        def counted(self, token, logprob):
+            calls.append((self.tokens, token))
+            return extended(self, token, logprob)
+
+        monkeypatch.setattr(Hypothesis, "extended", counted)
+        spec, vocab = _wide_toy(mode)
+        transcript = decode_session(
+            make_toy_model(spec, vocab),
+            as_blocks((3, 141, 59, 26, 5, 358), 2),
+            eos_id=vocab.eos_id,
+            algo=algo,
+            policy=PolicyState.hold(2),
+            cfg=SearchConfig(beam_size=6),
+        )
+        assert transcript.forward_passes > 0
+        assert len(calls) <= 6 * transcript.forward_passes
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_nan_and_positive_inf_logprobs_are_rejected(self, algo, bad):
+        def logprobs(level, prefix):
+            return [bad, -0.1, -3.0] if prefix == (1,) else [-3.0, -0.1, -3.0]
+
+        with pytest.raises(ValueError, match=r"after prefix \(1,\)"):
+            decode_session(
+                lambda: VectorSession(logprobs),
+                [Block(payload=(), duration_ms=100.0, is_final=False),
+                 Block(payload=(), duration_ms=100.0, is_final=True)],
+                eos_id=2,
+                algo=algo,
+            )
 
 
 class TestDecodeSession:

@@ -91,7 +91,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="force the repetition stop trigger on",
     )
     parser.set_defaults(repetition_detection=None)
-    parser.add_argument("--seed", type=int, default=0, help="run seed (recorded in reports)")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
@@ -107,7 +106,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         context=ContextMode(args.mode),
         retranslation=args.retranslation,
         repetition_detection=args.repetition_detection,
-        seed=args.seed,
     )
 
 

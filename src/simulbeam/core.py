@@ -55,15 +55,12 @@ class Vocabulary:
 class Hypothesis:
     """A scored partial output: tokens plus their per-token log-probabilities.
 
-    ``stopped`` marks hypotheses that hit the stop heuristic and were trimmed;
-    ``finished`` marks a legitimate end-of-sequence acceptance, so a finished
-    hypothesis always ends with the EOS token.
+    A finished hypothesis is one that ends with the EOS token; a beam trimmed
+    by the stop heuristic simply carries fewer tokens.
     """
 
     tokens: tuple[int, ...] = ()
     token_logprobs: tuple[float, ...] = ()
-    stopped: bool = False
-    finished: bool = False
 
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.token_logprobs):
@@ -81,14 +78,9 @@ class Hypothesis:
         """Copy with one more scored token appended."""
         return Hypothesis(self.tokens + (token,), self.token_logprobs + (logprob,))
 
-    def sliced(self, length: int, *, stopped: bool = False, finished: bool = False) -> Hypothesis:
+    def sliced(self, length: int) -> Hypothesis:
         """Copy keeping only the first ``length`` tokens."""
-        return Hypothesis(
-            self.tokens[:length],
-            self.token_logprobs[:length],
-            stopped=stopped,
-            finished=finished,
-        )
+        return Hypothesis(self.tokens[:length], self.token_logprobs[:length])
 
 
 @dataclass(frozen=True)
@@ -139,35 +131,26 @@ class SessionTranscript:
                 raise ValueError("commits must concatenate to final_output")
 
 
+MAX_TOKENS_PER_SECOND = 10.0  # output tokens allowed per source second
+MAX_TOKENS_OFFSET = 20
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs shared by all decoding strategies.
-
-    The output-length cap for an utterance is
-    ``ceil(max_len_ratio * source_seconds) + max_len_offset``.
-    """
+    """Knobs shared by all decoding strategies."""
 
     beam_size: int = 6
-    max_len_ratio: float = 10.0  # output tokens allowed per source second
-    max_len_offset: int = 20
-    length_norm: bool = True
     repetition_detection: bool = True
-    repetition_ngram: int = 1
 
     def __post_init__(self) -> None:
         if self.beam_size < 1:
             raise ValueError("beam_size must be at least 1")
-        if self.max_len_ratio <= 0:
-            raise ValueError("max_len_ratio must be positive")
-        if self.max_len_offset < 0:
-            raise ValueError("max_len_offset must be non-negative")
-        if self.repetition_ngram < 1:
-            raise ValueError("repetition_ngram must be at least 1")
 
 
-def max_output_tokens(cfg: SearchConfig, source_duration_ms: float) -> int:
-    """Hard cap on hypothesis length for an utterance of the given duration."""
-    return math.ceil(cfg.max_len_ratio * source_duration_ms / 1000.0) + cfg.max_len_offset
+def max_output_tokens(source_duration_ms: float) -> int:
+    """Hard cap on hypothesis length for an utterance of the given duration:
+    ``ceil(MAX_TOKENS_PER_SECOND * source_seconds) + MAX_TOKENS_OFFSET``."""
+    return math.ceil(MAX_TOKENS_PER_SECOND * source_duration_ms / 1000.0) + MAX_TOKENS_OFFSET
 
 
 def longest_common_prefix(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -196,15 +179,12 @@ def detect_stop(hyp: Hypothesis, cfg: SearchConfig, eos_id: int) -> StopReason:
 
     EOS takes precedence: a hypothesis ending in the EOS token reports
     :attr:`StopReason.EOS` even when it also repeats. A repetition is the
-    final ``repetition_ngram`` tokens equalling the ``repetition_ngram``
-    tokens immediately before them.
+    last token equalling the one before it.
     """
     if not hyp.tokens:
         raise ValueError("detect_stop requires a non-empty hypothesis")
     if hyp.tokens[-1] == eos_id:
         return StopReason.EOS
-    if cfg.repetition_detection:
-        n = cfg.repetition_ngram
-        if len(hyp.tokens) >= 2 * n and hyp.tokens[-n:] == hyp.tokens[-2 * n : -n]:
-            return StopReason.REPEAT
+    if cfg.repetition_detection and len(hyp.tokens) >= 2 and hyp.tokens[-1] == hyp.tokens[-2]:
+        return StopReason.REPEAT
     return StopReason.NONE

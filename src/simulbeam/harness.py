@@ -13,7 +13,7 @@ the resulting trace is the JSONL stream
 Reports are CSV with the fixed column order
 ``id, algo, policy, param, bleu, al_ms, laal_ms, fw_passes`` (the aggregate
 row uses id ``corpus``) plus a JSON aggregate; both are byte-stable for a
-given configuration and seed.
+given configuration, since nothing in the decoding is random.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class RunConfig:
     context: ContextMode = ContextMode.BLOCKWISE
     retranslation: bool = False
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.block_symbols < 1:
@@ -366,7 +365,6 @@ def report_to_json(report: EvalReport, cfg: RunConfig) -> str:
         "beam_size": cfg.beam_size,
         "block_symbols": cfg.block_symbols,
         "context": cfg.context.value,
-        "seed": cfg.seed,
         "utterances": len(report.utterances),
         "bleu": round(report.bleu, 4),
         "al_ms": round(report.al_ms, 3),

@@ -87,55 +87,39 @@ def _ngram_counts(seq: Sequence[int], order: int) -> Counter:
     return Counter(tuple(seq[i : i + order]) for i in range(len(seq) - order + 1))
 
 
+BLEU_MAX_ORDER = 4
+
+
 def corpus_bleu(
-    hypotheses: Sequence[Sequence[int]],
-    references: Sequence[Sequence[int]],
-    max_order: int = 4,
-    smooth: bool = False,
+    hypotheses: Sequence[Sequence[int]], references: Sequence[Sequence[int]]
 ) -> float:
     """Corpus BLEU over token ids, in [0, 100].
 
-    Geometric mean of clipped n-gram precisions (n = 1..``max_order``) times
-    the brevity penalty ``exp(min(0, 1 - r/c))``. Unsmoothed by default so
-    tiny corpora stay hand-checkable: any zero precision yields 0.0. With
-    ``smooth=True``, a zero match count for n >= 2 is floored at a precision
-    of ``1 / (2 * total_ngrams)`` when the hypotheses contain any n-gram of
-    that order.
+    Geometric mean of clipped n-gram precisions (n = 1..4) times the brevity
+    penalty ``exp(min(0, 1 - r/c))``. Unsmoothed, so tiny corpora stay
+    hand-checkable: any zero precision yields 0.0.
     """
     if len(hypotheses) != len(references):
         raise ValueError("hypotheses and references must pair up one to one")
     if not hypotheses:
         raise ValueError("cannot score an empty corpus")
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * BLEU_MAX_ORDER
+    totals = [0] * BLEU_MAX_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_MAX_ORDER + 1):
             hyp_counts = _ngram_counts(hyp, n)
             ref_counts = _ngram_counts(ref, n)
             totals[n - 1] += sum(hyp_counts.values())
             matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    if hyp_len == 0:
+    if 0 in matches:  # also when an order has no n-grams at all
         return 0.0
-    log_precisions = []
-    for n in range(1, max_order + 1):
-        total = totals[n - 1]
-        match = matches[n - 1]
-        if total == 0:
-            return 0.0
-        if match == 0:
-            if smooth and n >= 2:
-                match_precision = 1.0 / (2.0 * total)
-            else:
-                return 0.0
-        else:
-            match_precision = match / total
-        log_precisions.append(log(match_precision))
+    log_precisions = [log(match / total) for match, total in zip(matches, totals)]
     brevity = exp(min(0.0, 1.0 - ref_len / hyp_len))
-    return 100.0 * brevity * exp(fsum(log_precisions) / max_order)
+    return 100.0 * brevity * exp(fsum(log_precisions) / BLEU_MAX_ORDER)
 
 
 @dataclass(frozen=True)

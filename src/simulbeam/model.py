@@ -126,7 +126,12 @@ class ModelSession(ABC):
 
     @abstractmethod
     def forward_pass_count(self) -> int:
-        """Number of distribution queries served so far."""
+        """Number of distribution queries served so far.
+
+        ``decode_session`` calls this exactly once per utterance, as its last
+        call on the session, so a wrapper may take the call as the session's
+        end.
+        """
 
 
 ModelFactory = Callable[[], ModelSession]

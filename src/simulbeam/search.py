@@ -21,7 +21,7 @@ what a triggered beam does. While source remains the trigger is the stop
 heuristic: ``bwbs`` then trims every beam and ends the block, ``ibwbs`` trims
 the one beam into the stopped pool and shrinks the width. On the final block
 the source is complete, so the trigger is a trailing EOS and, for every
-strategy, the beam is marked finished, moves to the pool and shrinks the width
+strategy, the finished beam moves to the pool and shrinks the width
 (:func:`_final_block`); the full re-decode is a re-scored prefix plus that.
 
 A step queries the model once per active beam, rejects NaN and ``+inf``
@@ -151,11 +151,10 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
 
 @dataclass(frozen=True)
 class BeamState:
-    """Beams for one block: active hypotheses, the stopped pool, and the
-    committed prefix every hypothesis extends."""
+    """Beams for one block: active hypotheses and the committed prefix every
+    hypothesis extends."""
 
     active: tuple[Hypothesis, ...]
-    stopped: tuple[Hypothesis, ...] = ()
     committed: tuple[int, ...] = ()
 
 
@@ -225,25 +224,24 @@ def _prune(pool: Iterable[Hypothesis], width: int) -> list[Hypothesis]:
     return sorted(pool, key=lambda h: (-h.score, h.tokens))[:width]
 
 
-def _selection_rank(hyp: Hypothesis, length_norm: bool) -> tuple:
-    score = normalized_score(hyp) if length_norm else hyp.score
+def _selection_rank(hyp: Hypothesis) -> tuple:
     # Empty candidates rank last (their conventional score of 0 would
     # otherwise beat every real hypothesis) yet stay selectable when alone.
-    return (0 if hyp.tokens else 1, -score, -len(hyp.tokens), hyp.tokens)
+    return (0 if hyp.tokens else 1, -normalized_score(hyp), -len(hyp.tokens), hyp.tokens)
 
 
-def select_best(candidates: Sequence[Hypothesis], length_norm: bool = True) -> Hypothesis:
-    """Best hypothesis by (length-normalized) score; longer wins ties, then
+def select_best(candidates: Sequence[Hypothesis]) -> Hypothesis:
+    """Best hypothesis by length-normalized score; longer wins ties, then
     token order. Non-empty candidates always outrank empty ones."""
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
-    return min(candidates, key=lambda h: _selection_rank(h, length_norm))
+    return min(candidates, key=_selection_rank)
 
 
 def _trim_stop(hyp: Hypothesis, floor: int) -> Hypothesis:
     """Remove the last two tokens of a triggered beam, never cutting into
     the committed prefix."""
-    return hyp.sliced(max(len(hyp.tokens) - 2, floor), stopped=True)
+    return hyp.sliced(max(len(hyp.tokens) - 2, floor))
 
 
 def _beam_loop(
@@ -282,23 +280,19 @@ def _final_block(
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
-) -> tuple[list[Hypothesis], list[Hypothesis]]:
+) -> list[Hypothesis]:
     """Decode to completion on the complete source: EOS finishes a beam,
-    repetitions are ignored. Returns ``(ranked, pool)``: the pool is the
-    finished beams then any still active at the length cap; ``ranked`` is
-    the finished beams, else those still active, else the seeds, best-first.
-    """
+    repetitions are ignored. Returns the finished beams, else those still
+    active at the length cap, else the seeds, best-first."""
     finished, leftover = _beam_loop(
         seeds,
         session,
         cfg.beam_size,
         max_total,
         triggered=lambda h: h.tokens[-1] == eos_id,
-        on_trigger=lambda h: replace(h, finished=True),
+        on_trigger=lambda h: h,
     )
-    candidates = finished or leftover or seeds
-    ranked = sorted(candidates, key=lambda h: _selection_rank(h, cfg.length_norm))
-    return ranked, finished + leftover
+    return sorted(finished or leftover or seeds, key=_selection_rank)
 
 
 def _mid_source_block(
@@ -343,8 +337,7 @@ def standard_beam_search(
     for position, token in enumerate(committed):
         logprobs = _query(session, tuple(committed[:position]))
         prefix = prefix.extended(int(token), float(logprobs[int(token)]))
-    ranked, _ = _final_block([prefix], session, cfg, eos_id, max_total)
-    return ranked[0]
+    return _final_block([prefix], session, cfg, eos_id, max_total)[0]
 
 
 def bwbs_block(
@@ -361,7 +354,8 @@ def bwbs_block(
     shows a repetition or EOS ends the block: the last two tokens are removed
     from every beam (floored at the committed prefix) and the beams wait for
     more source. No pruning to a single hypothesis happens here, so snapshots
-    may revise across blocks (re-translation semantics).
+    may revise across blocks (re-translation semantics). A block in which no
+    beam has a finite continuation keeps the incoming beams.
 
     With ``final=True`` the source is complete: the stop heuristic is off and
     the block runs to completion; beams are returned best-first.
@@ -369,10 +363,10 @@ def bwbs_block(
     if not state.active:
         raise ValueError("bwbs_block requires at least one active hypothesis")
     if final:
-        ranked, _ = _final_block(state.active, session, cfg, eos_id, max_total)
+        ranked = _final_block(state.active, session, cfg, eos_id, max_total)
         return BeamState(active=tuple(ranked), committed=state.committed)
     halted, active = _mid_source_block(state, session, cfg, eos_id, max_total, halt=True)
-    return BeamState(active=tuple(halted or active), committed=state.committed)
+    return BeamState(active=tuple(halted or active or state.active), committed=state.committed)
 
 
 def ibwbs_block(
@@ -390,20 +384,21 @@ def ibwbs_block(
     rest of the block (the active width shrinks; no refill). When no active
     beams remain, or the length cap is reached (remaining beams then join the
     pool unmodified), the best stopped hypothesis under length-normalized
-    score becomes the sole active hypothesis for the next block.
+    score becomes the sole active hypothesis for the next block. If no beam
+    had a finite continuation, the best incoming beam takes that place.
 
     With ``final=True`` EOS finishes beams instead of trimming them and
-    repetitions are ignored; the stopped pool collects the finished beams.
+    repetitions are ignored.
     """
     if not state.active:
         raise ValueError("ibwbs_block requires at least one active hypothesis")
     if final:
-        ranked, pool = _final_block(state.active, session, cfg, eos_id, max_total)
-        return BeamState(active=(ranked[0],), stopped=tuple(pool), committed=state.committed)
+        ranked = _final_block(state.active, session, cfg, eos_id, max_total)
+        return BeamState(active=(ranked[0],), committed=state.committed)
     stopped, active = _mid_source_block(state, session, cfg, eos_id, max_total)
     stopped.extend(active)  # length cap reached: survivors join unmodified
-    best = select_best(stopped, cfg.length_norm)
-    return BeamState(active=(best,), stopped=tuple(stopped), committed=state.committed)
+    best = select_best(stopped or state.active)
+    return BeamState(active=(best,), committed=state.committed)
 
 
 _BLOCK_OPS: dict[Algorithm, Callable[..., BeamState]] = {
@@ -414,7 +409,7 @@ _BLOCK_OPS: dict[Algorithm, Callable[..., BeamState]] = {
 
 def _strip_eos(hyp: Hypothesis, eos_id: int) -> Hypothesis:
     if hyp.tokens and hyp.tokens[-1] == eos_id:
-        return hyp.sliced(len(hyp.tokens) - 1, stopped=hyp.stopped)
+        return hyp.sliced(len(hyp.tokens) - 1)
     return hyp
 
 
@@ -454,7 +449,7 @@ def decode_session(
     if mode is DecodeMode.RETRANSLATION and policy_state.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
     total_ms = sum(b.duration_ms for b in blocks)
-    max_total = max_output_tokens(cfg, total_ms)
+    max_total = max_output_tokens(total_ms)
     session = model_factory()
     committed: tuple[int, ...] = ()
     carry: tuple[Hypothesis, ...] = (Hypothesis(),)
@@ -477,7 +472,7 @@ def decode_session(
                 final=block.is_final,
             )
             beams = out.active
-            best = select_best(beams, cfg.length_norm)
+            best = select_best(beams)
         visible = _strip_eos(best, eos_id)
         if mode is DecodeMode.INCREMENTAL:
             if block.is_final:

@@ -94,6 +94,27 @@ class VectorSession(ModelSession):
         return self._forward_passes
 
 
+class RecordingSession(ModelSession):
+    """Delegates to an inner session and records, in order, the name of
+    every method called on it."""
+
+    def __init__(self, inner: ModelSession):
+        self._inner = inner
+        self.calls: list[str] = []
+
+    def ingest_block(self, block: Block) -> None:
+        self.calls.append("ingest_block")
+        self._inner.ingest_block(block)
+
+    def next_token_logprobs(self, prefix) -> np.ndarray:
+        self.calls.append("next_token_logprobs")
+        return self._inner.next_token_logprobs(prefix)
+
+    def forward_pass_count(self) -> int:
+        self.calls.append("forward_pass_count")
+        return self._inner.forward_pass_count()
+
+
 def two_path_script() -> dict[int, dict[tuple, dict[int, float]]]:
     """Two competing decode paths over the reference ``[B, C, D, E]``.
 

@@ -1,5 +1,5 @@
 """Reference strategies: the per-strategy beam loops the search module
-replaced with its shared beam step, kept verbatim as a slow oracle.
+replaced with its shared beam step, kept as a slow oracle.
 
 Each strategy here runs its own expand → prune → classify loop, with its
 own copy of the beam-step helpers, so a change to the shared kernel or its
@@ -10,7 +10,6 @@ Only the public value types and the stop heuristic come from the package.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Iterable, Sequence
 
 from simulbeam import BeamState, Hypothesis, SearchConfig, StopReason, detect_stop
@@ -36,19 +35,18 @@ def _prune(pool: Iterable[Hypothesis], width: int) -> list[Hypothesis]:
     return ranked[:width]
 
 
-def _selection_rank(hyp: Hypothesis, length_norm: bool) -> tuple:
-    score = normalized_score(hyp) if length_norm else hyp.score
-    return (0 if hyp.tokens else 1, -score, -len(hyp.tokens), hyp.tokens)
+def _selection_rank(hyp: Hypothesis) -> tuple:
+    return (0 if hyp.tokens else 1, -normalized_score(hyp), -len(hyp.tokens), hyp.tokens)
 
 
-def select_best(candidates: Sequence[Hypothesis], length_norm: bool = True) -> Hypothesis:
+def select_best(candidates: Sequence[Hypothesis]) -> Hypothesis:
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
-    return min(candidates, key=lambda h: _selection_rank(h, length_norm))
+    return min(candidates, key=_selection_rank)
 
 
 def _trim_stop(hyp: Hypothesis, floor: int) -> Hypothesis:
-    return hyp.sliced(max(len(hyp.tokens) - 2, floor), stopped=True)
+    return hyp.sliced(max(len(hyp.tokens) - 2, floor))
 
 
 def _run_to_completion(
@@ -65,7 +63,7 @@ def _run_to_completion(
         still: list[Hypothesis] = []
         for hyp in _prune(_expand(active, session), width):
             if hyp.tokens[-1] == eos_id:
-                finished.append(replace(hyp, finished=True))
+                finished.append(hyp)
                 width -= 1
             else:
                 still.append(hyp)
@@ -88,9 +86,9 @@ def standard_beam_search(
         return prefix
     finished, active = _run_to_completion([prefix], session, cfg, eos_id, max_total)
     if finished:
-        return select_best(finished, cfg.length_norm)
+        return select_best(finished)
     if active:
-        return select_best(active, cfg.length_norm)
+        return select_best(active)
     return prefix
 
 
@@ -108,15 +106,16 @@ def bwbs_block(
     if final:
         finished, leftover = _run_to_completion(state.active, session, cfg, eos_id, max_total)
         pool = finished or leftover or list(state.active)
-        ranked = sorted(pool, key=lambda h: _selection_rank(h, cfg.length_norm))
-        return BeamState(active=tuple(ranked), stopped=(), committed=state.committed)
+        ranked = sorted(pool, key=_selection_rank)
+        return BeamState(active=tuple(ranked), committed=state.committed)
     active = list(state.active)
     while active and len(active[0].tokens) < max_total:
         active = _prune(_expand(active, session), cfg.beam_size)
         if any(detect_stop(h, cfg, eos_id) is not StopReason.NONE for h in active):
             active = [_trim_stop(h, floor) for h in active]
             break
-    return BeamState(active=tuple(active), stopped=(), committed=state.committed)
+    # No beam with a finite continuation: keep the incoming beams.
+    return BeamState(active=tuple(active or state.active), committed=state.committed)
 
 
 def ibwbs_block(
@@ -133,10 +132,7 @@ def ibwbs_block(
     if final:
         finished, leftover = _run_to_completion(state.active, session, cfg, eos_id, max_total)
         pool = finished or leftover or list(state.active)
-        best = select_best(pool, cfg.length_norm)
-        return BeamState(
-            active=(best,), stopped=tuple(finished + leftover), committed=state.committed
-        )
+        return BeamState(active=(select_best(pool),), committed=state.committed)
     active = list(state.active)
     stopped: list[Hypothesis] = []
     width = cfg.beam_size
@@ -150,5 +146,6 @@ def ibwbs_block(
                 still.append(hyp)
         active = still
     stopped.extend(active)
-    best = select_best(stopped, cfg.length_norm)
-    return BeamState(active=(best,), stopped=tuple(stopped), committed=state.committed)
+    # No beam with a finite continuation: fall back to the incoming beams.
+    best = select_best(stopped or list(state.active))
+    return BeamState(active=(best,), committed=state.committed)

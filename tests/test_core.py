@@ -88,11 +88,6 @@ class TestDetectStop:
         hyp = Hypothesis((2, 2), (-0.1, -0.1))
         assert detect_stop(hyp, cfg, EOS) is StopReason.NONE
 
-    def test_bigram_window(self):
-        cfg = SearchConfig(repetition_ngram=2)
-        assert detect_stop(Hypothesis((1, 2, 1, 2), (-1.0,) * 4), cfg, EOS) is StopReason.REPEAT
-        assert detect_stop(Hypothesis((1, 2, 2, 2), (-1.0,) * 4), cfg, EOS) is StopReason.NONE
-
     def test_empty_hypothesis_rejected(self):
         with pytest.raises(ValueError):
             detect_stop(Hypothesis(), SearchConfig(), EOS)
@@ -111,13 +106,11 @@ class TestDetectStop:
 
 class TestMaxOutputTokens:
     def test_formula(self):
-        cfg = SearchConfig(max_len_ratio=10.0, max_len_offset=20)
-        assert max_output_tokens(cfg, 3000.0) == 50
-        assert max_output_tokens(cfg, 3100.0) == 51
+        assert max_output_tokens(3000.0) == 50
+        assert max_output_tokens(3100.0) == 51
 
     def test_defaults_match_documentation(self):
-        cfg = SearchConfig()
-        assert max_output_tokens(cfg, 1000.0) == 30
+        assert max_output_tokens(1000.0) == 30
 
 
 class TestValidation:
@@ -162,5 +155,3 @@ class TestValidation:
     def test_search_config_bounds(self):
         with pytest.raises(ValueError):
             SearchConfig(beam_size=0)
-        with pytest.raises(ValueError):
-            SearchConfig(max_len_ratio=0.0)

@@ -2,9 +2,8 @@
 it replaced (``reference_search``).
 
 Both sides decode the same blocks from the same seeds on twin sessions, and
-must agree exactly on every returned beam (tokens, log-probabilities and
-``stopped``/``finished`` flags), on the stopped pool, on any error raised,
-and on the forward passes spent. Each model strategy also gives the
+must agree exactly on every returned beam (tokens and log-probabilities),
+on any error raised, and on the forward passes spent. Each model strategy also gives the
 log-probabilities the seed beams draw from.
 """
 
@@ -116,18 +115,11 @@ def _outcome(fn, *args):
     algo=st.sampled_from(sorted(STRATEGIES)),
     beam=st.integers(1, 6),
     detection=st.booleans(),
-    ngram=st.integers(1, 2),
-    length_norm=st.booleans(),
     data=st.data(),
 )
-def test_kernel_matches_reference(model, algo, beam, detection, ngram, length_norm, data):
+def test_kernel_matches_reference(model, algo, beam, detection, data):
     factory, vocab_size, eos_id, blocks, logprob = model
-    cfg = SearchConfig(
-        beam_size=beam,
-        length_norm=length_norm,
-        repetition_detection=detection,
-        repetition_ngram=ngram,
-    )
+    cfg = SearchConfig(beam_size=beam, repetition_detection=detection)
     token = st.integers(0, vocab_size - 1)
     committed = tuple(data.draw(st.lists(token, max_size=3), label="committed"))
     extra = data.draw(st.integers(0, 2), label="extra")

@@ -37,6 +37,7 @@ from conftest import (
     D,
     E,
     TWO_PATH_EOS,
+    RecordingSession,
     ScriptedSession,
     VectorSession,
     as_blocks,
@@ -141,11 +142,6 @@ class TestSelectBest:
         empty = Hypothesis()
         assert select_best([empty]) == empty
 
-    def test_raw_score_ranking_when_norm_disabled(self):
-        short = Hypothesis((1,), (-0.5,))
-        long = Hypothesis((2, 3), (-0.4, -0.4))
-        assert select_best([short, long], length_norm=False) == short
-
 
 def _script_state(committed=()) -> BeamState:
     seed = Hypothesis(tuple(committed), (-0.05,) * len(committed))
@@ -168,7 +164,7 @@ class TestBwbsBlock:
         out = bwbs_block(_script_state(), session, SearchConfig(), vocab.eos_id, max_total=10)
         top = select_best(out.active)
         assert top.tokens == (0,)
-        assert top.stopped
+        assert all(len(h.tokens) == 1 for h in out.active)
 
     def test_final_block_runs_to_eos_without_truncation(self, repeat_toy):
         _, vocab, factory = repeat_toy
@@ -177,7 +173,6 @@ class TestBwbsBlock:
         cfg = SearchConfig(beam_size=1)
         out = bwbs_block(_script_state(), session, cfg, vocab.eos_id, max_total=10, final=True)
         assert out.active[0].tokens == (0, 1, vocab.eos_id)
-        assert out.active[0].finished
 
     def test_zero_length_budget_leaves_state_unchanged(self, repeat_toy):
         _, vocab, factory = repeat_toy
@@ -210,10 +205,8 @@ class TestIbwbsBlock:
         session = _two_path_session()
         cfg = SearchConfig(beam_size=2)
         out = ibwbs_block(_script_state(), session, cfg, TWO_PATH_EOS, max_total=20)
-        assert out.active == (select_best(out.stopped),)
+        assert len(out.active) == 1
         assert out.active[0].tokens == (B, C)
-        stopped_tokens = {h.tokens for h in out.stopped}
-        assert stopped_tokens == {(), (B, C)}
 
     def test_beats_bwbs_on_the_two_path_fixture(self):
         cfg = SearchConfig(beam_size=2)
@@ -239,9 +232,8 @@ class TestIbwbsBlock:
         session = factory()
         session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=False))
         out = ibwbs_block(_script_state(), session, SearchConfig(), vocab.eos_id, max_total=10)
-        # Trigger fires at [t0, t1, t1]; the stopped pool holds it minus two.
-        assert out.stopped[0].tokens == (0,)
-        assert out.stopped[0].stopped
+        # Trigger fires at [t0, t1, t1]; the only stopped beam keeps it minus two.
+        assert out.active[0].tokens == (0,)
 
     def test_simultaneous_stops_reduce_to_raw_score(self):
         script = {
@@ -255,9 +247,7 @@ class TestIbwbsBlock:
         session.ingest_block(Block(payload=(0,), duration_ms=100.0, is_final=False))
         cfg = SearchConfig(beam_size=2)
         out = ibwbs_block(_script_state(), session, cfg, TWO_PATH_EOS, max_total=20)
-        lengths = {len(h.tokens) for h in out.stopped}
-        assert lengths == {0}  # both trimmed by two from length two
-        assert out.active[0].tokens == ()
+        assert out.active[0].tokens == ()  # both trimmed by two from length two
 
     def test_length_cap_survivors_selected_as_is(self):
         spec, vocab = ladder_spec(symbols=4)
@@ -268,7 +258,6 @@ class TestIbwbsBlock:
         # No trigger fires within three tokens of reference; the survivor
         # joins the pool unmodified and is selected untrimmed.
         assert out.active[0].tokens == (0, 1, 2)
-        assert not out.active[0].stopped
 
     def test_single_active_hypothesis_after_block(self):
         rng = random.Random(5)
@@ -289,7 +278,7 @@ class TestIbwbsBlock:
             committed = tuple(spec.mapping[source[0]])[:1]
             out = ibwbs_block(_script_state(committed), session, SearchConfig(beam_size=3),
                               vocab.eos_id, max_total=10)
-            for hypothesis in out.active + out.stopped:
+            for hypothesis in out.active:
                 assert hypothesis.tokens[: len(committed)] == committed
 
 
@@ -300,7 +289,6 @@ class TestStandardBeamSearch:
         session.ingest_block(Block(payload=(0, 1, 2), duration_ms=500.0, is_final=True))
         best = standard_beam_search(session, (), SearchConfig(), vocab.eos_id, max_total=20)
         assert best.tokens == reference_for(spec, (0, 1, 2)) + (vocab.eos_id,)
-        assert best.finished
 
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(21)
@@ -517,6 +505,43 @@ class TestDecodeSession:
                 joined += event.tokens
                 assert joined[: len(previous)] == previous
             assert joined == transcript.final_output
+
+    @pytest.mark.parametrize("mode", list(DecodeMode))
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_model_without_finite_logprobs_gives_empty_output(self, algo, mode):
+        # No beam can ever expand: every strategy keeps its seeds through the
+        # blocks and ends with nothing to show.
+        transcript = decode_session(
+            lambda: VectorSession(lambda level, prefix: [-math.inf] * 4),
+            [Block(payload=(), duration_ms=100.0, is_final=False),
+             Block(payload=(), duration_ms=100.0, is_final=True)],
+            eos_id=3,
+            algo=algo,
+            mode=mode,
+        )
+        assert transcript.final_output == ()
+        assert transcript.commits == ()
+
+    @pytest.mark.parametrize("mode", list(DecodeMode))
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_forward_pass_count_is_the_last_call_on_the_session(self, algo, mode):
+        # Session wrappers (the benchmark's among them) take this call as
+        # the end of the session.
+        spec, vocab = ladder_spec(symbols=4)
+        toy = make_toy_model(spec, vocab)
+        sessions: list[RecordingSession] = []
+
+        def factory():
+            sessions.append(RecordingSession(toy()))
+            return sessions[-1]
+
+        transcript = decode_session(
+            factory, as_blocks((0, 1, 2, 3), 2), eos_id=vocab.eos_id, algo=algo, mode=mode
+        )
+        [session] = sessions
+        assert session.calls.count("forward_pass_count") == 1
+        assert session.calls[-1] == "forward_pass_count"
+        assert transcript.forward_passes == session.calls.count("next_token_logprobs")
 
     def test_requires_final_block(self):
         spec, vocab = ladder_spec(symbols=2)

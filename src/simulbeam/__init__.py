@@ -55,8 +55,6 @@ from .model import (
 )
 from .search import (
     Algorithm,
-    BeamState,
-    DecodeMode,
     PolicyKind,
     PolicyState,
     apply_policy,
@@ -71,14 +69,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm",
-    "BeamState",
     "Block",
     "CommitEvent",
     "ConfigError",
     "ContextMode",
     "CorpusError",
     "CorpusRecord",
-    "DecodeMode",
     "EvalReport",
     "Hypothesis",
     "InsufficientContextMode",

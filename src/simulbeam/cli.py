@@ -21,6 +21,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     CorpusError,
+    CorpusRecord,
     RunConfig,
     load_corpus,
     report_to_csv,
@@ -30,7 +31,7 @@ from .harness import (
     sweep,
     sweep_to_csv,
 )
-from .model import ContextMode, load_model_file, make_toy_model
+from .model import ContextMode, ModelFactory, load_model_file, make_toy_model
 from .search import Algorithm, PolicyKind
 
 _SWEEP_FIELDS = {
@@ -116,10 +117,18 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+def _load(
+    args: argparse.Namespace, cfg: RunConfig
+) -> tuple[list[CorpusRecord], ModelFactory, int]:
+    """The corpus, a model factory in the run's context mode, and the EOS id."""
     spec, vocab = load_model_file(args.model)
     corpus = load_corpus(args.corpus)
+    return corpus, make_toy_model(spec, vocab, cfg.context), vocab.eos_id
+
+
+def _cmd_decode(args: argparse.Namespace) -> int:
+    cfg = _run_config(args)
+    corpus, factory, eos_id = _load(args, cfg)
     if args.id is None:
         record = corpus[0]
     else:
@@ -127,18 +136,15 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         if not matches:
             raise CorpusError(f"no record with id {args.id!r} in {args.corpus}")
         record = matches[0]
-    factory = make_toy_model(spec, vocab, ContextMode(args.mode))
-    _, events = run_utterance(record, factory, cfg, vocab.eos_id)
+    _, events = run_utterance(record, factory, cfg, eos_id)
     _emit("".join(event.to_json() + "\n" for event in events), args.out)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    spec, vocab = load_model_file(args.model)
-    corpus = load_corpus(args.corpus)
-    factory = make_toy_model(spec, vocab, ContextMode(args.mode))
-    report = run_corpus(corpus, factory, cfg, vocab.eos_id)
+    corpus, factory, eos_id = _load(args, cfg)
+    report = run_corpus(corpus, factory, cfg, eos_id)
     _emit(report_to_csv(report, cfg), args.out)
     if args.json is not None:
         Path(args.json).write_text(report_to_json(report, cfg) + "\n")
@@ -158,10 +164,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif args.sweep_param == "la":
         cfg = replace(cfg, policy=PolicyKind.LOCAL_AGREEMENT, policy_param=values[0])
     field = _SWEEP_FIELDS[args.sweep_param]
-    spec, vocab = load_model_file(args.model)
-    corpus = load_corpus(args.corpus)
-    factory = make_toy_model(spec, vocab, ContextMode(args.mode))
-    points = sweep(corpus, factory, cfg, [(field, v) for v in values], vocab.eos_id)
+    corpus, factory, eos_id = _load(args, cfg)
+    points = sweep(corpus, factory, cfg, [(field, v) for v in values], eos_id)
     _emit(sweep_to_csv(points, cfg), args.out)
     return 0
 

@@ -4,10 +4,11 @@ A corpus is a JSONL file, one utterance per line:
 
     {"id": str, "source": [int], "reference": [int], "block_ms": number}
 
-``block_ms`` is the duration of one source symbol. An utterance is replayed
-by splitting its source into fixed-size blocks, advancing the clock by the
-block duration per READ, and letting the decoder WRITE commits in between;
-the resulting trace is the JSONL stream
+``block_ms`` is the duration of one source symbol, positive and finite; the
+ids are JSON integers. An utterance is replayed by splitting its source into
+fixed-size blocks, advancing the clock by the block duration per READ, and
+letting the decoder WRITE commits in between; the resulting trace is the
+JSONL stream
 ``{"kind": "READ"|"WRITE", "payload": [...], "t_ms": number}``.
 
 Reports are CSV with the fixed column order
@@ -19,6 +20,7 @@ given configuration, since nothing in the decoding is random.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,8 +35,8 @@ from .metrics import (
     laal,
     token_delays,
 )
-from .model import Block, ContextMode, ModelFactory
-from .search import Algorithm, DecodeMode, PolicyKind, PolicyState, decode_session
+from .model import Block, ContextMode, ModelFactory, json_ids
+from .search import Algorithm, PolicyKind, PolicyState, decode_session
 
 
 class CorpusError(ValueError):
@@ -62,8 +64,8 @@ class CorpusRecord:
             raise CorpusError(f"record {self.id!r}: source must be non-empty")
         if not self.reference:
             raise CorpusError(f"record {self.id!r}: reference must be non-empty")
-        if self.block_ms <= 0:
-            raise CorpusError(f"record {self.id!r}: block_ms must be positive")
+        if not 0 < self.block_ms < math.inf:
+            raise CorpusError(f"record {self.id!r}: block_ms must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.block_symbols < 1:
             raise ConfigError("block size must be at least 1 symbol")
-        if self.block_ms is not None and self.block_ms <= 0:
-            raise ConfigError("block_ms must be positive")
+        if self.block_ms is not None and not 0 < self.block_ms < math.inf:
+            raise ConfigError("block_ms must be positive and finite")
         if self.retranslation and self.policy is not PolicyKind.NONE:
             raise ConfigError("commit policies do not apply to re-translation output")
         try:
@@ -105,9 +107,6 @@ class RunConfig:
         if self.policy is PolicyKind.LOCAL_AGREEMENT:
             return PolicyState.local_agreement(self.policy_param)
         return PolicyState.none()
-
-    def decode_mode(self) -> DecodeMode:
-        return DecodeMode.RETRANSLATION if self.retranslation else DecodeMode.INCREMENTAL
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,8 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
             doc = json.loads(line)
             record = CorpusRecord(
                 id=str(doc["id"]),
-                source=tuple(int(s) for s in doc["source"]),
-                reference=tuple(int(t) for t in doc["reference"]),
+                source=json_ids(doc["source"], "source"),
+                reference=json_ids(doc["reference"], "reference"),
                 block_ms=float(doc["block_ms"]),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -205,7 +204,7 @@ def run_utterance(
         eos_id=eos_id,
         algo=cfg.algo,
         policy=cfg.policy_state(),
-        mode=cfg.decode_mode(),
+        retranslation=cfg.retranslation,
         cfg=cfg.search_config(),
         snapshots=snapshots,
     )

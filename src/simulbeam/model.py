@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class Block:
     is_final: bool = False
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise ValueError("block duration_ms must be positive")
+        if not 0 < self.duration_ms < math.inf:
+            raise ValueError("block duration_ms must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,17 @@ def make_toy_model(
     return factory
 
 
+def json_ids(values: Iterable, field: str) -> tuple[int, ...]:
+    """The entries of a JSON id list as a tuple. Each must be a JSON integer:
+    a float, a numeric string or a boolean raises ``TypeError`` instead of
+    being truncated or converted."""
+    ids = tuple(values)
+    for value in ids:
+        if type(value) is not int:
+            raise TypeError(f"{field} must hold integer ids, got {value!r}")
+    return ids
+
+
 def spec_to_json(spec: ToyTransducerSpec, vocab: Vocabulary) -> dict:
     """JSON document for a toy model; see :func:`load_model_file`."""
     surfaces = vocab.surfaces or tuple(
@@ -251,7 +263,8 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
 
     Schema: ``{"vocab": [...], "mapping": {...}, "epsilon": r, "mode": "...",
     "lookahead": k}``. The vocabulary is the list of surface strings; the
-    entry equal to ``"<eos>"`` designates the end-of-sequence token.
+    entry equal to ``"<eos>"`` designates the end-of-sequence token. Mapping
+    keys are integer strings; targets and ``lookahead`` are JSON integers.
     """
     try:
         surfaces = tuple(str(s) for s in doc["vocab"])
@@ -263,14 +276,19 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
         raise ValueError(f'model vocab must contain exactly one "{EOS_SURFACE}" entry')
     vocab = Vocabulary(size=len(surfaces), eos_id=eos_positions[0], surfaces=surfaces)
     try:
-        mapping = {int(sym): tuple(int(t) for t in tgt) for sym, tgt in raw_mapping.items()}
+        mapping = {
+            int(sym): json_ids(tgt, f"mapping for symbol {sym}") for sym, tgt in raw_mapping.items()
+        }
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model mapping: {exc}") from exc
+    lookahead = doc.get("lookahead", 0)
+    if type(lookahead) is not int:
+        raise ValueError(f"lookahead must be an integer, got {lookahead!r}")
     spec = ToyTransducerSpec(
         mapping=mapping,
         noise_epsilon=float(doc.get("epsilon", 0.0)),
         insufficient_context_mode=InsufficientContextMode(str(doc.get("mode", "repeat")).lower()),
-        lookahead=int(doc.get("lookahead", 0)),
+        lookahead=lookahead,
     )
     spec.validate_against(vocab)
     return spec, vocab

@@ -68,14 +68,6 @@ class Algorithm(enum.Enum):
     IBWBS = "ibwbs"
 
 
-class DecodeMode(enum.Enum):
-    """INCREMENTAL emits an irrevocable commit stream; RETRANSLATION emits
-    evolving full-hypothesis snapshots and never commits mid-stream."""
-
-    INCREMENTAL = "incremental"
-    RETRANSLATION = "retranslation"
-
-
 class PolicyKind(enum.Enum):
     NONE = "none"
     HOLD = "hold"
@@ -87,7 +79,8 @@ class PolicyState:
     """Commit-policy state threaded through a session.
 
     ``history`` holds the most recent best outputs (local agreement only);
-    ``committed`` is the prefix already shown, which only ever extends.
+    ``committed`` is the prefix already shown, which only ever extends;
+    :func:`decode_session` keeps no other copy of it.
     """
 
     kind: PolicyKind = PolicyKind.NONE
@@ -147,15 +140,6 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
     if len(candidate) > len(committed) and candidate[: len(committed)] == committed:
         new = tuple(candidate[len(committed) :])
     return replace(state, history=history, committed=committed + new), new
-
-
-@dataclass(frozen=True)
-class BeamState:
-    """Beams for one block: active hypotheses and the committed prefix every
-    hypothesis extends."""
-
-    active: tuple[Hypothesis, ...]
-    committed: tuple[int, ...] = ()
 
 
 def _query(session: ModelSession, prefix: tuple[int, ...]) -> np.ndarray:
@@ -296,7 +280,8 @@ def _final_block(
 
 
 def _mid_source_block(
-    state: BeamState,
+    beams: Sequence[Hypothesis],
+    floor: int,
     session: ModelSession,
     cfg: SearchConfig,
     eos_id: int,
@@ -304,10 +289,10 @@ def _mid_source_block(
     halt: bool = False,
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """One block while source remains: a beam that shows a repetition or EOS
-    is trimmed (see :func:`_trim_stop`). Returns ``(pool, still_active)``."""
-    floor = len(state.committed)
+    is trimmed, never below ``floor`` tokens (see :func:`_trim_stop`).
+    Returns ``(pool, still_active)``."""
     return _beam_loop(
-        state.active,
+        beams,
         session,
         cfg.beam_size,
         max_total,
@@ -341,67 +326,68 @@ def standard_beam_search(
 
 
 def bwbs_block(
-    state: BeamState,
+    beams: Sequence[Hypothesis],
+    floor: int,
     session: ModelSession,
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
     final: bool = False,
-) -> BeamState:
+) -> tuple[Hypothesis, ...]:
     """One block of the conservative blockwise search.
 
-    All beams advance one token per step. The first step at which *any* beam
-    shows a repetition or EOS ends the block: the last two tokens are removed
-    from every beam (floored at the committed prefix) and the beams wait for
+    ``beams`` all extend the committed prefix, which is ``floor`` tokens
+    long. All beams advance one token per step. The first step at which *any*
+    beam shows a repetition or EOS ends the block: the last two tokens are
+    removed from every beam (never below ``floor``) and the beams wait for
     more source. No pruning to a single hypothesis happens here, so snapshots
     may revise across blocks (re-translation semantics). A block in which no
-    beam has a finite continuation keeps the incoming beams.
+    beam has a finite continuation returns the incoming beams.
 
     With ``final=True`` the source is complete: the stop heuristic is off and
     the block runs to completion; beams are returned best-first.
     """
-    if not state.active:
+    if not beams:
         raise ValueError("bwbs_block requires at least one active hypothesis")
     if final:
-        ranked = _final_block(state.active, session, cfg, eos_id, max_total)
-        return BeamState(active=tuple(ranked), committed=state.committed)
-    halted, active = _mid_source_block(state, session, cfg, eos_id, max_total, halt=True)
-    return BeamState(active=tuple(halted or active or state.active), committed=state.committed)
+        return tuple(_final_block(beams, session, cfg, eos_id, max_total))
+    halted, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total, halt=True)
+    return tuple(halted or active or beams)
 
 
 def ibwbs_block(
-    state: BeamState,
+    beams: Sequence[Hypothesis],
+    floor: int,
     session: ModelSession,
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
     final: bool = False,
-) -> BeamState:
-    """One block of the incremental blockwise search.
+) -> tuple[Hypothesis, ...]:
+    """One block of the incremental blockwise search; returns one beam.
 
-    Beams stop individually: a beam showing a repetition or EOS loses its
-    last two tokens, joins the stopped pool, and leaves the search for the
-    rest of the block (the active width shrinks; no refill). When no active
-    beams remain, or the length cap is reached (remaining beams then join the
-    pool unmodified), the best stopped hypothesis under length-normalized
-    score becomes the sole active hypothesis for the next block. If no beam
-    had a finite continuation, the best incoming beam takes that place.
+    ``beams`` and ``floor`` are as for :func:`bwbs_block`. Beams stop
+    individually: a beam showing a repetition or EOS loses its last two
+    tokens (never below ``floor``), joins the stopped pool, and leaves the
+    search for the rest of the block (the active width shrinks; no refill).
+    When no active beams remain, or the length cap is reached (remaining
+    beams then join the pool unmodified), the best stopped hypothesis under
+    length-normalized score is the one beam returned. If no beam had a
+    finite continuation, the best incoming beam takes that place.
 
     With ``final=True`` EOS finishes beams instead of trimming them and
     repetitions are ignored.
     """
-    if not state.active:
+    if not beams:
         raise ValueError("ibwbs_block requires at least one active hypothesis")
     if final:
-        ranked = _final_block(state.active, session, cfg, eos_id, max_total)
-        return BeamState(active=(ranked[0],), committed=state.committed)
-    stopped, active = _mid_source_block(state, session, cfg, eos_id, max_total)
+        return (_final_block(beams, session, cfg, eos_id, max_total)[0],)
+    stopped, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total)
     stopped.extend(active)  # length cap reached: survivors join unmodified
-    best = select_best(stopped or state.active)
-    return BeamState(active=(best,), committed=state.committed)
+    return (select_best(stopped or beams),)
 
 
-_BLOCK_OPS: dict[Algorithm, Callable[..., BeamState]] = {
+_BLOCK_OPS: dict[Algorithm, Callable[..., tuple[Hypothesis, ...]]] = {
     Algorithm.BWBS: bwbs_block,
     Algorithm.IBWBS: ibwbs_block,
 }
@@ -418,24 +404,28 @@ def decode_session(
     blocks: Sequence[Block],
     eos_id: int,
     algo: Algorithm = Algorithm.IBWBS,
-    policy: PolicyState | None = None,
-    mode: DecodeMode = DecodeMode.INCREMENTAL,
+    policy: PolicyState = PolicyState(),
+    retranslation: bool = False,
     cfg: SearchConfig = SearchConfig(),
     snapshots: list[tuple[float, tuple[int, ...]]] | None = None,
 ) -> SessionTranscript:
     """Drive one full utterance through per-block decoding.
 
-    Per block: ingest, decode with the selected strategy, then in
-    INCREMENTAL mode prune to a single hypothesis, apply the commit policy,
-    and record a commit stamped with the source time consumed so far. The
-    policy-committed prefix (with its cached token log-probabilities) seeds
-    the next block; tokens the policy held back are re-derived later, so
-    they remain revisable. The final block bypasses the policy and commits
+    Per block: ingest, then decode with the selected strategy from the beams
+    the previous block left. In incremental mode (the default) the block's
+    best hypothesis goes through the commit policy, and any new tokens are
+    committed, stamped with the source time consumed so far. The committed
+    prefix lives only in the policy state: it is the floor no trim may cut
+    into, and it (with its cached token log-probabilities) is the one beam
+    the next block starts from, so tokens the policy held back are re-derived
+    and remain revisable. The final block bypasses the policy and commits
     everything, with EOS accepted as a legitimate end.
 
-    In RETRANSLATION mode nothing is committed: each block appends a
-    ``(source_ms, tokens)`` snapshot to ``snapshots`` (if given); the
-    blockwise strategy carries its full multi-beam state across blocks.
+    With ``retranslation=True`` nothing is committed and no policy may be
+    set: each block appends a ``(source_ms, tokens)`` snapshot of its best
+    hypothesis to ``snapshots`` (if given), the next block starts from every
+    beam this one returned (all of them for ``bwbs``, one for ``ibwbs``), and
+    the last snapshot is the final output.
 
     For ``algo=BS`` every block triggers a full re-decode from the committed
     prefix via :func:`standard_beam_search`.
@@ -445,53 +435,41 @@ def decode_session(
     blocks = list(blocks)
     if not blocks or not blocks[-1].is_final or any(b.is_final for b in blocks[:-1]):
         raise ValueError("the block stream must end with exactly one final block")
-    policy_state = policy if policy is not None else PolicyState.none()
-    if mode is DecodeMode.RETRANSLATION and policy_state.kind is not PolicyKind.NONE:
+    if retranslation and policy.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
     total_ms = sum(b.duration_ms for b in blocks)
     max_total = max_output_tokens(total_ms)
     session = model_factory()
-    committed: tuple[int, ...] = ()
-    carry: tuple[Hypothesis, ...] = (Hypothesis(),)
+    beams: tuple[Hypothesis, ...] = (Hypothesis(),)
     commits: list[CommitEvent] = []
-    last_best = Hypothesis()
     elapsed = 0.0
     for block in blocks:
         session.ingest_block(block)
         elapsed += block.duration_ms
+        floor = len(policy.committed)
         if algo is Algorithm.BS:
-            best = standard_beam_search(session, committed, cfg, eos_id, max_total)
-            beams: tuple[Hypothesis, ...] = (best,)
+            best = standard_beam_search(session, policy.committed, cfg, eos_id, max_total)
         else:
-            out = _BLOCK_OPS[algo](
-                BeamState(active=carry, committed=committed),
-                session,
-                cfg,
-                eos_id,
-                max_total,
-                final=block.is_final,
+            beams = _BLOCK_OPS[algo](
+                beams, floor, session, cfg, eos_id, max_total, final=block.is_final
             )
-            beams = out.active
             best = select_best(beams)
         visible = _strip_eos(best, eos_id)
-        if mode is DecodeMode.INCREMENTAL:
-            if block.is_final:
-                new = visible.tokens[len(committed) :]
-            else:
-                policy_state, new = apply_policy(policy_state, visible)
-            if new:
-                commits.append(CommitEvent(tokens=tuple(new), source_consumed_ms=elapsed))
-                committed = committed + tuple(new)
-            carry = (visible.sliced(len(committed)),)
-        else:
+        if retranslation:
             if snapshots is not None:
                 snapshots.append((elapsed, visible.tokens))
-            last_best = visible
-            carry = beams if algo is Algorithm.BWBS else (best,)
-    final_output = committed if mode is DecodeMode.INCREMENTAL else last_best.tokens
+            continue
+        if block.is_final:
+            new = visible.tokens[floor:]
+            policy = replace(policy, committed=visible.tokens)
+        else:
+            policy, new = apply_policy(policy, visible)
+        if new:
+            commits.append(CommitEvent(tokens=new, source_consumed_ms=elapsed))
+        beams = (visible.sliced(len(policy.committed)),)
     return SessionTranscript(
         commits=tuple(commits),
-        final_output=final_output,
+        final_output=visible.tokens if retranslation else policy.committed,
         source_duration_ms=total_ms,
         forward_passes=session.forward_pass_count(),
     )

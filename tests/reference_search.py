@@ -1,10 +1,15 @@
 """Reference strategies: the per-strategy beam loops the search module
-replaced with its shared beam step, kept as a slow oracle.
+replaced with its shared beam step, and the session loop that drove them,
+kept as a slow oracle.
 
 Each strategy here runs its own expand → prune → classify loop, with its
 own copy of the beam-step helpers, so a change to the shared kernel or its
 helpers in ``simulbeam.search`` is checked against code it does not share.
-Only the public value types and the stop heuristic come from the package.
+The block ops take the beams and the committed-prefix length (``floor``)
+and return beams, as the package's do. :func:`decode_session` is the
+session loop that kept the committed prefix in a local of its own.
+Only the public value types, the stop heuristic, the output-length cap and
+the commit policy come from the package.
 """
 
 from __future__ import annotations
@@ -12,7 +17,20 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from simulbeam import BeamState, Hypothesis, SearchConfig, StopReason, detect_stop
+from simulbeam import (
+    Algorithm,
+    Block,
+    CommitEvent,
+    Hypothesis,
+    PolicyKind,
+    PolicyState,
+    SearchConfig,
+    SessionTranscript,
+    StopReason,
+    apply_policy,
+    detect_stop,
+    max_output_tokens,
+)
 from simulbeam.core import normalized_score
 
 
@@ -93,47 +111,46 @@ def standard_beam_search(
 
 
 def bwbs_block(
-    state: BeamState,
+    beams: Sequence[Hypothesis],
+    floor: int,
     session,
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
     final: bool = False,
-) -> BeamState:
-    if not state.active:
+) -> tuple[Hypothesis, ...]:
+    if not beams:
         raise ValueError("bwbs_block requires at least one active hypothesis")
-    floor = len(state.committed)
     if final:
-        finished, leftover = _run_to_completion(state.active, session, cfg, eos_id, max_total)
-        pool = finished or leftover or list(state.active)
-        ranked = sorted(pool, key=_selection_rank)
-        return BeamState(active=tuple(ranked), committed=state.committed)
-    active = list(state.active)
+        finished, leftover = _run_to_completion(beams, session, cfg, eos_id, max_total)
+        pool = finished or leftover or list(beams)
+        return tuple(sorted(pool, key=_selection_rank))
+    active = list(beams)
     while active and len(active[0].tokens) < max_total:
         active = _prune(_expand(active, session), cfg.beam_size)
         if any(detect_stop(h, cfg, eos_id) is not StopReason.NONE for h in active):
             active = [_trim_stop(h, floor) for h in active]
             break
     # No beam with a finite continuation: keep the incoming beams.
-    return BeamState(active=tuple(active or state.active), committed=state.committed)
+    return tuple(active or beams)
 
 
 def ibwbs_block(
-    state: BeamState,
+    beams: Sequence[Hypothesis],
+    floor: int,
     session,
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
     final: bool = False,
-) -> BeamState:
-    if not state.active:
+) -> tuple[Hypothesis, ...]:
+    if not beams:
         raise ValueError("ibwbs_block requires at least one active hypothesis")
-    floor = len(state.committed)
     if final:
-        finished, leftover = _run_to_completion(state.active, session, cfg, eos_id, max_total)
-        pool = finished or leftover or list(state.active)
-        return BeamState(active=(select_best(pool),), committed=state.committed)
-    active = list(state.active)
+        finished, leftover = _run_to_completion(beams, session, cfg, eos_id, max_total)
+        pool = finished or leftover or list(beams)
+        return (select_best(pool),)
+    active = list(beams)
     stopped: list[Hypothesis] = []
     width = cfg.beam_size
     while active and len(active[0].tokens) < max_total and width > 0:
@@ -147,5 +164,74 @@ def ibwbs_block(
         active = still
     stopped.extend(active)
     # No beam with a finite continuation: fall back to the incoming beams.
-    best = select_best(stopped or list(state.active))
-    return BeamState(active=(best,), committed=state.committed)
+    return (select_best(stopped or list(beams)),)
+
+
+def _strip_eos(hyp: Hypothesis, eos_id: int) -> Hypothesis:
+    if hyp.tokens and hyp.tokens[-1] == eos_id:
+        return hyp.sliced(len(hyp.tokens) - 1)
+    return hyp
+
+
+def decode_session(
+    model_factory,
+    blocks: Sequence[Block],
+    eos_id: int,
+    algo: Algorithm = Algorithm.IBWBS,
+    policy: PolicyState | None = None,
+    retranslation: bool = False,
+    cfg: SearchConfig = SearchConfig(),
+    snapshots: list[tuple[float, tuple[int, ...]]] | None = None,
+) -> SessionTranscript:
+    """The session loop as it stood before the committed prefix moved into
+    the policy state: it keeps its own ``committed`` and ``last_best``, runs
+    the final block outside the policy, and in re-translation mode carries
+    every beam for ``bwbs`` and only the best for the others."""
+    blocks = list(blocks)
+    if not blocks or not blocks[-1].is_final or any(b.is_final for b in blocks[:-1]):
+        raise ValueError("the block stream must end with exactly one final block")
+    policy_state = policy if policy is not None else PolicyState.none()
+    if retranslation and policy_state.kind is not PolicyKind.NONE:
+        raise ValueError("commit policies apply to incremental mode only")
+    total_ms = sum(b.duration_ms for b in blocks)
+    max_total = max_output_tokens(total_ms)
+    session = model_factory()
+    block_ops = {Algorithm.BWBS: bwbs_block, Algorithm.IBWBS: ibwbs_block}
+    committed: tuple[int, ...] = ()
+    carry: tuple[Hypothesis, ...] = (Hypothesis(),)
+    commits: list[CommitEvent] = []
+    last_best = Hypothesis()
+    elapsed = 0.0
+    for block in blocks:
+        session.ingest_block(block)
+        elapsed += block.duration_ms
+        if algo is Algorithm.BS:
+            best = standard_beam_search(session, committed, cfg, eos_id, max_total)
+            beams: tuple[Hypothesis, ...] = (best,)
+        else:
+            beams = block_ops[algo](
+                carry, len(committed), session, cfg, eos_id, max_total, final=block.is_final
+            )
+            best = select_best(beams)
+        visible = _strip_eos(best, eos_id)
+        if not retranslation:
+            if block.is_final:
+                new = visible.tokens[len(committed) :]
+            else:
+                policy_state, new = apply_policy(policy_state, visible)
+            if new:
+                commits.append(CommitEvent(tokens=tuple(new), source_consumed_ms=elapsed))
+                committed = committed + tuple(new)
+            carry = (visible.sliced(len(committed)),)
+        else:
+            if snapshots is not None:
+                snapshots.append((elapsed, visible.tokens))
+            last_best = visible
+            carry = beams if algo is Algorithm.BWBS else (best,)
+    final_output = last_best.tokens if retranslation else committed
+    return SessionTranscript(
+        commits=tuple(commits),
+        final_output=final_output,
+        source_duration_ms=total_ms,
+        forward_passes=session.forward_pass_count(),
+    )

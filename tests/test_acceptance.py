@@ -33,7 +33,7 @@ from simulbeam import (
     sweep,
 )
 from simulbeam.cli import main as cli_main
-from simulbeam.search import BeamState, Hypothesis
+from simulbeam.search import Hypothesis
 
 from conftest import (
     B,
@@ -365,22 +365,23 @@ def test_criterion_9_repetition_heuristic():
         session.ingest_block(Block(payload=(7,), duration_ms=1000.0, is_final=False))
         return session
 
-    seed = BeamState(active=(Hypothesis(),))
+    seed = (Hypothesis(),)
     with_trigger = ibwbs_block(
-        seed, fresh_session(), SearchConfig(), vocab.eos_id, max_total=12
+        seed, 0, fresh_session(), SearchConfig(), vocab.eos_id, max_total=12
     )
     # Trigger fires at [t0, t1, t1]; the stopped beam keeps 3 - 2 = 1 token.
-    trimmed = with_trigger.active[0]
+    trimmed = with_trigger[0]
     trigger_ok = trimmed.tokens == (0,)
 
     without = ibwbs_block(
         seed,
+        0,
         fresh_session(),
         SearchConfig(repetition_detection=False),
         vocab.eos_id,
         max_total=12,
     )
-    cap_ok = len(without.active[0].tokens) == 12
+    cap_ok = len(without[0].tokens) == 12
 
     # Same behavior through the CLI flag: disabling detection makes the
     # per-block loops run to the bound, costing strictly more queries.
@@ -402,6 +403,6 @@ def test_criterion_9_repetition_heuristic():
     _verdict(
         "9 repetition-heuristic",
         trigger_ok and cap_ok and flag_ok,
-        f"trimmed to {trimmed.tokens}, cap run {len(without.active[0].tokens)} tokens, "
+        f"trimmed to {trimmed.tokens}, cap run {len(without[0].tokens)} tokens, "
         f"passes {on_transcript.forward_passes} -> {off_transcript.forward_passes} without trigger",
     )

@@ -97,6 +97,24 @@ class TestEval:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_block_ms_flag_is_config_error(self, workspace, capsys, value):
+        _, corpus, model = workspace
+        code = run(["eval", "--corpus", corpus, "--model", model, "--block-ms", value])
+        assert code == 2
+        assert "configuration error: block_ms must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_block_ms_in_corpus_is_input_error(self, workspace, capsys, value):
+        tmp_path, _, model = workspace
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(
+            '{"id": "u", "source": [0], "reference": [0, 1], "block_ms": %s}\n' % value
+        )
+        code = run(["eval", "--corpus", str(corpus), "--model", model])
+        assert code == 1
+        assert "bad.jsonl:1:" in capsys.readouterr().err
+
     def test_retranslation_runs_without_policy(self, workspace, capsys):
         _, corpus, model = workspace
         code = run(

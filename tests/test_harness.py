@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -77,6 +78,30 @@ class TestLoadCorpus:
             ['{"id": "a", "source": [0], "reference": [0], "block_ms": 250}', "{oops"],
         )
         with pytest.raises(CorpusError, match=":2:"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_block_ms_reports_line_number(self, tmp_path, value):
+        path = self._write(
+            tmp_path,
+            [
+                '{"id": "a", "source": [0], "reference": [0], "block_ms": 250}',
+                '{"id": "b", "source": [0], "reference": [0], "block_ms": %s}' % value,
+            ],
+        )
+        with pytest.raises(CorpusError, match=r":2: .*block_ms must be positive and finite"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("field", ["source", "reference"])
+    @pytest.mark.parametrize("entry", [0.7, "2", True])
+    def test_non_integer_ids_are_rejected(self, tmp_path, field, entry):
+        doc = {"id": "b", "source": [0], "reference": [0], "block_ms": 250}
+        doc[field] = [0, entry]
+        path = self._write(
+            tmp_path,
+            ['{"id": "a", "source": [0], "reference": [0], "block_ms": 250}', json.dumps(doc)],
+        )
+        with pytest.raises(CorpusError, match=f":2: {field} must hold integer ids"):
             load_corpus(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -202,6 +227,11 @@ class TestRunConfig:
         assert not RunConfig(context=ContextMode.FULL_CONTEXT).search_config().repetition_detection
         forced = RunConfig(context=ContextMode.FULL_CONTEXT, repetition_detection=True)
         assert forced.search_config().repetition_detection
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_block_ms_rejected(self, value):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            RunConfig(block_ms=value)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):

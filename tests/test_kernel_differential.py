@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import reference_search
 from conftest import ScriptedSession, VectorSession, as_blocks, random_toy
 from simulbeam import (
-    BeamState,
     Block,
     ContextMode,
     Hypothesis,
@@ -132,7 +131,7 @@ def test_kernel_matches_reference(model, algo, beam, detection, data):
 
     new_fn, ref_fn = STRATEGIES[algo]
     new_session, ref_session = factory(), factory()
-    state = BeamState(active=tuple(seeds), committed=committed)
+    beams = tuple(seeds)
     for block in blocks:
         new_session.ingest_block(block)
         ref_session.ingest_block(block)
@@ -140,11 +139,12 @@ def test_kernel_matches_reference(model, algo, beam, detection, data):
             new = _outcome(new_fn, new_session, committed, cfg, eos_id, max_total)
             ref = _outcome(ref_fn, ref_session, committed, cfg, eos_id, max_total)
         else:
-            new = _outcome(new_fn, state, new_session, cfg, eos_id, max_total, block.is_final)
-            ref = _outcome(ref_fn, state, ref_session, cfg, eos_id, max_total, block.is_final)
+            args = (beams, len(committed))
+            new = _outcome(new_fn, *args, new_session, cfg, eos_id, max_total, block.is_final)
+            ref = _outcome(ref_fn, *args, ref_session, cfg, eos_id, max_total, block.is_final)
         assert new == ref
         assert new_session.forward_pass_count() == ref_session.forward_pass_count()
         if new[0] == "raised":
             break
-        if isinstance(new[1], BeamState):
-            state = BeamState(active=new[1].active, committed=committed)
+        if isinstance(new[1], tuple):
+            beams = new[1]

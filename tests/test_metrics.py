@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from simulbeam import (
     Algorithm,
-    BeamState,
     Block,
     CommitEvent,
     EvalReport,
@@ -177,7 +176,7 @@ class TestForwardPassAccounting:
         session.ingest_block(Block(payload=(0,), duration_ms=100.0, is_final=False))
         seeds = tuple(Hypothesis((t,), (-1.0,)) for t in range(3))
         cfg = SearchConfig(beam_size=3, repetition_detection=False)
-        bwbs_block(BeamState(active=seeds), session, cfg, eos_id=5, max_total=5)
+        bwbs_block(seeds, 0, session, cfg, eos_id=5, max_total=5)
         # Three beams advance from length one to the cap of five: 4 steps.
         assert session.forward_pass_count() == 3 * 4
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -106,6 +107,11 @@ class TestToyScoring:
 
 
 class TestSessionContract:
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_block_duration_must_be_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Block(payload=(0,), duration_ms=duration)
+
     def test_ingest_after_final_rejected(self, repeat_toy):
         _, _, factory = repeat_toy
         session = factory()
@@ -228,6 +234,23 @@ class TestSpecValidationAndJson:
     def test_json_requires_single_eos_surface(self):
         with pytest.raises(ValueError, match="<eos>"):
             spec_from_json({"vocab": ["a", "b"], "mapping": {"0": [0]}})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mapping", {"0": [0.9]}),
+            ("mapping", {"0": ["0"]}),
+            ("mapping", {"0": [True]}),
+            ("lookahead", 1.8),
+            ("lookahead", True),
+        ],
+        ids=["target-float", "target-string", "target-bool", "lookahead-float", "lookahead-bool"],
+    )
+    def test_non_integer_ids_are_rejected(self, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, key: value}))
+        with pytest.raises(ValueError, match=f"model.json: .*{key}.* integer"):
+            load_model_file(path)
 
     def test_load_model_file_reports_path(self, tmp_path):
         path = tmp_path / "model.json"

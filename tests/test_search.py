@@ -11,10 +11,8 @@ import reference_search
 
 from simulbeam import (
     Algorithm,
-    BeamState,
     Block,
     ContextMode,
-    DecodeMode,
     Hypothesis,
     InsufficientContextMode,
     PolicyKind,
@@ -143,9 +141,10 @@ class TestSelectBest:
         assert select_best([empty]) == empty
 
 
-def _script_state(committed=()) -> BeamState:
+def _script_seed(committed=()) -> tuple[tuple[Hypothesis, ...], int]:
+    """One seed beam holding the committed prefix, and the prefix's length."""
     seed = Hypothesis(tuple(committed), (-0.05,) * len(committed))
-    return BeamState(active=(seed,), committed=tuple(committed))
+    return (seed,), len(committed)
 
 
 def _two_path_session(n_blocks: int = 1) -> ScriptedSession:
@@ -161,26 +160,26 @@ class TestBwbsBlock:
         _, vocab, factory = repeat_toy
         session = factory()
         session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=False))
-        out = bwbs_block(_script_state(), session, SearchConfig(), vocab.eos_id, max_total=10)
-        top = select_best(out.active)
+        out = bwbs_block(*_script_seed(), session, SearchConfig(), vocab.eos_id, max_total=10)
+        top = select_best(out)
         assert top.tokens == (0,)
-        assert all(len(h.tokens) == 1 for h in out.active)
+        assert all(len(h.tokens) == 1 for h in out)
 
     def test_final_block_runs_to_eos_without_truncation(self, repeat_toy):
         _, vocab, factory = repeat_toy
         session = factory()
         session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=True))
         cfg = SearchConfig(beam_size=1)
-        out = bwbs_block(_script_state(), session, cfg, vocab.eos_id, max_total=10, final=True)
-        assert out.active[0].tokens == (0, 1, vocab.eos_id)
+        out = bwbs_block(*_script_seed(), session, cfg, vocab.eos_id, max_total=10, final=True)
+        assert out[0].tokens == (0, 1, vocab.eos_id)
 
     def test_zero_length_budget_leaves_state_unchanged(self, repeat_toy):
         _, vocab, factory = repeat_toy
         session = factory()
         session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=False))
-        state = _script_state()
-        out = bwbs_block(state, session, SearchConfig(), vocab.eos_id, max_total=0)
-        assert out.active == state.active
+        beams, floor = _script_seed()
+        out = bwbs_block(beams, floor, session, SearchConfig(), vocab.eos_id, max_total=0)
+        assert out == beams
         assert session.forward_pass_count() == 0
 
     def test_any_beam_trigger_halts_the_whole_block(self):
@@ -188,52 +187,52 @@ class TestBwbsBlock:
         # loses its progress beyond the committed floor.
         session = _two_path_session()
         cfg = SearchConfig(beam_size=2)
-        out = bwbs_block(_script_state(), session, cfg, TWO_PATH_EOS, max_total=20)
-        assert all(h.tokens == () for h in out.active)
+        out = bwbs_block(*_script_seed(), session, cfg, TWO_PATH_EOS, max_total=20)
+        assert all(h.tokens == () for h in out)
 
     def test_early_trigger_truncates_to_committed_floor(self):
         script = {1: {(5,): {0: 0.9}, (5, 0): {TWO_PATH_EOS: 0.9}}}
         session = ScriptedSession(script, vocab_size=6)
         session.ingest_block(Block(payload=(0,), duration_ms=100.0, is_final=False))
         cfg = SearchConfig(beam_size=1)
-        out = bwbs_block(_script_state(committed=(5,)), session, cfg, TWO_PATH_EOS, max_total=20)
-        assert out.active[0].tokens == (5,)
+        out = bwbs_block(*_script_seed(committed=(5,)), session, cfg, TWO_PATH_EOS, max_total=20)
+        assert out[0].tokens == (5,)
 
 
 class TestIbwbsBlock:
     def test_two_path_fixture_keeps_the_long_beam(self):
         session = _two_path_session()
         cfg = SearchConfig(beam_size=2)
-        out = ibwbs_block(_script_state(), session, cfg, TWO_PATH_EOS, max_total=20)
-        assert len(out.active) == 1
-        assert out.active[0].tokens == (B, C)
+        out = ibwbs_block(*_script_seed(), session, cfg, TWO_PATH_EOS, max_total=20)
+        assert len(out) == 1
+        assert out[0].tokens == (B, C)
 
     def test_beats_bwbs_on_the_two_path_fixture(self):
         cfg = SearchConfig(beam_size=2)
         conservative = bwbs_block(
-            _script_state(), _two_path_session(), cfg, TWO_PATH_EOS, max_total=20
+            *_script_seed(), _two_path_session(), cfg, TWO_PATH_EOS, max_total=20
         )
         relaxed = ibwbs_block(
-            _script_state(), _two_path_session(), cfg, TWO_PATH_EOS, max_total=20
+            *_script_seed(), _two_path_session(), cfg, TWO_PATH_EOS, max_total=20
         )
-        top_conservative = select_best(conservative.active)
-        assert len(relaxed.active[0].tokens) >= len(top_conservative.tokens)
-        assert len(relaxed.active[0].tokens) - len(top_conservative.tokens) == 2
+        top_conservative = select_best(conservative)
+        assert len(relaxed[0].tokens) >= len(top_conservative.tokens)
+        assert len(relaxed[0].tokens) - len(top_conservative.tokens) == 2
 
     def test_width_shrinks_without_refill(self):
         # Steps query 1, 2, 1, 1 beams; a refill would query 2 at step 3.
         session = _two_path_session()
         cfg = SearchConfig(beam_size=2)
-        ibwbs_block(_script_state(), session, cfg, TWO_PATH_EOS, max_total=20)
+        ibwbs_block(*_script_seed(), session, cfg, TWO_PATH_EOS, max_total=20)
         assert session.forward_pass_count() == 5
 
     def test_triggered_beam_loses_exactly_two_tokens(self, repeat_toy):
         _, vocab, factory = repeat_toy
         session = factory()
         session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=False))
-        out = ibwbs_block(_script_state(), session, SearchConfig(), vocab.eos_id, max_total=10)
+        out = ibwbs_block(*_script_seed(), session, SearchConfig(), vocab.eos_id, max_total=10)
         # Trigger fires at [t0, t1, t1]; the only stopped beam keeps it minus two.
-        assert out.active[0].tokens == (0,)
+        assert out[0].tokens == (0,)
 
     def test_simultaneous_stops_reduce_to_raw_score(self):
         script = {
@@ -246,18 +245,18 @@ class TestIbwbsBlock:
         session = ScriptedSession(script, vocab_size=6)
         session.ingest_block(Block(payload=(0,), duration_ms=100.0, is_final=False))
         cfg = SearchConfig(beam_size=2)
-        out = ibwbs_block(_script_state(), session, cfg, TWO_PATH_EOS, max_total=20)
-        assert out.active[0].tokens == ()  # both trimmed by two from length two
+        out = ibwbs_block(*_script_seed(), session, cfg, TWO_PATH_EOS, max_total=20)
+        assert out[0].tokens == ()  # both trimmed by two from length two
 
     def test_length_cap_survivors_selected_as_is(self):
         spec, vocab = ladder_spec(symbols=4)
         factory = make_toy_model(spec, vocab)
         session = factory()
         session.ingest_block(Block(payload=(0, 1), duration_ms=500.0, is_final=False))
-        out = ibwbs_block(_script_state(), session, SearchConfig(), vocab.eos_id, max_total=3)
+        out = ibwbs_block(*_script_seed(), session, SearchConfig(), vocab.eos_id, max_total=3)
         # No trigger fires within three tokens of reference; the survivor
         # joins the pool unmodified and is selected untrimmed.
-        assert out.active[0].tokens == (0, 1, 2)
+        assert out[0].tokens == (0, 1, 2)
 
     def test_single_active_hypothesis_after_block(self):
         rng = random.Random(5)
@@ -265,9 +264,9 @@ class TestIbwbsBlock:
             spec, vocab, source = random_toy(rng)
             session = make_toy_model(spec, vocab)()
             session.ingest_block(Block(payload=tuple(source), duration_ms=400.0, is_final=False))
-            out = ibwbs_block(_script_state(), session, SearchConfig(beam_size=3),
+            out = ibwbs_block(*_script_seed(), session, SearchConfig(beam_size=3),
                               vocab.eos_id, max_total=12)
-            assert len(out.active) == 1
+            assert len(out) == 1
 
     def test_every_hypothesis_extends_the_committed_prefix(self):
         rng = random.Random(6)
@@ -276,9 +275,9 @@ class TestIbwbsBlock:
             session = make_toy_model(spec, vocab)()
             session.ingest_block(Block(payload=tuple(source), duration_ms=400.0, is_final=False))
             committed = tuple(spec.mapping[source[0]])[:1]
-            out = ibwbs_block(_script_state(committed), session, SearchConfig(beam_size=3),
+            out = ibwbs_block(*_script_seed(committed), session, SearchConfig(beam_size=3),
                               vocab.eos_id, max_total=10)
-            for hypothesis in out.active:
+            for hypothesis in out:
                 assert hypothesis.tokens[: len(committed)] == committed
 
 
@@ -358,10 +357,10 @@ class TestBeamStep:
         for fn in block_ops:
             session = VectorSession(lambda level, prefix: vector)
             session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
-            results.append(fn(BeamState(active=(seed,)), session, SearchConfig(beam_size=1),
+            results.append(fn((seed,), 0, session, SearchConfig(beam_size=1),
                               eos_id=4, max_total=2))
         new, reference = results
-        assert new.active[0].tokens == (2, 1)
+        assert new[0].tokens == (2, 1)
         assert new == reference
 
     def test_exact_ties_keep_lowest_ids(self):
@@ -370,11 +369,11 @@ class TestBeamStep:
         for fn in (bwbs_block, reference_search.bwbs_block):
             session = make_toy_model(spec, vocab)()
             session.ingest_block(Block(payload=(250,), duration_ms=100.0, is_final=False))
-            results.append(fn(BeamState(active=(Hypothesis(),)), session,
+            results.append(fn((Hypothesis(),), 0, session,
                               SearchConfig(beam_size=3), eos_id=vocab.eos_id, max_total=1))
         new, reference = results
         # Token 500 is favoured; the other 1000 ids tie on the noise mass.
-        assert [h.tokens for h in new.active] == [(500,), (0,), (1,)]
+        assert [h.tokens for h in new] == [(500,), (0,), (1,)]
         assert new == reference
 
     @pytest.mark.parametrize("mode", list(InsufficientContextMode))
@@ -480,7 +479,7 @@ class TestDecodeSession:
         snapshots: list = []
         transcript = decode_session(
             factory, blocks, eos_id=TWO_PATH_EOS, algo=Algorithm.BWBS,
-            mode=DecodeMode.RETRANSLATION, cfg=SearchConfig(beam_size=2),
+            retranslation=True, cfg=SearchConfig(beam_size=2),
             snapshots=snapshots,
         )
         assert transcript.commits == ()
@@ -506,9 +505,9 @@ class TestDecodeSession:
                 assert joined[: len(previous)] == previous
             assert joined == transcript.final_output
 
-    @pytest.mark.parametrize("mode", list(DecodeMode))
+    @pytest.mark.parametrize("retranslation", [False, True], ids=["incremental", "retranslation"])
     @pytest.mark.parametrize("algo", list(Algorithm))
-    def test_model_without_finite_logprobs_gives_empty_output(self, algo, mode):
+    def test_model_without_finite_logprobs_gives_empty_output(self, algo, retranslation):
         # No beam can ever expand: every strategy keeps its seeds through the
         # blocks and ends with nothing to show.
         transcript = decode_session(
@@ -517,14 +516,14 @@ class TestDecodeSession:
              Block(payload=(), duration_ms=100.0, is_final=True)],
             eos_id=3,
             algo=algo,
-            mode=mode,
+            retranslation=retranslation,
         )
         assert transcript.final_output == ()
         assert transcript.commits == ()
 
-    @pytest.mark.parametrize("mode", list(DecodeMode))
+    @pytest.mark.parametrize("retranslation", [False, True], ids=["incremental", "retranslation"])
     @pytest.mark.parametrize("algo", list(Algorithm))
-    def test_forward_pass_count_is_the_last_call_on_the_session(self, algo, mode):
+    def test_forward_pass_count_is_the_last_call_on_the_session(self, algo, retranslation):
         # Session wrappers (the benchmark's among them) take this call as
         # the end of the session.
         spec, vocab = ladder_spec(symbols=4)
@@ -536,7 +535,8 @@ class TestDecodeSession:
             return sessions[-1]
 
         transcript = decode_session(
-            factory, as_blocks((0, 1, 2, 3), 2), eos_id=vocab.eos_id, algo=algo, mode=mode
+            factory, as_blocks((0, 1, 2, 3), 2), eos_id=vocab.eos_id, algo=algo,
+            retranslation=retranslation,
         )
         [session] = sessions
         assert session.calls.count("forward_pass_count") == 1
@@ -562,7 +562,7 @@ class TestDecodeSession:
                 as_blocks((0, 1), 1),
                 eos_id=vocab.eos_id,
                 policy=PolicyState.hold(1),
-                mode=DecodeMode.RETRANSLATION,
+                retranslation=True,
             )
 
     def test_eos_never_emitted(self):

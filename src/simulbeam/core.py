@@ -24,31 +24,17 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Closed token inventory with a designated end-of-sequence id.
-
-    Surface strings are optional; decoding operates on ids throughout.
-    """
+    """Closed token inventory with a designated end-of-sequence id; decoding
+    operates on ids throughout."""
 
     size: int
     eos_id: int
-    surfaces: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"vocabulary size must be positive, got {self.size}")
         if not 0 <= self.eos_id < self.size:
             raise ValueError(f"eos_id {self.eos_id} out of range for size {self.size}")
-        if self.surfaces is not None:
-            if len(self.surfaces) != self.size:
-                raise ValueError("need exactly one surface string per token id")
-            if len(set(self.surfaces)) != len(self.surfaces):
-                raise ValueError("surface strings must be unique")
-
-    def surface(self, token: int) -> str:
-        """Printable form of a token id."""
-        if self.surfaces is None:
-            return str(token)
-        return self.surfaces[token]
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,11 @@ A corpus is a JSONL file, one utterance per line:
 
     {"id": str, "source": [int], "reference": [int], "block_ms": number}
 
-``block_ms`` is the duration of one source symbol, positive and finite; the
-ids are JSON integers. An utterance is replayed by splitting its source into
-fixed-size blocks, advancing the clock by the block duration per READ, and
-letting the decoder WRITE commits in between; the resulting trace is the
-JSONL stream
+``block_ms`` is the duration of one source symbol, a positive and finite
+JSON number; the ids are JSON integers. An utterance is replayed by
+splitting its source into fixed-size blocks, advancing the clock by the
+block duration per READ, and letting the decoder WRITE commits in between;
+the resulting trace is the JSONL stream
 ``{"kind": "READ"|"WRITE", "payload": [...], "t_ms": number}``.
 
 Reports are CSV with the fixed column order
@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import SearchConfig, SessionTranscript
 from .metrics import (
@@ -35,7 +35,7 @@ from .metrics import (
     laal,
     token_delays,
 )
-from .model import Block, ContextMode, ModelFactory, json_ids
+from .model import Block, ContextMode, ModelFactory, json_ids, json_number
 from .search import Algorithm, PolicyKind, PolicyState, decode_session
 
 
@@ -102,11 +102,7 @@ class RunConfig:
         return SearchConfig(beam_size=self.beam_size, repetition_detection=detection)
 
     def policy_state(self) -> PolicyState:
-        if self.policy is PolicyKind.HOLD:
-            return PolicyState.hold(self.policy_param)
-        if self.policy is PolicyKind.LOCAL_AGREEMENT:
-            return PolicyState.local_agreement(self.policy_param)
-        return PolicyState.none()
+        return PolicyState(self.policy, self.policy_param)
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
                 id=str(doc["id"]),
                 source=json_ids(doc["source"], "source"),
                 reference=json_ids(doc["reference"], "reference"),
-                block_ms=float(doc["block_ms"]),
+                block_ms=json_number(doc["block_ms"], "block_ms"),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
@@ -154,23 +150,6 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
     if not records:
         raise CorpusError(f"{path}: corpus is empty")
     return records
-
-
-def dump_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:
-    """Write records back out as JSONL (round-trips with :func:`load_corpus`)."""
-    lines = [
-        json.dumps(
-            {
-                "id": r.id,
-                "source": list(r.source),
-                "reference": list(r.reference),
-                "block_ms": r.block_ms,
-            },
-            sort_keys=True,
-        )
-        for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def blocks_for(record: CorpusRecord, cfg: RunConfig) -> list[Block]:
@@ -303,19 +282,17 @@ def sweep(
     return points
 
 
-def _csv_row(
-    row_id: str, cfg: RunConfig, param: int, bleu: float, al: float, laal_ms: float, fw: int
-) -> str:
+def _csv_row(row_id: str, cfg: RunConfig, param: int, row: EvalReport | UtteranceReport) -> str:
     return ",".join(
         [
             row_id,
             cfg.algo.value,
             cfg.policy.value,
             str(param),
-            f"{bleu:.4f}",
-            f"{al:.3f}",
-            f"{laal_ms:.3f}",
-            str(fw),
+            f"{row.bleu:.4f}",
+            f"{row.al_ms:.3f}",
+            f"{row.laal_ms:.3f}",
+            str(row.forward_passes),
         ]
     )
 
@@ -326,32 +303,17 @@ CSV_HEADER = "id,algo,policy,param,bleu,al_ms,laal_ms,fw_passes"
 def report_to_csv(report: EvalReport, cfg: RunConfig) -> str:
     """Per-utterance rows plus an aggregate row with id ``corpus``."""
     lines = [CSV_HEADER]
-    for row in report.utterances:
-        lines.append(
-            _csv_row(row.id, cfg, cfg.policy_param, row.bleu, row.al_ms, row.laal_ms, row.forward_passes)
-        )
-    lines.append(
-        _csv_row("corpus", cfg, cfg.policy_param, report.bleu, report.al_ms, report.laal_ms, report.forward_passes)
-    )
+    lines.extend(_csv_row(row.id, cfg, cfg.policy_param, row) for row in report.utterances)
+    lines.append(_csv_row("corpus", cfg, cfg.policy_param, report))
     return "\n".join(lines) + "\n"
 
 
 def sweep_to_csv(points: Sequence[SweepPoint], base_cfg: RunConfig) -> str:
-    """One aggregate row per grid point; ``param`` holds the swept value."""
+    """One aggregate row per grid point; ``param`` holds the swept value.
+    No sweepable field changes ``algo`` or ``policy``, so every row reads
+    them from ``base_cfg``."""
     lines = [CSV_HEADER]
-    for point in points:
-        cfg = replace(base_cfg, **{point.field: point.value})
-        lines.append(
-            _csv_row(
-                "corpus",
-                cfg,
-                point.value,
-                point.report.bleu,
-                point.report.al_ms,
-                point.report.laal_ms,
-                point.report.forward_passes,
-            )
-        )
+    lines.extend(_csv_row("corpus", base_cfg, p.value, p.report) for p in points)
     return "\n".join(lines) + "\n"
 
 

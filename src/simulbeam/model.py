@@ -244,18 +244,15 @@ def json_ids(values: Iterable, field: str) -> tuple[int, ...]:
     return ids
 
 
-def spec_to_json(spec: ToyTransducerSpec, vocab: Vocabulary) -> dict:
-    """JSON document for a toy model; see :func:`load_model_file`."""
-    surfaces = vocab.surfaces or tuple(
-        EOS_SURFACE if i == vocab.eos_id else f"tok{i}" for i in range(vocab.size)
-    )
-    return {
-        "vocab": list(surfaces),
-        "mapping": {str(sym): list(tgt) for sym, tgt in sorted(spec.mapping.items())},
-        "epsilon": spec.noise_epsilon,
-        "mode": spec.insufficient_context_mode.value,
-        "lookahead": spec.lookahead,
-    }
+def json_number(value, field: str) -> float:
+    """A JSON number as a float. A boolean or a string raises ``ValueError``
+    instead of being converted, and so does an integer past the float range."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is out of the float range") from None
 
 
 def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
@@ -263,8 +260,9 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
 
     Schema: ``{"vocab": [...], "mapping": {...}, "epsilon": r, "mode": "...",
     "lookahead": k}``. The vocabulary is the list of surface strings; the
-    entry equal to ``"<eos>"`` designates the end-of-sequence token. Mapping
-    keys are integer strings; targets and ``lookahead`` are JSON integers.
+    entry equal to ``"<eos>"`` designates the end-of-sequence token, and no
+    entry may repeat. Mapping keys are integer strings; targets and
+    ``lookahead`` are JSON integers, and ``epsilon`` is a JSON number.
     """
     try:
         surfaces = tuple(str(s) for s in doc["vocab"])
@@ -274,7 +272,9 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
     eos_positions = [i for i, s in enumerate(surfaces) if s == EOS_SURFACE]
     if len(eos_positions) != 1:
         raise ValueError(f'model vocab must contain exactly one "{EOS_SURFACE}" entry')
-    vocab = Vocabulary(size=len(surfaces), eos_id=eos_positions[0], surfaces=surfaces)
+    if len(set(surfaces)) != len(surfaces):
+        raise ValueError("surface strings must be unique")
+    vocab = Vocabulary(size=len(surfaces), eos_id=eos_positions[0])
     try:
         mapping = {
             int(sym): json_ids(tgt, f"mapping for symbol {sym}") for sym, tgt in raw_mapping.items()
@@ -286,7 +286,7 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
         raise ValueError(f"lookahead must be an integer, got {lookahead!r}")
     spec = ToyTransducerSpec(
         mapping=mapping,
-        noise_epsilon=float(doc.get("epsilon", 0.0)),
+        noise_epsilon=json_number(doc.get("epsilon", 0.0), "epsilon"),
         insufficient_context_mode=InsufficientContextMode(str(doc.get("mode", "repeat")).lower()),
         lookahead=lookahead,
     )

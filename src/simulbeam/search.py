@@ -78,6 +78,9 @@ class PolicyKind(enum.Enum):
 class PolicyState:
     """Commit-policy state threaded through a session.
 
+    ``HOLD`` withholds the last ``n`` tokens of each best output;
+    ``LOCAL_AGREEMENT`` commits the longest common prefix of the best outputs
+    from ``n`` consecutive input contexts; ``NONE`` ignores ``n``.
     ``history`` holds the most recent best outputs (local agreement only);
     ``committed`` is the prefix already shown, which only ever extends;
     :func:`decode_session` keeps no other copy of it.
@@ -94,21 +97,6 @@ class PolicyState:
         if self.kind is PolicyKind.LOCAL_AGREEMENT and self.n < 2:
             # LA-1 would commit each whole best output: that is policy none.
             raise ValueError("local agreement requires n >= 2 to compare contexts")
-
-    @staticmethod
-    def none() -> PolicyState:
-        return PolicyState(PolicyKind.NONE)
-
-    @staticmethod
-    def hold(n: int) -> PolicyState:
-        """Withhold the last ``n`` tokens of each best output."""
-        return PolicyState(PolicyKind.HOLD, n=n)
-
-    @staticmethod
-    def local_agreement(n: int) -> PolicyState:
-        """Commit the longest common prefix of the best outputs from ``n``
-        consecutive input contexts."""
-        return PolicyState(PolicyKind.LOCAL_AGREEMENT, n=n)
 
 
 def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tuple[int, ...]]:
@@ -430,7 +418,9 @@ def decode_session(
     For ``algo=BS`` every block triggers a full re-decode from the committed
     prefix via :func:`standard_beam_search`.
 
-    The emitted token stream never includes EOS.
+    The emitted token stream never includes EOS. A block stream that does
+    not end in exactly one final block, or whose total duration is not
+    finite, raises ``ValueError`` before the session is opened.
     """
     blocks = list(blocks)
     if not blocks or not blocks[-1].is_final or any(b.is_final for b in blocks[:-1]):
@@ -438,6 +428,8 @@ def decode_session(
     if retranslation and policy.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
     total_ms = sum(b.duration_ms for b in blocks)
+    if not total_ms < math.inf:
+        raise ValueError("the blocks' total duration must be finite")
     max_total = max_output_tokens(total_ms)
     session = model_factory()
     beams: tuple[Hypothesis, ...] = (Hypothesis(),)

@@ -1,4 +1,5 @@
-"""Shared fixtures: vocabularies, toy specs, scripted sessions, and corpora.
+"""Shared fixtures: vocabularies, toy specs, scripted sessions, corpora, and
+writers for the corpus and model file formats.
 
 The scripted session scores prefixes from an explicit per-block probability
 table, which lets tests construct search dynamics (like beams that stop at
@@ -7,21 +8,45 @@ different steps) that the position-aligned toy transducer cannot express.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simulbeam import (
-    Block,
-    ContextMode,
-    CorpusRecord,
-    InsufficientContextMode,
-    ModelSession,
-    ToyTransducerSpec,
-    Vocabulary,
-    make_toy_model,
-)
+from simulbeam import Block, ContextMode, CorpusRecord, ModelSession, make_toy_model
+from simulbeam.core import Vocabulary
+from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
+
+def dump_corpus(records, path) -> None:
+    """Write records as corpus JSONL (round-trips with ``load_corpus``)."""
+    lines = [
+        json.dumps(
+            {
+                "id": r.id,
+                "source": list(r.source),
+                "reference": list(r.reference),
+                "block_ms": r.block_ms,
+            },
+            sort_keys=True,
+        )
+        for r in records
+    ]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def spec_to_json(spec: ToyTransducerSpec, vocab: Vocabulary) -> dict:
+    """Model-file JSON document for a toy model (see ``load_model_file``);
+    the surface strings are ``tok<i>`` and ``<eos>``."""
+    return {
+        "vocab": ["<eos>" if i == vocab.eos_id else f"tok{i}" for i in range(vocab.size)],
+        "mapping": {str(sym): list(tgt) for sym, tgt in sorted(spec.mapping.items())},
+        "epsilon": spec.noise_epsilon,
+        "mode": spec.insufficient_context_mode.value,
+        "lookahead": spec.lookahead,
+    }
+
 
 # Token ids used by the scripted two-path model.
 A, B, C, D, E = 0, 1, 2, 3, 4

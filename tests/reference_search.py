@@ -17,21 +17,17 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from simulbeam import (
-    Algorithm,
-    Block,
+from simulbeam import Algorithm, Block, Hypothesis, PolicyKind
+from simulbeam.core import (
     CommitEvent,
-    Hypothesis,
-    PolicyKind,
-    PolicyState,
     SearchConfig,
     SessionTranscript,
     StopReason,
-    apply_policy,
     detect_stop,
     max_output_tokens,
+    normalized_score,
 )
-from simulbeam.core import normalized_score
+from simulbeam.search import PolicyState, apply_policy
 
 
 def _expand(active: Sequence[Hypothesis], session) -> list[Hypothesis]:
@@ -190,7 +186,7 @@ def decode_session(
     blocks = list(blocks)
     if not blocks or not blocks[-1].is_final or any(b.is_final for b in blocks[:-1]):
         raise ValueError("the block stream must end with exactly one final block")
-    policy_state = policy if policy is not None else PolicyState.none()
+    policy_state = policy if policy is not None else PolicyState()
     if retranslation and policy_state.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
     total_ms = sum(b.duration_ms for b in blocks)

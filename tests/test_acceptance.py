@@ -14,23 +14,21 @@ from simulbeam import (
     Block,
     ContextMode,
     CorpusRecord,
-    InsufficientContextMode,
-    LatencyInput,
     PolicyKind,
-    PolicyState,
     RunConfig,
-    SearchConfig,
-    ToyTransducerSpec,
-    average_lagging,
-    bwbs_block,
-    corpus_bleu,
-    decode_session,
-    ibwbs_block,
-    laal,
     make_toy_model,
     run_corpus,
-    standard_beam_search,
     sweep,
+)
+from simulbeam.core import SearchConfig
+from simulbeam.metrics import LatencyInput, average_lagging, corpus_bleu, laal
+from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
+from simulbeam.search import (
+    PolicyState,
+    bwbs_block,
+    decode_session,
+    ibwbs_block,
+    standard_beam_search,
 )
 from simulbeam.cli import main as cli_main
 from simulbeam.search import Hypothesis
@@ -101,9 +99,9 @@ def test_criterion_2_prefix_monotonicity():
     """Every incremental commit stream must be strictly prefix-monotone."""
     rng = random.Random(77)
     policies = (
-        [PolicyState.none()]
-        + [PolicyState.hold(n) for n in (1, 2, 3, 4)]
-        + [PolicyState.local_agreement(n) for n in (2, 3)]
+        [PolicyState()]
+        + [PolicyState(PolicyKind.HOLD, n) for n in (1, 2, 3, 4)]
+        + [PolicyState(PolicyKind.LOCAL_AGREEMENT, n) for n in (2, 3)]
     )
     grid = list(itertools.product(list(Algorithm), policies))
     started = time.time()
@@ -315,7 +313,7 @@ def test_criterion_8_determinism(tmp_path):
     """Evaluating twice with one configuration must produce byte-identical CSV."""
     import json as json_module
 
-    from simulbeam import dump_corpus, spec_to_json
+    from conftest import dump_corpus, spec_to_json
 
     spec, vocab = ladder_spec(symbols=6)
     model_path = tmp_path / "model.json"

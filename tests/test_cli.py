@@ -7,10 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from simulbeam import dump_corpus, make_toy_model, spec_to_json
+from simulbeam import make_toy_model
 from simulbeam.cli import main
 
-from conftest import ladder_record, ladder_spec
+from conftest import dump_corpus, ladder_record, ladder_spec, spec_to_json
 
 
 @pytest.fixture
@@ -114,6 +114,36 @@ class TestEval:
         code = run(["eval", "--corpus", str(corpus), "--model", model])
         assert code == 1
         assert "bad.jsonl:1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corpus_line, model_patch",
+        [
+            ('{"id": "u", "source": [0], "reference": [0, 1], "block_ms": true}', {}),
+            ('{"id": "u", "source": [0], "reference": [0, 1], "block_ms": 250}', {"epsilon": "0.5"}),
+        ],
+        ids=["block_ms", "epsilon"],
+    )
+    def test_non_number_in_input_files_is_input_error(
+        self, workspace, capsys, corpus_line, model_patch
+    ):
+        tmp_path, _, model = workspace
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(corpus_line + "\n")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        (tmp_path / "bad_model.json").write_text(json.dumps({**doc, **model_patch}))
+        code = run(["eval", "--corpus", str(corpus), "--model", str(tmp_path / "bad_model.json")])
+        assert code == 1
+        assert "must be a JSON number" in capsys.readouterr().err
+
+    def test_overflowing_total_duration_is_input_error(self, workspace, capsys):
+        tmp_path, _, model = workspace
+        corpus = tmp_path / "long.jsonl"
+        corpus.write_text(
+            '{"id": "u", "source": [0, 1], "reference": [0, 1], "block_ms": 1e308}\n'
+        )
+        code = run(["eval", "--corpus", str(corpus), "--model", model])
+        assert code == 1
+        assert "input error: the blocks' total duration must be finite" in capsys.readouterr().err
 
     def test_retranslation_runs_without_policy(self, workspace, capsys):
         _, corpus, model = workspace

@@ -16,12 +16,12 @@ from simulbeam import (
     Algorithm,
     ContextMode,
     CorpusRecord,
-    InsufficientContextMode,
     PolicyKind,
     RunConfig,
     make_toy_model,
     run_corpus,
 )
+from simulbeam.model import InsufficientContextMode
 from simulbeam.harness import report_to_csv
 
 POLICIES = [(PolicyKind.NONE, 0), (PolicyKind.HOLD, 1), (PolicyKind.LOCAL_AGREEMENT, 2)]

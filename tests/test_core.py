@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simulbeam import (
+from simulbeam import Hypothesis
+from simulbeam.core import (
     CommitEvent,
-    Hypothesis,
     SearchConfig,
     SessionTranscript,
     StopReason,
@@ -119,13 +119,6 @@ class TestValidation:
             Vocabulary(size=3, eos_id=3)
         with pytest.raises(ValueError):
             Vocabulary(size=0, eos_id=0)
-        with pytest.raises(ValueError):
-            Vocabulary(size=2, eos_id=1, surfaces=("x", "x"))
-
-    def test_vocabulary_surface_lookup(self):
-        vocab = Vocabulary(size=2, eos_id=1, surfaces=("hello", "<eos>"))
-        assert vocab.surface(0) == "hello"
-        assert Vocabulary(size=2, eos_id=1).surface(0) == "0"
 
     def test_hypothesis_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -15,17 +15,16 @@ from simulbeam import (
     CorpusRecord,
     PolicyKind,
     RunConfig,
-    blocks_for,
-    dump_corpus,
     load_corpus,
     make_toy_model,
     run_corpus,
     run_utterance,
     sweep,
 )
+from simulbeam.harness import blocks_for
 from simulbeam.harness import CSV_HEADER, report_to_csv, report_to_json, sweep_to_csv
 
-from conftest import ladder_record, ladder_spec
+from conftest import dump_corpus, ladder_record, ladder_spec
 
 
 @pytest.fixture
@@ -90,6 +89,26 @@ class TestLoadCorpus:
             ],
         )
         with pytest.raises(CorpusError, match=r":2: .*block_ms must be positive and finite"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("true", "must be a JSON number"),
+            ('"250"', "must be a JSON number"),
+            ("1" + "0" * 400, "is out of the float range"),
+        ],
+        ids=["bool", "string", "huge-int"],
+    )
+    def test_non_number_block_ms_reports_line_number(self, tmp_path, value, message):
+        path = self._write(
+            tmp_path,
+            [
+                '{"id": "a", "source": [0], "reference": [0], "block_ms": 250}',
+                '{"id": "b", "source": [0], "reference": [0], "block_ms": %s}' % value,
+            ],
+        )
+        with pytest.raises(CorpusError, match=f":2: block_ms {message}"):
             load_corpus(path)
 
     @pytest.mark.parametrize("field", ["source", "reference"])

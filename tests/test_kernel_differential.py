@@ -18,17 +18,10 @@ from hypothesis import strategies as st
 
 import reference_search
 from conftest import ScriptedSession, VectorSession, as_blocks, random_toy
-from simulbeam import (
-    Block,
-    ContextMode,
-    Hypothesis,
-    InsufficientContextMode,
-    SearchConfig,
-    bwbs_block,
-    ibwbs_block,
-    make_toy_model,
-    standard_beam_search,
-)
+from simulbeam import Block, ContextMode, Hypothesis, make_toy_model
+from simulbeam.core import SearchConfig
+from simulbeam.model import InsufficientContextMode
+from simulbeam.search import bwbs_block, ibwbs_block, standard_beam_search
 
 SMALL_LOGPROBS = st.sampled_from([-0.05, -0.7, -2.3])
 

@@ -9,24 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simulbeam import (
-    Algorithm,
-    Block,
-    CommitEvent,
-    EvalReport,
-    Hypothesis,
+from simulbeam import Algorithm, Block, EvalReport, Hypothesis, make_toy_model
+from simulbeam.core import CommitEvent, SearchConfig, SessionTranscript
+from simulbeam.metrics import (
     LatencyInput,
-    SearchConfig,
-    SessionTranscript,
     UtteranceReport,
     average_lagging,
-    bwbs_block,
     corpus_bleu,
-    decode_session,
     laal,
-    make_toy_model,
     token_delays,
 )
+from simulbeam.search import bwbs_block, decode_session
 
 from conftest import ScriptedSession, ladder_spec
 

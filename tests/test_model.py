@@ -9,18 +9,10 @@ import random
 import numpy as np
 import pytest
 
-from simulbeam import (
-    Block,
-    ContextMode,
-    InsufficientContextMode,
-    ToyTransducerSpec,
-    load_model_file,
-    make_toy_model,
-    spec_from_json,
-    spec_to_json,
-)
+from simulbeam import Block, ContextMode, load_model_file, make_toy_model
+from simulbeam.model import InsufficientContextMode, ToyTransducerSpec, spec_from_json
 
-from conftest import as_blocks, make_vocab, random_toy
+from conftest import as_blocks, make_vocab, random_toy, spec_to_json
 
 
 def greedy_rollout(session, steps: int) -> list[int]:
@@ -235,6 +227,10 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match="<eos>"):
             spec_from_json({"vocab": ["a", "b"], "mapping": {"0": [0]}})
 
+    def test_json_requires_unique_surfaces(self):
+        with pytest.raises(ValueError, match="surface strings must be unique"):
+            spec_from_json({"vocab": ["x", "x", "<eos>"], "mapping": {"0": [0]}})
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -250,6 +246,14 @@ class TestSpecValidationAndJson:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, key: value}))
         with pytest.raises(ValueError, match=f"model.json: .*{key}.* integer"):
+            load_model_file(path)
+
+    @pytest.mark.parametrize("value", [False, "0.5"], ids=["bool", "string"])
+    def test_non_number_epsilon_is_rejected(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        doc = {"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, "epsilon": value}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="model.json: epsilon must be a JSON number"):
             load_model_file(path)
 
     def test_load_model_file_reports_path(self, tmp_path):

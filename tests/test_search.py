@@ -9,21 +9,15 @@ import pytest
 
 import reference_search
 
-from simulbeam import (
-    Algorithm,
-    Block,
-    ContextMode,
-    Hypothesis,
-    InsufficientContextMode,
-    PolicyKind,
+from simulbeam import Algorithm, Block, ContextMode, Hypothesis, PolicyKind, make_toy_model
+from simulbeam.core import SearchConfig
+from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
+from simulbeam.search import (
     PolicyState,
-    SearchConfig,
-    ToyTransducerSpec,
     apply_policy,
     bwbs_block,
     decode_session,
     ibwbs_block,
-    make_toy_model,
     select_best,
     standard_beam_search,
 )
@@ -54,17 +48,17 @@ def hyp(*tokens: int, lp: float = -0.1) -> Hypothesis:
 
 class TestApplyPolicy:
     def test_hold_withholds_last_n(self):
-        state, new = apply_policy(PolicyState.hold(2), hyp(1, 2, 3, 4))
+        state, new = apply_policy(PolicyState(PolicyKind.HOLD, 2), hyp(1, 2, 3, 4))
         assert new == (1, 2)
         assert state.committed == (1, 2)
 
     def test_hold_larger_than_output_commits_nothing(self):
-        state, new = apply_policy(PolicyState.hold(5), hyp(1, 2, 3))
+        state, new = apply_policy(PolicyState(PolicyKind.HOLD, 5), hyp(1, 2, 3))
         assert new == ()
         assert state.committed == ()
 
     def test_hold_zero_commits_everything(self):
-        _, new = apply_policy(PolicyState.hold(0), hyp(1, 2, 3))
+        _, new = apply_policy(PolicyState(PolicyKind.HOLD, 0), hyp(1, 2, 3))
         assert new == (1, 2, 3)
 
     def test_local_agreement_commits_common_prefix(self):
@@ -75,20 +69,20 @@ class TestApplyPolicy:
         assert state.history == ((1, 2, 4),)
 
     def test_local_agreement_waits_for_enough_contexts(self):
-        state = PolicyState.local_agreement(2)
+        state = PolicyState(PolicyKind.LOCAL_AGREEMENT, 2)
         state, new = apply_policy(state, hyp(1, 2))
         assert new == ()
         assert state.history == ((1, 2),)
 
     def test_local_agreement_three_contexts(self):
-        state = PolicyState.local_agreement(3)
+        state = PolicyState(PolicyKind.LOCAL_AGREEMENT, 3)
         state, _ = apply_policy(state, hyp(1, 2, 3))
         state, _ = apply_policy(state, hyp(1, 2, 4))
         state, new = apply_policy(state, hyp(1, 2, 5))
         assert new == (1, 2)
 
     def test_none_commits_everything_new(self):
-        state, new = apply_policy(PolicyState.none(), hyp(1, 2))
+        state, new = apply_policy(PolicyState(), hyp(1, 2))
         assert new == (1, 2)
         state, new = apply_policy(state, hyp(1, 2, 3))
         assert new == (3,)
@@ -106,13 +100,11 @@ class TestApplyPolicy:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            PolicyState.hold(-1)
+            PolicyState(PolicyKind.HOLD, -1)
         with pytest.raises(ValueError):
-            PolicyState.local_agreement(0)
+            PolicyState(PolicyKind.LOCAL_AGREEMENT, 0)
         with pytest.raises(ValueError):
-            PolicyState.local_agreement(1)
-        with pytest.raises(ValueError):
-            PolicyState(PolicyKind.LOCAL_AGREEMENT, n=1)
+            PolicyState(PolicyKind.LOCAL_AGREEMENT, 1)
 
 
 class TestSelectBest:
@@ -394,7 +386,7 @@ class TestBeamStep:
             as_blocks((3, 141, 59, 26, 5, 358), 2),
             eos_id=vocab.eos_id,
             algo=algo,
-            policy=PolicyState.hold(2),
+            policy=PolicyState(PolicyKind.HOLD, 2),
             cfg=SearchConfig(beam_size=6),
         )
         assert transcript.forward_passes > 0
@@ -423,7 +415,7 @@ class TestDecodeSession:
         blocks = as_blocks((0, 1), 1)
         transcript = decode_session(
             factory, blocks, eos_id=vocab.eos_id,
-            algo=Algorithm.IBWBS, policy=PolicyState.hold(0),
+            algo=Algorithm.IBWBS, policy=PolicyState(PolicyKind.HOLD, 0),
         )
         assert transcript.final_output == reference_for(spec, (0, 1))
         assert len(transcript.commits) == 2
@@ -488,7 +480,11 @@ class TestDecodeSession:
 
     def test_prefix_monotone_commits(self):
         rng = random.Random(41)
-        policies = [PolicyState.none(), PolicyState.hold(2), PolicyState.local_agreement(2)]
+        policies = [
+            PolicyState(),
+            PolicyState(PolicyKind.HOLD, 2),
+            PolicyState(PolicyKind.LOCAL_AGREEMENT, 2),
+        ]
         for _ in range(15):
             spec, vocab, source = random_toy(rng)
             factory = make_toy_model(spec, vocab)
@@ -553,6 +549,21 @@ class TestDecodeSession:
                 eos_id=vocab.eos_id,
             )
 
+    def test_rejects_overflowing_total_duration_before_opening(self):
+        opened = []
+
+        def factory():
+            opened.append(True)
+            raise AssertionError("the session must not be opened")
+
+        blocks = [
+            Block(payload=(0,), duration_ms=1e308, is_final=False),
+            Block(payload=(1,), duration_ms=1e308, is_final=True),
+        ]
+        with pytest.raises(ValueError, match="total duration must be finite"):
+            decode_session(factory, blocks, eos_id=0)
+        assert not opened
+
     def test_rejects_policy_with_retranslation(self):
         spec, vocab = ladder_spec(symbols=2)
         factory = make_toy_model(spec, vocab)
@@ -561,7 +572,7 @@ class TestDecodeSession:
                 factory,
                 as_blocks((0, 1), 1),
                 eos_id=vocab.eos_id,
-                policy=PolicyState.hold(1),
+                policy=PolicyState(PolicyKind.HOLD, 1),
                 retranslation=True,
             )
 
@@ -583,7 +594,7 @@ class TestDecodeSession:
             as_blocks((0, 1, 2, 3), 1),
             eos_id=vocab.eos_id,
             algo=Algorithm.BS,
-            policy=PolicyState.local_agreement(2),
+            policy=PolicyState(PolicyKind.LOCAL_AGREEMENT, 2),
             cfg=SearchConfig(repetition_detection=False),
         )
         assert transcript.final_output == reference_for(spec, (0, 1, 2, 3))

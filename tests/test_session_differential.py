@@ -16,19 +16,14 @@ from hypothesis import strategies as st
 
 import reference_search
 from conftest import as_blocks, random_toy
-from simulbeam import (
-    Algorithm,
-    ContextMode,
-    PolicyState,
-    SearchConfig,
-    decode_session,
-    make_toy_model,
-)
+from simulbeam import Algorithm, ContextMode, PolicyKind, make_toy_model
+from simulbeam.core import SearchConfig
+from simulbeam.search import PolicyState, decode_session
 
 POLICIES = st.one_of(
-    st.just(PolicyState.none()),
-    st.integers(0, 2).map(PolicyState.hold),
-    st.integers(2, 3).map(PolicyState.local_agreement),
+    st.just(PolicyState()),
+    st.integers(0, 2).map(lambda n: PolicyState(PolicyKind.HOLD, n)),
+    st.integers(2, 3).map(lambda n: PolicyState(PolicyKind.LOCAL_AGREEMENT, n)),
 )
 
 
@@ -56,7 +51,7 @@ def test_session_matches_reference(
     seed, context, block_symbols, algo, retranslation, policy, beam, detection
 ):
     if retranslation:
-        policy = PolicyState.none()  # a policy with re-translation is rejected
+        policy = PolicyState()  # a policy with re-translation is rejected
     spec, vocab, source = random_toy(random.Random(seed))
     factory = make_toy_model(spec, vocab, context)
     args = (factory, as_blocks(source, block_symbols), vocab.eos_id)

@@ -261,8 +261,9 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
     Schema: ``{"vocab": [...], "mapping": {...}, "epsilon": r, "mode": "...",
     "lookahead": k}``. The vocabulary is the list of surface strings; the
     entry equal to ``"<eos>"`` designates the end-of-sequence token, and no
-    entry may repeat. Mapping keys are integer strings; targets and
-    ``lookahead`` are JSON integers, and ``epsilon`` is a JSON number.
+    entry may repeat. Mapping keys are canonical integer strings (``"7"``,
+    not ``"07"``); targets and ``lookahead`` are JSON integers, and
+    ``epsilon`` is a JSON number.
     """
     try:
         surfaces = tuple(str(s) for s in doc["vocab"])
@@ -276,6 +277,10 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
         raise ValueError("surface strings must be unique")
     vocab = Vocabulary(size=len(surfaces), eos_id=eos_positions[0])
     try:
+        for sym in raw_mapping:
+            # Only one spelling per symbol: "00", "+1" or " 1_0 " would alias "0" or "10".
+            if str(int(sym)) != sym:
+                raise ValueError(f"mapping key {sym!r} is not a canonical integer")
         mapping = {
             int(sym): json_ids(tgt, f"mapping for symbol {sym}") for sym, tgt in raw_mapping.items()
         }

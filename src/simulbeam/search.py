@@ -24,12 +24,13 @@ the source is complete, so the trigger is a trailing EOS and, for every
 strategy, the finished beam moves to the pool and shrinks the width
 (:func:`_final_block`); the full re-decode is a re-scored prefix plus that.
 
-A step queries the model once per active beam, rejects NaN and ``+inf``
-log-probabilities with a ``ValueError`` naming the prefix, and builds only
-the extensions that can survive pruning to the current width
-(:func:`_survivors`), so the work besides the model grows with the width, not
-with the vocabulary. The ranking is exact: by the ``math.fsum`` score, then by
-token order.
+A step queries the model once per active beam, rejects a vector that is not
+1-D or not as long as the step's first, and NaN and ``+inf`` log-probabilities,
+with a ``ValueError`` naming the prefix. It then makes one survivor selection
+across all the beams' rows (:func:`_expand`) and builds only the extensions
+that can survive pruning to the current width, so the work besides the model
+grows with the width, not with the vocabulary or the number of beams. The
+ranking is exact: by the ``math.fsum`` score, then by token order.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -131,62 +132,101 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
 
 
 def _query(session: ModelSession, prefix: tuple[int, ...]) -> np.ndarray:
-    """One forward pass, rejecting NaN and ``+inf`` log-probabilities: a NaN
-    would vanish from every comparison and ``+inf`` is no probability."""
+    """One forward pass, rejecting a vector that is not 1-D and NaN or
+    ``+inf`` log-probabilities: a NaN would vanish from every comparison and
+    ``+inf`` is no probability."""
     logprobs = session.next_token_logprobs(prefix)
+    if logprobs.ndim != 1:
+        raise ValueError(f"model returned {logprobs.ndim}-D log-probabilities "
+                         f"after prefix {prefix}")
     # ndarray.max without its Python-level wrapper: this runs on every pass.
     if not np.maximum.reduce(logprobs) < np.inf:
         raise ValueError(f"model returned a NaN or +inf log-probability after prefix {prefix}")
     return logprobs
 
 
-def _survivors(parent: Hypothesis, logprobs: np.ndarray, width: int) -> np.ndarray:
-    """Ids of a superset of the tokens whose extensions of
-    ``parent`` rank in its top ``width`` by ``(-score, token)``.
-
-    A score is the exactly rounded sum of the parent's log-probabilities and
-    the new one, so it never falls as the new log-prob rises, and two new
-    log-probs give equal scores only if they lie within one ulp of the
-    score. With ``kth`` the ``width``-th best log-prob, tokens below the
-    ``margin`` band around it score below at least ``width`` others. If the
-    band holds only ``kth`` itself, its tokens tie and the lowest ids fill
-    the slots the tokens above the band leave; otherwise rounding may merge
-    distinct values, and the whole band goes to the exact sort.
-    """
-    keep = (logprobs > -np.inf).nonzero()[0]
-    if keep.size <= width:
-        return keep
-    kth = float(np.partition(logprobs, logprobs.size - width)[logprobs.size - width])
-    margin = 2 * math.ulp(math.fsum(parent.token_logprobs + (kth,)))
-    values = logprobs[keep]
-    inside = values >= kth - margin
-    keep, values = keep[inside], values[inside]
-    near = values <= kth + margin
-    if (values[near] == kth).all():
-        above = keep[~near]
-        keep = np.concatenate((above, keep[near][: width - above.size]))
-    return keep
-
-
 def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
     """The single-token extensions of the active beams that can survive
-    pruning to ``width`` (see :func:`_survivors`).
+    pruning to ``width`` by ``(-score, tokens)``: a superset of the top
+    ``width``, selected in one pass over the stacked rows.
 
-    Zero-probability tokens are skipped: they can never belong to a valid
-    hypothesis and would break score finiteness. A beam whose tokens repeat
-    an earlier beam's still costs its forward pass but adds nothing:
+    Each active beam costs one forward pass, in order. A beam whose tokens
+    repeat an earlier beam's still costs its pass but adds nothing:
     duplicate candidates merge into the earlier beam's copies.
+    Zero-probability tokens are skipped: they can never belong to a valid
+    hypothesis and would break score finiteness. If the step has at most
+    ``width`` finite entries, all of them survive. Otherwise two cuts keep
+    every candidate that the exact ranking could place in the top ``width``:
+
+    1. Per row. A score is the exactly rounded sum of the parent's
+       log-probabilities and the new one, so it never falls as the new
+       log-prob rises, and two new log-probs give equal scores only if they
+       lie within one ulp of the score. With ``kth`` the row's ``width``-th
+       best log-prob and ``margin`` two ulps of ``fsum(parent + (kth,))``,
+       tokens below ``kth - margin`` score below at least ``width`` others
+       of their row. If the band ``kth ± margin`` holds only ``kth`` itself,
+       its tokens tie and the lowest ids fill the slots the tokens above the
+       band leave; otherwise rounding may merge distinct values, and the
+       whole band goes on.
+    2. Across rows. A candidate's approximate score ``a = parent.score + lp``
+       lies within ``g`` of its exact score ``t``: ``parent.score`` (one
+       ``fsum``) is off by at most half an ulp of itself, ``a`` by half an
+       ulp of ``a`` and ``t`` by half an ulp of ``t``. All three magnitudes
+       are at most ``2 (S + L)``, with ``S`` the largest finite
+       ``|parent.score|`` and ``L`` the largest ``|lp|`` kept, so
+       ``g <= 1.5 ulp(2 (S + L))``.
+       With ``K`` the ``width``-th best ``a``, a candidate with
+       ``a < K - 2g`` scores strictly below ``width`` others (their exact
+       scores are at least ``K - g``), so only ``a >= K - 3 ulp(2 (S + L))``
+       go on. A ``K`` of ``-inf`` (every parent scored ``-inf``, as a forced
+       prefix can be) leaves nothing to cut.
     """
-    pool: list[Hypothesis] = []
-    seen: set[tuple[int, ...]] = set()
+    parents: dict[tuple[int, ...], Hypothesis] = {}
+    rows: list[np.ndarray] = []
     for hyp in active:
         logprobs = _query(session, hyp.tokens)
-        if hyp.tokens in seen:
-            continue
-        seen.add(hyp.tokens)
-        keep = _survivors(hyp, logprobs, width)
-        pool.extend(map(hyp.extended, keep.tolist(), logprobs[keep].tolist()))
-    return pool
+        if rows and logprobs.size != rows[0].size:
+            raise ValueError(f"model returned {logprobs.size} log-probabilities "
+                             f"after prefix {hyp.tokens}")
+        if hyp.tokens not in parents:
+            parents[hyp.tokens] = hyp
+            rows.append(logprobs)
+    if len(rows) == 1:
+        # One row, as at width 1, is not stacked if every finite entry survives.
+        ids = (rows[0] > -np.inf).nonzero()[0]
+        if ids.size <= width:
+            return list(map(active[0].extended, ids.tolist(), rows[0][ids].tolist()))
+    beams = list(parents.values())
+    matrix = np.array(rows)
+    keep = matrix > -np.inf
+    size = matrix.shape[1]
+    if np.count_nonzero(keep) > width and size > width:
+        # Cut 1. A row with fewer than ``width`` finite entries has kth = -inf
+        # and an infinite margin (lo = -inf, hi = NaN): it keeps them all.
+        kth = np.partition(matrix, size - width, axis=1)[:, size - width]
+        lo, hi = [], []
+        for beam, k in zip(beams, kth.tolist()):
+            margin = 2 * math.ulp(math.fsum(beam.token_logprobs + (k,)))
+            lo.append(k - margin)
+            hi.append(k + margin)
+        keep &= matrix >= np.array(lo)[:, None]
+        near = keep & (matrix <= np.array(hi)[:, None])
+        tied = ~(near & (matrix != kth[:, None])).any(axis=1)
+        slots = width - (keep ^ near).sum(axis=1)
+        keep &= ~(near & (near.cumsum(axis=1) > slots[:, None]) & tied[:, None])
+    owner, ids = keep.nonzero()
+    values = matrix[owner, ids]
+    if values.size > width:
+        # Cut 2.
+        scores = [beam.score for beam in beams]
+        approx = np.array(scores)[owner] + values
+        cut = float(np.partition(approx, values.size - width)[values.size - width])
+        if cut > -math.inf:
+            bound = max(abs(s) for s in scores if s > -math.inf) + float(np.abs(values).max())
+            inside = approx >= cut - 3 * math.ulp(2 * bound)
+            owner, ids, values = owner[inside], ids[inside], values[inside]
+    owners = [beams[i] for i in owner.tolist()]
+    return list(map(Hypothesis.extended, owners, ids.tolist(), values.tolist()))
 
 
 def _prune(pool: Iterable[Hypothesis], width: int) -> list[Hypothesis]:

@@ -69,6 +69,24 @@ class TestDecode:
         err = capsys.readouterr().err
         assert "input error" in err and "after prefix" in err
 
+    def test_ragged_model_vectors_are_input_error(self, workspace, capsys, monkeypatch):
+        _, corpus, model = workspace
+        toy_session = type(make_toy_model(*ladder_spec())())
+        original = toy_session.next_token_logprobs
+
+        def ragged(self, prefix):
+            logprobs = original(self, prefix).copy()
+            if prefix == ():
+                logprobs[1] = -5.0  # a second beam, (1,), for the next step
+            if prefix == (1,):
+                logprobs = np.append(logprobs, -np.inf)
+            return logprobs
+
+        monkeypatch.setattr(toy_session, "next_token_logprobs", ragged)
+        assert run(["decode", "--corpus", corpus, "--model", model]) == 1
+        err = capsys.readouterr().err
+        assert "input error: model returned 14 log-probabilities after prefix (1,)" in err
+
 
 class TestEval:
     def test_writes_csv_and_json(self, workspace):
@@ -134,6 +152,15 @@ class TestEval:
         code = run(["eval", "--corpus", str(corpus), "--model", str(tmp_path / "bad_model.json")])
         assert code == 1
         assert "must be a JSON number" in capsys.readouterr().err
+
+    def test_non_canonical_mapping_key_is_input_error(self, workspace, capsys):
+        tmp_path, corpus, _ = workspace
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["mapping"]["00"] = doc["mapping"]["0"]
+        (tmp_path / "bad_model.json").write_text(json.dumps(doc))
+        code = run(["eval", "--corpus", corpus, "--model", str(tmp_path / "bad_model.json")])
+        assert code == 1
+        assert "mapping key '00' is not a canonical integer" in capsys.readouterr().err
 
     def test_overflowing_total_duration_is_input_error(self, workspace, capsys):
         tmp_path, _, model = workspace

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,12 @@ class TestSpecValidationAndJson:
         path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, key: value}))
         with pytest.raises(ValueError, match=f"model.json: .*{key}.* integer"):
             load_model_file(path)
+
+    @pytest.mark.parametrize("key", ["00", " 1_0 ", "+1", "-0"])
+    def test_non_canonical_mapping_keys_are_rejected(self, key):
+        doc = {"vocab": ["a", "b", "<eos>"], "mapping": {"0": [0], key: [1]}}
+        with pytest.raises(ValueError, match=re.escape(f"mapping key {key!r} is not a canonical")):
+            spec_from_json(doc)
 
     @pytest.mark.parametrize("value", [False, "0.5"], ids=["bool", "string"])
     def test_non_number_epsilon_is_rejected(self, tmp_path, value):

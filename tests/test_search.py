@@ -9,7 +9,15 @@ import pytest
 
 import reference_search
 
-from simulbeam import Algorithm, Block, ContextMode, Hypothesis, PolicyKind, make_toy_model
+from simulbeam import (
+    Algorithm,
+    Block,
+    ContextMode,
+    Hypothesis,
+    PolicyKind,
+    make_toy_model,
+    search,
+)
 from simulbeam.core import SearchConfig
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
 from simulbeam.search import (
@@ -332,6 +340,16 @@ def _wide_toy(mode=InsufficientContextMode.REPEAT):
     return spec, vocab
 
 
+def _noisy_toy():
+    """V=21 toy with noise: every token is finite on every pass."""
+    vocab = make_vocab(20)
+    spec = ToyTransducerSpec(
+        mapping={s: (2 * s % 20, (7 * s + 3) % 20) for s in range(10)},
+        noise_epsilon=0.05,
+    )
+    return spec, vocab
+
+
 class TestBeamStep:
     @pytest.mark.parametrize(
         "block_ops",
@@ -353,6 +371,61 @@ class TestBeamStep:
                               eos_id=4, max_total=2))
         new, reference = results
         assert new[0].tokens == (2, 1)
+        assert new == reference
+
+    @pytest.mark.parametrize(
+        "block_ops",
+        [(bwbs_block, reference_search.bwbs_block), (ibwbs_block, reference_search.ibwbs_block)],
+    )
+    @pytest.mark.parametrize("case", ["rounding", "tie"])
+    def test_cross_beam_ranking_is_exact(self, block_ops, case):
+        if case == "rounding":
+            # The first parent's score rounds -1 - 2**-53 up to -1, so
+            # ``parent.score + lp`` ranks its child first, but the exact
+            # scores tie and token order ranks the second parent's child first.
+            seeds = (Hypothesis((3, 1), (-1.0, -(2.0**-53))), Hypothesis((3, 0), (-1.0, 0.0)))
+            step = {(3, 1): -(2.0**-53), (3, 0): -1.5 * 2.0**-53}
+            assert seeds[0].score + step[(3, 1)] > seeds[1].score + step[(3, 0)]
+        else:
+            # Parents with one score: their children tie exactly, and the
+            # lower tokens win although their beam comes second.
+            seeds = (Hypothesis((3, 1), (-0.5, -0.25)), Hypothesis((3, 0), (-0.25, -0.5)))
+            step = {(3, 1): -0.1, (3, 0): -0.1}
+        exact = [math.fsum(h.token_logprobs + (step[h.tokens],)) for h in seeds]
+        assert exact[0] == exact[1]
+
+        def logprobs(level, prefix):
+            return [-math.inf, -math.inf, step[prefix], -math.inf, -math.inf]
+
+        results = []
+        for fn in block_ops:
+            session = VectorSession(logprobs)
+            session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
+            results.append(fn(seeds, 0, session, SearchConfig(beam_size=1),
+                              eos_id=4, max_total=3))
+        new, reference = results
+        assert [h.tokens for h in new] == [(3, 0, 2)]
+        assert new == reference
+
+    def test_prefix_scored_minus_inf_is_ranked_by_token_order(self):
+        # The final block rules out the committed token 0, so the re-scored
+        # prefix and every extension of it score -inf: no cut across beams
+        # applies, and the ranking falls to token order.
+        def logprobs(level, prefix):
+            if level == 1:
+                return [-0.1, -3.0, -3.0, -3.0] if prefix == () else [-3.0, -3.0, -3.0, -0.1]
+            if prefix == ():
+                return [-math.inf, -0.1, -3.0, -3.0]
+            return [-2.0, -0.5, -1.0, -3.0]
+
+        blocks = [Block(payload=(), duration_ms=100.0, is_final=False),
+                  Block(payload=(), duration_ms=100.0, is_final=True)]
+        new, reference = (
+            fn(lambda: VectorSession(logprobs), blocks, eos_id=3, algo=Algorithm.BS,
+               cfg=SearchConfig(beam_size=2))
+            for fn in (decode_session, reference_search.decode_session)
+        )
+        assert new.commits[0].tokens == (0,)
         assert new == reference
 
     def test_exact_ties_keep_lowest_ids(self):
@@ -391,6 +464,64 @@ class TestBeamStep:
         )
         assert transcript.forward_passes > 0
         assert len(calls) <= 6 * transcript.forward_passes
+
+    @pytest.mark.parametrize("toy", ["wide", "noisy"])
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_builds_at_most_twice_beam_size_candidates_per_step(self, algo, toy, monkeypatch):
+        extended = Hypothesis.extended
+        expand = search._expand
+        built = []
+        per_step = []
+
+        def counted(self, token, logprob):
+            built.append(token)
+            return extended(self, token, logprob)
+
+        def counted_step(active, session, width):
+            before = len(built)
+            pool = expand(active, session, width)
+            per_step.append(len(built) - before)
+            return pool
+
+        monkeypatch.setattr(Hypothesis, "extended", counted)
+        monkeypatch.setattr(search, "_expand", counted_step)
+        if toy == "wide":
+            spec, vocab = _wide_toy()
+            source = (3, 141, 59, 26, 5, 358)
+        else:
+            spec, vocab = _noisy_toy()
+            source = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
+        decode_session(
+            make_toy_model(spec, vocab, ContextMode.FULL_CONTEXT),
+            as_blocks(source, 3),
+            eos_id=vocab.eos_id,
+            algo=algo,
+            policy=PolicyState(PolicyKind.LOCAL_AGREEMENT, 2),
+            cfg=SearchConfig(beam_size=6),
+        )
+        assert per_step and max(per_step) <= 2 * 6
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([-3.0, -0.5, -3.0, -3.0], r"model returned 4 log-probabilities after prefix \(1,\)"),
+            ([[-3.0, -0.5, -3.0]], r"model returned 2-D log-probabilities after prefix \(1,\)"),
+        ],
+        ids=["ragged", "2-D"],
+    )
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_ragged_or_not_1d_logprobs_are_rejected(self, algo, row, message):
+        def logprobs(level, prefix):
+            return row if prefix == (1,) else [-0.5, -1.0, -math.inf]
+
+        with pytest.raises(ValueError, match=message):
+            decode_session(
+                lambda: VectorSession(logprobs),
+                [Block(payload=(), duration_ms=100.0, is_final=False),
+                 Block(payload=(), duration_ms=100.0, is_final=True)],
+                eos_id=2,
+                algo=algo,
+            )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("algo", list(Algorithm))

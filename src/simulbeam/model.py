@@ -45,8 +45,9 @@ EOS_SURFACE = "<eos>"
 class ContextMode(enum.Enum):
     """How a session maintains its conditioning state.
 
-    BLOCKWISE sessions may only append state per ingested block; FULL_CONTEXT
-    sessions recompute their conditioning from all blocks on every query.
+    FULL_CONTEXT sessions re-encode all source read so far once per ingested
+    block, as an offline-trained model run online does; BLOCKWISE sessions
+    encode only the new block. Queries read that state in both modes.
     For the toy models the two produce identical distributions, so any
     downstream difference is attributable to the search, not the model.
     """
@@ -114,6 +115,8 @@ class ModelSession(ABC):
     Contract: ``next_token_logprobs`` returns a log-distribution over the
     whole vocabulary (exponentials sum to 1) and increments the forward-pass
     counter by exactly one. Ingesting after the final block is an error.
+    Per-block work, such as encoding the source, belongs in ``ingest_block``:
+    queries are decoder forward passes and should only read that state.
     A session is single-threaded; distinct sessions are independent.
     """
 
@@ -145,10 +148,10 @@ class _ToySession(ModelSession):
         self._spec = spec
         self._vocab = vocab
         self._context = context
-        self._blocks: list[Block] = []
+        self._block_symbols: list[list[int]] = []  # each block's source symbols
         self._final_seen = False
         self._forward_passes = 0
-        # Incrementally maintained conditioning (BLOCKWISE contract).
+        # Conditioning that queries read, rebuilt or extended per ingested block.
         self._symbols: list[int] = []
         self._reference: list[int] = []
         self._alignment: list[int] = []  # 1-based source position per reference token
@@ -160,8 +163,13 @@ class _ToySession(ModelSession):
         for symbol in symbols:
             if symbol not in self._spec.mapping:
                 raise ValueError(f"source symbol {symbol} not covered by the model mapping")
-        self._blocks.append(block)
-        if self._context is ContextMode.BLOCKWISE:
+        self._block_symbols.append(symbols)
+        if self._context is ContextMode.FULL_CONTEXT:
+            # Re-encode all source read so far, as an offline model does per block.
+            self._symbols, self._reference, self._alignment = [], [], []
+            for earlier in self._block_symbols:
+                self._append_symbols(earlier)
+        else:
             self._append_symbols(symbols)
         self._final_seen = block.is_final
 
@@ -173,25 +181,15 @@ class _ToySession(ModelSession):
                 self._reference.append(token)
                 self._alignment.append(position)
 
-    def _conditioning(self) -> tuple[list[int], list[int], int]:
-        if self._context is ContextMode.FULL_CONTEXT:
-            # Recompute from scratch on every query, per the full-context contract.
-            self._symbols, self._reference, self._alignment = [], [], []
-            for block in self._blocks:
-                self._append_symbols(
-                    [s for s in block.payload if isinstance(s, int) and not isinstance(s, bool)]
-                )
-        return self._reference, self._alignment, len(self._symbols)
-
     def next_token_logprobs(self, prefix: Sequence[int]) -> np.ndarray:
-        if not self._blocks:
+        if not self._block_symbols:
             raise RuntimeError("cannot score: no block ingested yet")
         self._forward_passes += 1
-        reference, alignment, n_symbols = self._conditioning()
+        reference, alignment = self._reference, self._alignment
         vocab_size = self._vocab.size
         eos = self._vocab.eos_id
         j = len(prefix)
-        if j < len(reference) and alignment[j] + self._spec.lookahead <= n_symbols:
+        if j < len(reference) and alignment[j] + self._spec.lookahead <= len(self._symbols):
             favored: tuple[int, ...] = (reference[j],)
         elif j >= len(reference) and self._final_seen:
             favored = (eos,)

@@ -132,13 +132,15 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
 
 
 def _query(session: ModelSession, prefix: tuple[int, ...]) -> np.ndarray:
-    """One forward pass, rejecting a vector that is not 1-D and NaN or
-    ``+inf`` log-probabilities: a NaN would vanish from every comparison and
-    ``+inf`` is no probability."""
+    """One forward pass, rejecting a vector that is not 1-D or is empty, and
+    NaN or ``+inf`` log-probabilities: a NaN would vanish from every
+    comparison and ``+inf`` is no probability."""
     logprobs = session.next_token_logprobs(prefix)
     if logprobs.ndim != 1:
         raise ValueError(f"model returned {logprobs.ndim}-D log-probabilities "
                          f"after prefix {prefix}")
+    if not logprobs.size:
+        raise ValueError(f"model returned 0 log-probabilities after prefix {prefix}")
     # ndarray.max without its Python-level wrapper: this runs on every pass.
     if not np.maximum.reduce(logprobs) < np.inf:
         raise ValueError(f"model returned a NaN or +inf log-probability after prefix {prefix}")

@@ -174,7 +174,7 @@ class TestSessionContract:
                 blockwise.ingest_block(block)
                 full.ingest_block(block)
                 prefix = tuple(rng.randrange(vocab.size) for _ in range(rng.randint(0, 4)))
-                np.testing.assert_allclose(
+                np.testing.assert_array_equal(
                     blockwise.next_token_logprobs(prefix), full.next_token_logprobs(prefix)
                 )
 
@@ -187,13 +187,39 @@ class TestSessionContract:
         prefix = tuple(rng.randrange(vocab.size - 1) for _ in range(reference_len + 3))
         assert int(np.argmax(session.next_token_logprobs(prefix))) == prefix[-1]
 
-    def test_non_integer_payload_entries_are_ignored(self, repeat_toy):
-        _, _, factory = repeat_toy
-        session = factory()
+    @pytest.mark.parametrize("context", list(ContextMode))
+    def test_non_integer_payload_entries_are_ignored(self, repeat_toy, context):
+        spec, vocab, _ = repeat_toy
+        session = make_toy_model(spec, vocab, context)()
         session.ingest_block(
             Block(payload=(np.zeros(3), 7, "frame"), duration_ms=100.0, is_final=False)
         )
-        assert greedy_rollout(session, 2) == [0, 1]
+        session.ingest_block(Block(payload=(True, 7, "frame"), duration_ms=100.0, is_final=False))
+        assert greedy_rollout(session, 4) == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("context", list(ContextMode))
+    def test_queries_read_the_encoding_of_the_last_ingest(self, context, monkeypatch):
+        """Only ``ingest_block`` encodes source: a full-context session
+        re-encodes every block read so far, a blockwise one only the new
+        block, and no query encodes anything."""
+        spec, vocab = ToyTransducerSpec(mapping={s: (s,) for s in range(3)}), make_vocab(4)
+        session = make_toy_model(spec, vocab, context)()
+        encoded = []
+        original = type(session)._append_symbols
+
+        def recording(self, symbols):
+            encoded.append(list(symbols))
+            original(self, symbols)
+
+        monkeypatch.setattr(type(session), "_append_symbols", recording)
+        for k, block in enumerate(as_blocks((0, 1, 2), 1)):
+            encoded.clear()
+            session.ingest_block(block)
+            expected = [[s] for s in range(k + 1)] if context is ContextMode.FULL_CONTEXT else [[k]]
+            assert encoded == expected
+            for length in range(20):
+                session.next_token_logprobs((0,) * length)
+            assert encoded == expected
 
 
 class TestSpecValidationAndJson:

@@ -506,8 +506,9 @@ class TestBeamStep:
         [
             ([-3.0, -0.5, -3.0, -3.0], r"model returned 4 log-probabilities after prefix \(1,\)"),
             ([[-3.0, -0.5, -3.0]], r"model returned 2-D log-probabilities after prefix \(1,\)"),
+            ([], r"model returned 0 log-probabilities after prefix \(1,\)"),
         ],
-        ids=["ragged", "2-D"],
+        ids=["ragged", "2-D", "empty"],
     )
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_ragged_or_not_1d_logprobs_are_rejected(self, algo, row, message):

@@ -231,10 +231,14 @@ def run_corpus(
     cfg: RunConfig,
     eos_id: int,
 ) -> EvalReport:
-    """Evaluate a whole corpus and aggregate quality/latency/compute."""
+    """Evaluate a whole corpus and aggregate quality/latency/compute. Record
+    ids must be unique, as :func:`load_corpus` requires of a file."""
     if not corpus:
         raise CorpusError("cannot evaluate an empty corpus")
     ordered = sorted(corpus, key=lambda r: r.id)
+    for record, following in zip(ordered, ordered[1:]):
+        if record.id == following.id:
+            raise CorpusError(f"duplicate record id {record.id!r}")
     rows: list[UtteranceReport] = []
     outputs: list[tuple[int, ...]] = []
     for record in ordered:

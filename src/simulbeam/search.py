@@ -15,8 +15,8 @@ Three decoding strategies drive a :class:`~simulbeam.model.ModelSession`:
   the sole survivor, which typically yields a longer reliable prefix from the
   same amount of source.
 
-All three run one beam loop (:func:`_beam_loop`: expand, prune, classify each
-candidate as continuing or triggered) and differ only in the trigger and in
+All three run one beam loop (:func:`_beam_loop`: rank the extensions, classify
+each as continuing or triggered) and differ only in the trigger and in
 what a triggered beam does. While source remains the trigger is the stop
 heuristic: ``bwbs`` then trims every beam and ends the block, ``ibwbs`` trims
 the one beam into the stopped pool and shrinks the width. On the final block
@@ -26,11 +26,12 @@ strategy, the finished beam moves to the pool and shrinks the width
 
 A step queries the model once per active beam, rejects a vector that is not
 1-D or not as long as the step's first, and NaN and ``+inf`` log-probabilities,
-with a ``ValueError`` naming the prefix. It then makes one survivor selection
-across all the beams' rows (:func:`_expand`) and builds only the extensions
-that can survive pruning to the current width, so the work besides the model
-grows with the width, not with the vocabulary or the number of beams. The
-ranking is exact: by the ``math.fsum`` score, then by token order.
+with a ``ValueError`` naming the prefix. It then ranks the extensions of all
+the beams at once (:func:`_expand`): one approximate cut across the stacked
+rows and a cap on exact ties leave only the candidates that can place, and
+one exact sort, by the ``math.fsum`` score and then by token order, ranks
+them. Only the top ``width`` are built, and the Python work besides the
+model grows with the candidates that can place, not with the vocabulary.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -43,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,40 +149,37 @@ def _query(session: ModelSession, prefix: tuple[int, ...]) -> np.ndarray:
 
 
 def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
-    """The single-token extensions of the active beams that can survive
-    pruning to ``width`` by ``(-score, tokens)``: a superset of the top
-    ``width``, selected in one pass over the stacked rows.
+    """The top ``width`` single-token extensions of the active beams, ranked
+    by ``(-score, tokens)``, so replay is deterministic.
 
     Each active beam costs one forward pass, in order. A beam whose tokens
     repeat an earlier beam's still costs its pass but adds nothing:
     duplicate candidates merge into the earlier beam's copies.
     Zero-probability tokens are skipped: they can never belong to a valid
-    hypothesis and would break score finiteness. If the step has at most
-    ``width`` finite entries, all of them survive. Otherwise two cuts keep
-    every candidate that the exact ranking could place in the top ``width``:
+    hypothesis and would break score finiteness. Three stages over the
+    stacked rows leave only the candidates that can place, and only the
+    placed ones are built:
 
-    1. Per row. A score is the exactly rounded sum of the parent's
-       log-probabilities and the new one, so it never falls as the new
-       log-prob rises, and two new log-probs give equal scores only if they
-       lie within one ulp of the score. With ``kth`` the row's ``width``-th
-       best log-prob and ``margin`` two ulps of ``fsum(parent + (kth,))``,
-       tokens below ``kth - margin`` score below at least ``width`` others
-       of their row. If the band ``kth ± margin`` holds only ``kth`` itself,
-       its tokens tie and the lowest ids fill the slots the tokens above the
-       band leave; otherwise rounding may merge distinct values, and the
-       whole band goes on.
-    2. Across rows. A candidate's approximate score ``a = parent.score + lp``
-       lies within ``g`` of its exact score ``t``: ``parent.score`` (one
-       ``fsum``) is off by at most half an ulp of itself, ``a`` by half an
-       ulp of ``a`` and ``t`` by half an ulp of ``t``. All three magnitudes
-       are at most ``2 (S + L)``, with ``S`` the largest finite
-       ``|parent.score|`` and ``L`` the largest ``|lp|`` kept, so
-       ``g <= 1.5 ulp(2 (S + L))``.
-       With ``K`` the ``width``-th best ``a``, a candidate with
-       ``a < K - 2g`` scores strictly below ``width`` others (their exact
-       scores are at least ``K - g``), so only ``a >= K - 3 ulp(2 (S + L))``
-       go on. A ``K`` of ``-inf`` (every parent scored ``-inf``, as a forced
-       prefix can be) leaves nothing to cut.
+    1. The cut, when the step has more than ``width`` finite entries. A
+       candidate's approximate score ``a = parent.score + lp`` lies within
+       ``g`` of its exact score ``t``: ``parent.score`` (one ``fsum``) is off
+       by at most half an ulp of itself, ``a`` by half an ulp of ``a`` and
+       ``t`` by half an ulp of ``t``. All three magnitudes are at most
+       ``2 (S + L)``, with ``S`` the largest finite ``|parent.score|`` and
+       ``L`` the largest finite ``|lp|`` of the step, so
+       ``g <= 1.5 ulp(2 (S + L))``. With ``K`` the ``width``-th best ``a``,
+       a candidate with ``a < K - 2g`` scores strictly below ``width``
+       others (their exact scores are at least ``K - g``), so only
+       ``a >= K - 3 ulp(2 (S + L))`` go on. A ``K`` of ``-inf`` (fewer
+       than ``width`` finite ``a``, as when every parent is scored ``-inf``,
+       which a forced prefix can be) leaves nothing to cut.
+    2. The tie cap. In one row, equal log-probs give equal exact scores, and
+       the new token's id breaks the tie; so of each ``(row, lp)`` group only
+       the ``width`` lowest ids can place. A stable sort by ``lp`` keeps each
+       group together in id order, and a candidate is dropped if the one
+       ``width`` places before it is of its group.
+    3. The exact ranking: what is left is scored with ``math.fsum`` and
+       sorted, and the first ``width`` are built.
     """
     parents: dict[tuple[int, ...], Hypothesis] = {}
     rows: list[np.ndarray] = []
@@ -193,49 +191,38 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
         if hyp.tokens not in parents:
             parents[hyp.tokens] = hyp
             rows.append(logprobs)
-    if len(rows) == 1:
-        # One row, as at width 1, is not stacked if every finite entry survives.
-        ids = (rows[0] > -np.inf).nonzero()[0]
-        if ids.size <= width:
-            return list(map(active[0].extended, ids.tolist(), rows[0][ids].tolist()))
     beams = list(parents.values())
-    matrix = np.array(rows)
-    keep = matrix > -np.inf
-    size = matrix.shape[1]
-    if np.count_nonzero(keep) > width and size > width:
-        # Cut 1. A row with fewer than ``width`` finite entries has kth = -inf
-        # and an infinite margin (lo = -inf, hi = NaN): it keeps them all.
-        kth = np.partition(matrix, size - width, axis=1)[:, size - width]
-        lo, hi = [], []
-        for beam, k in zip(beams, kth.tolist()):
-            margin = 2 * math.ulp(math.fsum(beam.token_logprobs + (k,)))
-            lo.append(k - margin)
-            hi.append(k + margin)
-        keep &= matrix >= np.array(lo)[:, None]
-        near = keep & (matrix <= np.array(hi)[:, None])
-        tied = ~(near & (matrix != kth[:, None])).any(axis=1)
-        slots = width - (keep ^ near).sum(axis=1)
-        keep &= ~(near & (near.cumsum(axis=1) > slots[:, None]) & tied[:, None])
-    owner, ids = keep.nonzero()
-    values = matrix[owner, ids]
-    if values.size > width:
-        # Cut 2.
+    size = rows[0].size
+    # The rows end to end: entry ``i`` is token ``i % size`` of beam ``i // size``.
+    matrix = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    finite = matrix > -np.inf
+    flat = finite.nonzero()[0]
+    if flat.size > width:
         scores = [beam.score for beam in beams]
-        approx = np.array(scores)[owner] + values
-        cut = float(np.partition(approx, values.size - width)[values.size - width])
+        approx = (np.array(scores)[:, None] + matrix.reshape(-1, size)).ravel()
+        cut = float(np.partition(approx, approx.size - width)[approx.size - width])
         if cut > -math.inf:
-            bound = max(abs(s) for s in scores if s > -math.inf) + float(np.abs(values).max())
-            inside = approx >= cut - 3 * math.ulp(2 * bound)
-            owner, ids, values = owner[inside], ids[inside], values[inside]
-    owners = [beams[i] for i in owner.tolist()]
-    return list(map(Hypothesis.extended, owners, ids.tolist(), values.tolist()))
-
-
-def _prune(pool: Iterable[Hypothesis], width: int) -> list[Hypothesis]:
-    """Top ``width`` candidates by cumulative score; ties break on token
-    order, so replay is deterministic. Candidates must be distinct, as
-    :func:`_expand` leaves them."""
-    return sorted(pool, key=lambda h: (-h.score, h.tokens))[:width]
+            # An upper bound on L: the finite minimum, capped at 0, and the maximum.
+            largest = max(-np.minimum.reduce(matrix, where=finite, initial=0.0),
+                          np.maximum.reduce(matrix))
+            bound = max(abs(s) for s in scores if s > -math.inf) + float(largest)
+            flat = (approx >= cut - 3 * math.ulp(2 * bound)).nonzero()[0]
+    values = matrix[flat]
+    if flat.size > width:
+        order = np.argsort(values, kind="stable")
+        flat, values = flat[order], values[order]
+        owner = flat // size
+        tied = np.zeros(flat.size, bool)
+        tied[width:] = (values[width:] == values[:-width]) & (owner[width:] == owner[:-width])
+        flat, values = flat[~tied], values[~tied]
+    # Candidates' tokens are distinct (their parents' are, and so are the ids
+    # in a row), so the sort never compares beams.
+    ranked = []
+    for i, lp in zip(flat.tolist(), values.tolist()):
+        beam = beams[i // size]
+        ranked.append((-math.fsum(beam.token_logprobs + (lp,)), beam.tokens + (i % size,), beam, lp))
+    ranked.sort()
+    return [beam.extended(tokens[-1], lp) for _, tokens, beam, lp in ranked[:width]]
 
 
 def _selection_rank(hyp: Hypothesis) -> tuple:
@@ -267,7 +254,7 @@ def _beam_loop(
     on_trigger: Callable[[Hypothesis], Hypothesis],
     halt: bool = False,
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
-    """Expand, prune to ``width`` and classify each ranked candidate until no
+    """Rank the top ``width`` extensions and classify each until no
     beam or slot is left or the length cap is reached. A triggered candidate
     goes through ``on_trigger`` into the pool and vacates its slot (no
     refill); with ``halt`` the first trigger instead sends every ranked
@@ -275,7 +262,7 @@ def _beam_loop(
     pool: list[Hypothesis] = []
     active = list(seeds)
     while active and len(active[0].tokens) < max_total and width > 0:
-        ranked = _prune(_expand(active, session, width), width)
+        ranked = _expand(active, session, width)
         active = []
         for hyp in ranked:
             if not triggered(hyp):

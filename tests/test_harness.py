@@ -231,6 +231,12 @@ class TestRunCorpus:
         with pytest.raises(CorpusError):
             run_corpus([], factory, RunConfig(), vocab.eos_id)
 
+    def test_duplicate_id_rejected_with_name(self, ladder_setup):
+        _, vocab, factory, _ = ladder_setup
+        corpus = [ladder_record("b", 4), ladder_record("a", 4), ladder_record("b", 6)]
+        with pytest.raises(CorpusError, match="duplicate record id 'b'"):
+            run_corpus(corpus, factory, RunConfig(), vocab.eos_id)
+
 
 class TestRunConfig:
     def test_local_agreement_needs_two_contexts(self):
@@ -273,6 +279,12 @@ class TestSweep:
         points = sweep(corpus, factory, RunConfig(), [("block_symbols", v) for v in (4, 1, 2)],
                        vocab.eos_id)
         assert [p.value for p in points] == [1, 2, 4]
+
+    def test_duplicate_id_rejected_with_name(self, ladder_setup):
+        _, vocab, factory, _ = ladder_setup
+        corpus = [ladder_record("a", 4), ladder_record("a", 4)]
+        with pytest.raises(CorpusError, match="duplicate record id 'a'"):
+            sweep(corpus, factory, RunConfig(), [("block_symbols", 1)], vocab.eos_id)
 
     def test_empty_grid_rejected(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup

@@ -1,10 +1,11 @@
-"""Differential test: the shared beam step against the per-strategy loops
+"""Differential tests: the shared beam step against the per-strategy loops
 it replaced (``reference_search``).
 
 Both sides decode the same blocks from the same seeds on twin sessions, and
 must agree exactly on every returned beam (tokens and log-probabilities),
 on any error raised, and on the forward passes spent. Each model strategy also gives the
-log-probabilities the seed beams draw from.
+log-probabilities the seed beams draw from. A second test checks one beam
+step alone: ``search._expand`` against the reference's expand-then-prune.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import reference_search
 from conftest import ScriptedSession, VectorSession, as_blocks, random_toy
-from simulbeam import Block, ContextMode, Hypothesis, make_toy_model
+from simulbeam import Block, ContextMode, Hypothesis, make_toy_model, search
 from simulbeam.core import SearchConfig
 from simulbeam.model import InsufficientContextMode
 from simulbeam.search import bwbs_block, ibwbs_block, standard_beam_search
@@ -141,3 +142,36 @@ def test_kernel_matches_reference(model, algo, beam, detection, data):
             break
         if isinstance(new[1], tuple):
             beams = new[1]
+
+
+@st.composite
+def beam_steps(draw):
+    """One beam step: distinct parents of up to three tokens, scored from
+    small log-probs, ``-1000``, magnitudes near ``1e6`` and ``-inf``, and one
+    row per parent drawn from a few values, their neighbours one ulp (of
+    themselves or of ``1e6``) away, and ``-inf``, so exact ties within and
+    across rows and scores that rounding merges are common."""
+    vocab_size = draw(st.integers(1, 30))
+    palette = [-math.inf]
+    for b in draw(st.lists(st.sampled_from([-0.05, -0.5, -0.7, -2.3]), min_size=1, max_size=3)):
+        palette += [b, math.nextafter(b, 0), math.nextafter(b, -math.inf)]
+        palette += [b + k * math.ulp(1e6) for k in (-1, -0.5, 0.5, 1)]
+    parent_logprob = st.sampled_from([-0.05, -0.7, -1000.0, -1e6, -1e6 - 0.3, -math.inf])
+    prefixes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple),
+                             min_size=1, max_size=6, unique=True))
+    parents = [
+        Hypothesis(p, tuple(draw(st.lists(parent_logprob, min_size=len(p), max_size=len(p)))))
+        for p in prefixes
+    ]
+    row = st.lists(st.sampled_from(palette), min_size=vocab_size, max_size=vocab_size)
+    rows = {p: draw(row) for p in prefixes}
+    return parents, rows, draw(st.integers(1, 6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(step=beam_steps())
+def test_step_matches_reference(step):
+    parents, rows, width = step
+    new = search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]), width)
+    ref_pool = reference_search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]))
+    assert new == reference_search._prune(ref_pool, width)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -500,6 +501,59 @@ class TestBeamStep:
             cfg=SearchConfig(beam_size=6),
         )
         assert per_step and max(per_step) <= 2 * 6
+
+    @pytest.mark.parametrize("toy", ["wide", "noisy"])
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_step_ranks_and_builds_at_most_width_candidates(self, algo, toy, monkeypatch):
+        # Each step returns at most ``width`` distinct hypotheses, ranked by
+        # ``(-score, tokens)``, and builds only those. On these toys it scores
+        # at most ``2 x width`` candidates exactly: the tie cap keeps a row's
+        # tied noise tokens (1000 of them on the wide toy) out of the sort.
+        extended = Hypothesis.extended
+        expand = search._expand
+        fsum = math.fsum
+        counts = {"built": 0, "scored": 0}
+        steps = []
+
+        def counted_extended(self, token, logprob):
+            counts["built"] += 1
+            return extended(self, token, logprob)
+
+        def counted_fsum(values):
+            counts["scored"] += 1
+            return fsum(values)
+
+        def checked_step(active, session, width):
+            counts.update(built=0, scored=0)
+            ranked = expand(active, session, width)
+            assert len(ranked) <= width
+            assert len({h.tokens for h in ranked}) == len(ranked)
+            assert ranked == sorted(ranked, key=lambda h: (-h.score, h.tokens))
+            assert counts["built"] == len(ranked)
+            assert counts["scored"] <= 2 * width
+            steps.append(width)
+            return ranked
+
+        monkeypatch.setattr(Hypothesis, "extended", counted_extended)
+        # Only the search module's own ``fsum`` calls are counted: parent
+        # scores come from ``Hypothesis.score`` in the core module.
+        monkeypatch.setattr(search, "math", SimpleNamespace(**{**vars(math), "fsum": counted_fsum}))
+        monkeypatch.setattr(search, "_expand", checked_step)
+        if toy == "wide":
+            spec, vocab = _wide_toy()
+            source = (3, 141, 59, 26, 5, 358)
+        else:
+            spec, vocab = _noisy_toy()
+            source = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
+        decode_session(
+            make_toy_model(spec, vocab, ContextMode.FULL_CONTEXT),
+            as_blocks(source, 3),
+            eos_id=vocab.eos_id,
+            algo=algo,
+            policy=PolicyState(PolicyKind.LOCAL_AGREEMENT, 2),
+            cfg=SearchConfig(beam_size=6),
+        )
+        assert steps
 
     @pytest.mark.parametrize(
         "row, message",

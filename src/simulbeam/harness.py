@@ -273,16 +273,20 @@ def sweep(
     grid: Sequence[tuple[str, int]],
     eos_id: int,
 ) -> list[SweepPoint]:
-    """Evaluate the corpus once per grid point, ordered by the swept value."""
+    """Evaluate the corpus once per grid point, ordered by the swept value.
+    Each value must be an ``int``: a float, a bool or a string raises
+    ``ConfigError`` naming it instead of being truncated or converted."""
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
-    for field, _ in grid:
+    for field, value in grid:
         if field not in SWEEPABLE_FIELDS:
             raise ConfigError(f"cannot sweep {field!r}; choose from {SWEEPABLE_FIELDS}")
+        if type(value) is not int:
+            raise ConfigError(f"sweep value for {field} must be an integer, got {value!r}")
     points = []
     for field, value in sorted(grid, key=lambda item: (item[0], item[1])):
-        cfg = replace(base_cfg, **{field: int(value)})
-        points.append(SweepPoint(field, int(value), run_corpus(corpus, model_factory, cfg, eos_id)))
+        cfg = replace(base_cfg, **{field: value})
+        points.append(SweepPoint(field, value, run_corpus(corpus, model_factory, cfg, eos_id)))
     return points
 
 

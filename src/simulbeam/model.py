@@ -117,6 +117,8 @@ class ModelSession(ABC):
     counter by exactly one. Ingesting after the final block is an error.
     Per-block work, such as encoding the source, belongs in ``ingest_block``:
     queries are decoder forward passes and should only read that state.
+    The decoder only reads an answer, never writes to it, so a session may
+    return one shared read-only array for equal distributions.
     A session is single-threaded; distinct sessions are independent.
     """
 
@@ -144,10 +146,17 @@ ModelFactory = Callable[[], ModelSession]
 class _ToySession(ModelSession):
     """Session over a :class:`ToyTransducerSpec`; see the module docstring."""
 
-    def __init__(self, spec: ToyTransducerSpec, vocab: Vocabulary, context: ContextMode) -> None:
+    def __init__(
+        self,
+        spec: ToyTransducerSpec,
+        vocab: Vocabulary,
+        context: ContextMode,
+        vectors: dict[int | None, np.ndarray],
+    ) -> None:
         self._spec = spec
         self._vocab = vocab
         self._context = context
+        self._vectors = vectors  # shared by the factory's sessions; see make_toy_model
         self._block_symbols: list[list[int]] = []  # each block's source symbols
         self._final_seen = False
         self._forward_passes = 0
@@ -186,28 +195,43 @@ class _ToySession(ModelSession):
             raise RuntimeError("cannot score: no block ingested yet")
         self._forward_passes += 1
         reference, alignment = self._reference, self._alignment
-        vocab_size = self._vocab.size
         eos = self._vocab.eos_id
         j = len(prefix)
+        # The favored token, or None for every non-EOS token.
         if j < len(reference) and alignment[j] + self._spec.lookahead <= len(self._symbols):
-            favored: tuple[int, ...] = (reference[j],)
+            key: int | None = reference[j]
         elif j >= len(reference) and self._final_seen:
-            favored = (eos,)
+            key = eos
         else:
             mode = self._spec.insufficient_context_mode
             if mode is InsufficientContextMode.REPEAT and j > 0:
-                favored = (int(prefix[-1]),)
+                key = int(prefix[-1])
             elif mode is InsufficientContextMode.EOS:
-                favored = (eos,)
+                key = eos
             else:
                 # HALLUCINATE, or REPEAT with nothing emitted yet to repeat.
-                favored = tuple(t for t in range(vocab_size) if t != eos)
+                key = None
+        vector = self._vectors.get(key)
+        if vector is None:
+            vector = self._vectors[key] = self._vector(key)
+        return vector
+
+    def _vector(self, key: int | None) -> np.ndarray:
+        """The read-only log-distribution that favors ``key``."""
+        vocab_size = self._vocab.size
+        eos = self._vocab.eos_id
+        if key is None:
+            favored: tuple[int, ...] = tuple(t for t in range(vocab_size) if t != eos)
+        else:
+            favored = (key,)
         epsilon = self._spec.noise_epsilon
         rest = vocab_size - len(favored)
         probs = np.full(vocab_size, (epsilon / rest) if rest else 0.0)
         probs[list(favored)] = (1.0 - epsilon) / len(favored)
         with np.errstate(divide="ignore"):
-            return np.log(probs)
+            vector = np.log(probs)
+        vector.flags.writeable = False
+        return vector
 
     def forward_pass_count(self) -> int:
         return self._forward_passes
@@ -222,11 +246,18 @@ def make_toy_model(
 
     The toy distributions are closed-form, so sessions are fully
     deterministic: identical call sequences yield identical vectors.
+    A toy answer depends only on its favored token, or on "every non-EOS
+    token", so the factory builds each distribution once, on first use, and
+    its sessions share that read-only array; each session keeps its own
+    conditioning and pass count. For prefixes of vocabulary ids the cache
+    holds at most ``V + 1`` vectors of ``V`` floats, with ``V`` the
+    vocabulary size (8 MB at ``V = 1001``), and lives as long as the factory.
     """
     spec.validate_against(vocab)
+    vectors: dict[int | None, np.ndarray] = {}
 
     def factory() -> ModelSession:
-        return _ToySession(spec, vocab, mode)
+        return _ToySession(spec, vocab, mode, vectors)
 
     return factory
 

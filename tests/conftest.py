@@ -92,7 +92,9 @@ class ScriptedSession(ModelSession):
         if free:
             probs[free] = (1.0 - sum(pinned.values())) / len(free)
         with np.errstate(divide="ignore"):
-            return np.log(probs)
+            logprobs = np.log(probs)
+        logprobs.flags.writeable = False  # a write by the decoder fails loudly
+        return logprobs
 
     def forward_pass_count(self) -> int:
         return self._forward_passes
@@ -113,7 +115,9 @@ class VectorSession(ModelSession):
 
     def next_token_logprobs(self, prefix) -> np.ndarray:
         self._forward_passes += 1
-        return np.array(self._logprobs(self._blocks, tuple(prefix)), dtype=float)
+        logprobs = np.array(self._logprobs(self._blocks, tuple(prefix)), dtype=float)
+        logprobs.flags.writeable = False  # a write by the decoder fails loudly
+        return logprobs
 
     def forward_pass_count(self) -> int:
         return self._forward_passes

@@ -60,7 +60,7 @@ class TestDecode:
         original = toy_session.next_token_logprobs
 
         def broken(self, prefix):
-            logprobs = original(self, prefix)
+            logprobs = original(self, prefix).copy()
             logprobs[-1] = bad
             return logprobs
 

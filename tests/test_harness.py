@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,13 @@ from simulbeam import (
     sweep,
 )
 from simulbeam.harness import blocks_for
-from simulbeam.harness import CSV_HEADER, report_to_csv, report_to_json, sweep_to_csv
+from simulbeam.harness import (
+    CSV_HEADER,
+    SweepPoint,
+    report_to_csv,
+    report_to_json,
+    sweep_to_csv,
+)
 
 from conftest import dump_corpus, ladder_record, ladder_spec
 
@@ -300,6 +307,31 @@ class TestSweep:
         _, vocab, factory, corpus = ladder_setup
         with pytest.raises(ConfigError):
             sweep(corpus, factory, RunConfig(), [("beam_size", 0)], vocab.eos_id)
+
+    @pytest.mark.parametrize("value", [1.7, True, "2"], ids=["float", "bool", "string"])
+    def test_non_integer_grid_value_rejected_with_name(self, ladder_setup, value):
+        _, vocab, factory, corpus = ladder_setup
+        with pytest.raises(ConfigError, match=f"must be an integer, got {value!r}"):
+            sweep(corpus, factory, RunConfig(), [("policy_param", value)], vocab.eos_id)
+
+    @pytest.mark.parametrize("field, values", [("policy_param", (0, 1, 2, 4)),
+                                               ("block_symbols", (1, 2, 3))])
+    def test_warm_factory_matches_a_fresh_factory_per_point(self, field, values):
+        """Later grid points reuse the factory, and so the toy's vectors
+        that earlier points built; each gives the rows of a fresh run."""
+        spec, vocab = ladder_spec(symbols=6)
+        spec = replace(spec, noise_epsilon=0.05, lookahead=1)
+        corpus = [ladder_record("u1", 6), ladder_record("u2", 4), ladder_record("u3", 5)]
+        base = RunConfig(beam_size=3, policy=PolicyKind.HOLD, policy_param=1)
+        warm = sweep(corpus, make_toy_model(spec, vocab), base,
+                     [(field, v) for v in values], vocab.eos_id)
+        fresh = [
+            SweepPoint(field, v, run_corpus(corpus, make_toy_model(spec, vocab),
+                                            replace(base, **{field: v}), vocab.eos_id))
+            for v in values
+        ]
+        assert sweep_to_csv(warm, base) == sweep_to_csv(fresh, base)
+        assert [p.report for p in warm] == [p.report for p in fresh]
 
 
 class TestReportFormats:

@@ -222,6 +222,95 @@ class TestSessionContract:
             assert encoded == expected
 
 
+def per_pass_logprobs(spec, vocab, symbols, final_seen, prefix):
+    """The toy's answer computed from scratch, as every pass once did: the
+    oracle for the cached vectors. Returns the answer and its favored ids."""
+    reference = [t for s in symbols for t in spec.mapping[s]]
+    alignment = [k + 1 for k, s in enumerate(symbols) for _ in spec.mapping[s]]
+    eos, j = vocab.eos_id, len(prefix)
+    if j < len(reference) and alignment[j] + spec.lookahead <= len(symbols):
+        favored = (reference[j],)
+    elif j >= len(reference) and final_seen:
+        favored = (eos,)
+    elif spec.insufficient_context_mode is InsufficientContextMode.REPEAT and j > 0:
+        favored = (int(prefix[-1]),)
+    elif spec.insufficient_context_mode is InsufficientContextMode.EOS:
+        favored = (eos,)
+    else:
+        favored = tuple(t for t in range(vocab.size) if t != eos)
+    rest = vocab.size - len(favored)
+    probs = np.full(vocab.size, (spec.noise_epsilon / rest) if rest else 0.0)
+    probs[list(favored)] = (1.0 - spec.noise_epsilon) / len(favored)
+    with np.errstate(divide="ignore"):
+        return np.log(probs), favored
+
+
+class TestSharedVectors:
+    """The factory builds each distribution once and its sessions share it."""
+
+    @pytest.mark.parametrize("lookahead", [0, 1])
+    @pytest.mark.parametrize("context", list(ContextMode))
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    @pytest.mark.parametrize("mode", list(InsufficientContextMode))
+    def test_answers_match_the_per_pass_formula_byte_for_byte(
+        self, mode, epsilon, context, lookahead
+    ):
+        rng = random.Random(f"{mode.value}-{epsilon}-{context.value}-{lookahead}")
+        vocab = make_vocab(5)
+        spec = ToyTransducerSpec(
+            mapping={0: (1, 2), 1: (3,), 2: (0, 4), 3: (2,)},
+            noise_epsilon=epsilon,
+            insufficient_context_mode=mode,
+            lookahead=lookahead,
+        )
+        factory = make_toy_model(spec, vocab, context)
+        spreads = 0
+        for _ in range(4):
+            session = factory()
+            source = tuple(rng.randrange(4) for _ in range(rng.randint(1, 5)))
+            read: list[int] = []
+            for block in as_blocks(source, rng.randint(1, 2)):
+                session.ingest_block(block)
+                read.extend(block.payload)
+                for length in range(8):
+                    prefix = tuple(rng.randrange(vocab.size) for _ in range(length))
+                    expected, favored = per_pass_logprobs(spec, vocab, read, block.is_final, prefix)
+                    spreads += len(favored) > 1
+                    assert session.next_token_logprobs(prefix).tobytes() == expected.tobytes()
+        if epsilon == 0.0:
+            assert np.isneginf(expected).any()
+        # HALLUCINATE, and REPEAT with an empty prefix, spread over the non-EOS ids.
+        assert spreads or mode is InsufficientContextMode.EOS or not lookahead
+
+    def test_answers_are_read_only(self, repeat_toy):
+        _, _, factory = repeat_toy
+        session = factory()
+        session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=False))
+        logprobs = session.next_token_logprobs((0,))
+        with pytest.raises(ValueError, match="read-only"):
+            logprobs[0] = 0.0
+        assert logprobs[0] == -np.inf
+
+    def test_sessions_share_vectors_but_not_state(self):
+        vocab = make_vocab(4)
+        spec = ToyTransducerSpec(mapping={0: (1,), 1: (2,)}, noise_epsilon=0.1)
+        factory = make_toy_model(spec, vocab)
+        first, second = factory(), factory()
+        for session in (first, second):
+            session.ingest_block(Block(payload=(0,), duration_ms=100.0, is_final=False))
+        assert first.next_token_logprobs(()) is second.next_token_logprobs(())
+        second.ingest_block(Block(payload=(1,), duration_ms=100.0, is_final=True))
+        # After (1,) the first, past its reference, repeats 1; the second reads 2.
+        assert int(np.argmax(first.next_token_logprobs((1,)))) == 1
+        assert int(np.argmax(second.next_token_logprobs((1,)))) == 2
+        assert first.next_token_logprobs((2,)) is second.next_token_logprobs((1,))
+        assert int(np.argmax(second.next_token_logprobs((1, 2)))) == vocab.eos_id
+        assert (first.forward_pass_count(), second.forward_pass_count()) == (3, 4)
+        fresh = make_toy_model(spec, vocab)()
+        fresh.ingest_block(Block(payload=(0,), duration_ms=100.0, is_final=False))
+        assert fresh.next_token_logprobs(()) is not first.next_token_logprobs(())
+
+
 class TestSpecValidationAndJson:
     def test_tokens_outside_vocab_rejected(self):
         vocab = make_vocab(2)

@@ -134,7 +134,7 @@ class SearchConfig:
 
 
 def max_output_tokens(source_duration_ms: float) -> int:
-    """Hard cap on hypothesis length for an utterance of the given duration:
+    """Hard cap on hypothesis length once this much source has been read:
     ``ceil(MAX_TOKENS_PER_SECOND * source_seconds) + MAX_TOKENS_OFFSET``."""
     return math.ceil(MAX_TOKENS_PER_SECOND * source_duration_ms / 1000.0) + MAX_TOKENS_OFFSET
 

@@ -31,7 +31,8 @@ from .metrics import (
     LatencyInput,
     UtteranceReport,
     average_lagging,
-    corpus_bleu,
+    bleu_score,
+    bleu_statistics,
     laal,
     token_delays,
 )
@@ -206,7 +207,10 @@ def run_utterance(
 
 def _utterance_report(
     record: CorpusRecord, transcript: SessionTranscript
-) -> UtteranceReport:
+) -> tuple[UtteranceReport, tuple[int, ...]]:
+    """The utterance's row and its BLEU statistics, counted once: the row's
+    BLEU is their score, and the corpus BLEU is the score of their sum."""
+    statistics = bleu_statistics(transcript.final_output, record.reference)
     delays = token_delays(transcript)
     if delays:
         inp = LatencyInput(delays, transcript.source_duration_ms, len(record.reference))
@@ -214,15 +218,16 @@ def _utterance_report(
     else:
         # Session emitted nothing: treat as fully offline silence.
         al_ms = laal_ms = transcript.source_duration_ms
-    return UtteranceReport(
+    row = UtteranceReport(
         id=record.id,
-        bleu=corpus_bleu([transcript.final_output], [record.reference]),
+        bleu=bleu_score(statistics),
         al_ms=al_ms,
         laal_ms=laal_ms,
         forward_passes=transcript.forward_passes,
         output_len=len(transcript.final_output),
         ref_len=len(record.reference),
     )
+    return row, statistics
 
 
 def run_corpus(
@@ -240,13 +245,14 @@ def run_corpus(
         if record.id == following.id:
             raise CorpusError(f"duplicate record id {record.id!r}")
     rows: list[UtteranceReport] = []
-    outputs: list[tuple[int, ...]] = []
+    statistics: list[tuple[int, ...]] = []
     for record in ordered:
         transcript, _ = run_utterance(record, model_factory, cfg, eos_id)
-        rows.append(_utterance_report(record, transcript))
-        outputs.append(transcript.final_output)
+        row, counts = _utterance_report(record, transcript)
+        rows.append(row)
+        statistics.append(counts)
     return EvalReport(
-        bleu=corpus_bleu(outputs, [r.reference for r in ordered]),
+        bleu=bleu_score([sum(column) for column in zip(*statistics)]),
         al_ms=sum(r.al_ms for r in rows) / len(rows),
         laal_ms=sum(r.laal_ms for r in rows) / len(rows),
         forward_passes=sum(r.forward_passes for r in rows),

@@ -4,11 +4,15 @@ Latency is non-computation-aware: a token's delay is how much source time
 had been consumed when it was emitted, so results are deterministic and
 hardware-neutral. Compute is counted in decoder forward passes (one per
 next-token query).
+
+Corpus BLEU is computed from sufficient statistics: each hypothesis and
+reference pair is counted once (:func:`bleu_statistics`), and the corpus
+score is the score of the element-wise sum (:func:`bleu_score`), so a
+per-utterance row and the corpus row share one n-gram pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import exp, fsum, log
 from typing import Sequence
@@ -83,43 +87,63 @@ def laal(inp: LatencyInput) -> float:
     return _lagging(inp, max(len(inp.delays_ms), inp.ref_len))
 
 
-def _ngram_counts(seq: Sequence[int], order: int) -> Counter:
-    return Counter(tuple(seq[i : i + order]) for i in range(len(seq) - order + 1))
-
-
 BLEU_MAX_ORDER = 4
 
 
-def corpus_bleu(
-    hypotheses: Sequence[Sequence[int]], references: Sequence[Sequence[int]]
-) -> float:
-    """Corpus BLEU over token ids, in [0, 100].
+def bleu_statistics(hypothesis: Sequence[int], reference: Sequence[int]) -> tuple[int, ...]:
+    """BLEU's sufficient statistics for one pair, each counted once.
+
+    The clipped n-gram matches for n = 1..4, then the hypothesis's n-gram
+    totals for n = 1..4, then the hypothesis and reference lengths. Corpus
+    statistics are the element-wise sum over pairs (see :func:`bleu_score`).
+    """
+    matches = []
+    totals = []
+    for n in range(1, BLEU_MAX_ORDER + 1):
+        unmatched: dict[tuple[int, ...], int] = {}
+        for gram in zip(*[reference[i:] for i in range(n)]):
+            unmatched[gram] = unmatched.get(gram, 0) + 1
+        # Each hypothesis n-gram consumes one unmatched reference copy, so
+        # the hits are the counts clipped by the reference's.
+        hits = 0
+        for gram in zip(*[hypothesis[i:] for i in range(n)]):
+            left = unmatched.get(gram)
+            if left:
+                hits += 1
+                unmatched[gram] = left - 1
+        matches.append(hits)
+        totals.append(max(len(hypothesis) - n + 1, 0))
+    return (*matches, *totals, len(hypothesis), len(reference))
+
+
+def bleu_score(statistics: Sequence[int]) -> float:
+    """BLEU in [0, 100] from the (summed) statistics of :func:`bleu_statistics`.
 
     Geometric mean of clipped n-gram precisions (n = 1..4) times the brevity
     penalty ``exp(min(0, 1 - r/c))``. Unsmoothed, so tiny corpora stay
     hand-checkable: any zero precision yields 0.0.
     """
-    if len(hypotheses) != len(references):
-        raise ValueError("hypotheses and references must pair up one to one")
-    if not hypotheses:
-        raise ValueError("cannot score an empty corpus")
-    matches = [0] * BLEU_MAX_ORDER
-    totals = [0] * BLEU_MAX_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, BLEU_MAX_ORDER + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    matches = statistics[:BLEU_MAX_ORDER]
+    totals = statistics[BLEU_MAX_ORDER : 2 * BLEU_MAX_ORDER]
+    hyp_len, ref_len = statistics[2 * BLEU_MAX_ORDER :]
     if 0 in matches:  # also when an order has no n-grams at all
         return 0.0
     log_precisions = [log(match / total) for match, total in zip(matches, totals)]
     brevity = exp(min(0.0, 1.0 - ref_len / hyp_len))
     return 100.0 * brevity * exp(fsum(log_precisions) / BLEU_MAX_ORDER)
+
+
+def corpus_bleu(
+    hypotheses: Sequence[Sequence[int]], references: Sequence[Sequence[int]]
+) -> float:
+    """Corpus BLEU over token ids, in [0, 100]: the score of the pairs'
+    summed statistics (see :func:`bleu_score`)."""
+    if len(hypotheses) != len(references):
+        raise ValueError("hypotheses and references must pair up one to one")
+    if not hypotheses:
+        raise ValueError("cannot score an empty corpus")
+    pairs = map(bleu_statistics, hypotheses, references)
+    return bleu_score([sum(column) for column in zip(*pairs)])
 
 
 @dataclass(frozen=True)

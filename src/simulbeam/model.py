@@ -206,6 +206,9 @@ class _ToySession(ModelSession):
             mode = self._spec.insufficient_context_mode
             if mode is InsufficientContextMode.REPEAT and j > 0:
                 key = int(prefix[-1])
+                if not 0 <= key < self._vocab.size:
+                    raise ValueError(f"cannot repeat token {key}: outside the "
+                                     f"vocabulary [0, {self._vocab.size})")
             elif mode is InsufficientContextMode.EOS:
                 key = eos
             else:

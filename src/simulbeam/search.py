@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,7 +129,7 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
     new: tuple[int, ...] = ()
     if len(candidate) > len(committed) and candidate[: len(committed)] == committed:
         new = tuple(candidate[len(committed) :])
-    return replace(state, history=history, committed=committed + new), new
+    return PolicyState(state.kind, state.n, history, committed + new), new
 
 
 def _query(session: ModelSession, prefix: tuple[int, ...]) -> np.ndarray:
@@ -436,7 +436,9 @@ def decode_session(
     into, and it (with its cached token log-probabilities) is the one beam
     the next block starts from, so tokens the policy held back are re-derived
     and remain revisable. The final block bypasses the policy and commits
-    everything, with EOS accepted as a legitimate end.
+    everything, with EOS accepted as a legitimate end. Each block caps its
+    hypotheses by the source read so far (``max_output_tokens(elapsed)``),
+    so no decision depends on source that has not arrived.
 
     With ``retranslation=True`` nothing is committed and no policy may be
     set: each block appends a ``(source_ms, tokens)`` snapshot of its best
@@ -459,7 +461,6 @@ def decode_session(
     total_ms = sum(b.duration_ms for b in blocks)
     if not total_ms < math.inf:
         raise ValueError("the blocks' total duration must be finite")
-    max_total = max_output_tokens(total_ms)
     session = model_factory()
     beams: tuple[Hypothesis, ...] = (Hypothesis(),)
     commits: list[CommitEvent] = []
@@ -467,6 +468,7 @@ def decode_session(
     for block in blocks:
         session.ingest_block(block)
         elapsed += block.duration_ms
+        max_total = max_output_tokens(elapsed)
         floor = len(policy.committed)
         if algo is Algorithm.BS:
             best = standard_beam_search(session, policy.committed, cfg, eos_id, max_total)
@@ -482,7 +484,7 @@ def decode_session(
             continue
         if block.is_final:
             new = visible.tokens[floor:]
-            policy = replace(policy, committed=visible.tokens)
+            policy = PolicyState(policy.kind, policy.n, policy.history, visible.tokens)
         else:
             policy, new = apply_policy(policy, visible)
         if new:

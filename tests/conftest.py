@@ -14,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from simulbeam import Block, ContextMode, CorpusRecord, ModelSession, make_toy_model
+from simulbeam import Block, ContextMode, CorpusRecord, ModelSession, PolicyKind, make_toy_model
 from simulbeam.core import Vocabulary
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
+from simulbeam.search import PolicyState
 
 def dump_corpus(records, path) -> None:
     """Write records as corpus JSONL (round-trips with ``load_corpus``)."""
@@ -229,6 +231,14 @@ def random_toy(rng: random.Random, *, epsilon: float | None = None,
     )
     source = tuple(rng.randrange(n_symbols) for _ in range(rng.randint(3, 10)))
     return spec, vocab, source
+
+
+# Every commit policy, with the parameters that random toy runs use.
+POLICIES = st.one_of(
+    st.just(PolicyState()),
+    st.integers(0, 2).map(lambda n: PolicyState(PolicyKind.HOLD, n)),
+    st.integers(2, 3).map(lambda n: PolicyState(PolicyKind.LOCAL_AGREEMENT, n)),
+)
 
 
 def as_blocks(source, block_symbols: int, symbol_ms: float = 250.0) -> list[Block]:

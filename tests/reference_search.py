@@ -190,7 +190,6 @@ def decode_session(
     if retranslation and policy_state.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
     total_ms = sum(b.duration_ms for b in blocks)
-    max_total = max_output_tokens(total_ms)
     session = model_factory()
     block_ops = {Algorithm.BWBS: bwbs_block, Algorithm.IBWBS: ibwbs_block}
     committed: tuple[int, ...] = ()
@@ -201,6 +200,7 @@ def decode_session(
     for block in blocks:
         session.ingest_block(block)
         elapsed += block.duration_ms
+        max_total = max_output_tokens(elapsed)
         if algo is Algorithm.BS:
             best = standard_beam_search(session, committed, cfg, eos_id, max_total)
             beams: tuple[Hypothesis, ...] = (best,)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulbeam import (
     Algorithm,
@@ -30,8 +33,9 @@ from simulbeam.harness import (
     report_to_json,
     sweep_to_csv,
 )
+from simulbeam.metrics import corpus_bleu
 
-from conftest import dump_corpus, ladder_record, ladder_spec
+from conftest import dump_corpus, ladder_record, ladder_spec, random_toy, reference_for
 
 
 @pytest.fixture
@@ -221,6 +225,30 @@ class TestRunCorpus:
         assert report.bleu == pytest.approx(100.0)
         for row in report.utterances:
             assert row.output_len == row.ref_len
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        algo=st.sampled_from(list(Algorithm)),
+        block_symbols=st.integers(1, 2),
+    )
+    def test_bleu_equals_corpus_bleu_of_the_outputs(self, seed, algo, block_symbols):
+        rng = random.Random(seed)
+        spec, vocab, _ = random_toy(rng)
+        corpus = []
+        for index in range(rng.randint(1, 4)):
+            source = tuple(rng.randrange(len(spec.mapping)) for _ in range(rng.randint(2, 6)))
+            reference = list(reference_for(spec, source))
+            reference[rng.randrange(len(reference))] = rng.randrange(vocab.eos_id)
+            corpus.append(CorpusRecord(f"u{index}", source, tuple(reference), 250.0))
+        factory = make_toy_model(spec, vocab)
+        cfg = RunConfig(algo=algo, beam_size=2, block_symbols=block_symbols)
+        report = run_corpus(corpus, factory, cfg, vocab.eos_id)
+        outputs = [run_utterance(r, factory, cfg, vocab.eos_id)[0].final_output for r in corpus]
+        references = [r.reference for r in corpus]
+        assert report.bleu == corpus_bleu(outputs, references)
+        for row, output, reference in zip(report.utterances, outputs, references):
+            assert row.bleu == corpus_bleu([output], [reference])
 
     def test_forward_passes_sum(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simulbeam import Algorithm, Block, EvalReport, Hypothesis, make_toy_model
@@ -15,12 +15,15 @@ from simulbeam.metrics import (
     LatencyInput,
     UtteranceReport,
     average_lagging,
+    bleu_score,
+    bleu_statistics,
     corpus_bleu,
     laal,
     token_delays,
 )
 from simulbeam.search import bwbs_block, decode_session
 
+import reference_metrics
 from conftest import ScriptedSession, ladder_spec
 
 
@@ -150,6 +153,33 @@ class TestCorpusBleu:
             corpus_bleu([(1,)], [])
         with pytest.raises(ValueError):
             corpus_bleu([], [])
+
+
+# A three-token alphabet makes repeated n-grams, and so clipping, common.
+TOKENS = st.lists(st.integers(0, 2), max_size=12).map(tuple)
+
+
+class TestBleuStatistics:
+    def test_layout_matches_then_totals_then_lengths(self):
+        # (1, 1, 1) against (1, 1): three unigrams clipped to two, two
+        # bigrams clipped to one, one trigram with no match, no 4-gram.
+        assert bleu_statistics((1, 1, 1), (1, 1)) == (2, 1, 0, 0, 3, 2, 1, 0, 3, 2)
+
+    @example(hyp=(), ref=(1, 2))
+    @example(hyp=(1, 2, 1), ref=(1, 2, 1, 2))
+    @example(hyp=(0, 0, 0, 0, 0, 0), ref=(0, 0, 0, 0))
+    @example(hyp=(1, 2, 1, 2, 1, 2), ref=(1, 2, 1, 2, 1, 2))
+    @given(hyp=TOKENS, ref=TOKENS)
+    def test_pair_matches_counter_reference_bit_for_bit(self, hyp, ref):
+        stats = bleu_statistics(hyp, ref)
+        assert stats == reference_metrics.bleu_statistics(hyp, ref)
+        assert bleu_score(stats) == reference_metrics.corpus_bleu([hyp], [ref])
+
+    @given(st.lists(st.tuples(TOKENS, TOKENS), min_size=1, max_size=6))
+    def test_summed_statistics_match_counter_reference_bit_for_bit(self, pairs):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        assert corpus_bleu(hyps, refs) == reference_metrics.corpus_bleu(hyps, refs)
 
 
 class TestForwardPassAccounting:

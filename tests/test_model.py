@@ -98,6 +98,19 @@ class TestToyScoring:
         assert probs[vocab.eos_id] == pytest.approx(0.0)
         assert probs[:3].sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("token", [-1, 4, 7])
+    def test_repeat_mode_rejects_a_prefix_token_outside_the_vocabulary(self, token):
+        # -1 once favored EOS through a negative index; 7 raised a bare IndexError.
+        vocab = make_vocab(3)
+        spec = ToyTransducerSpec(
+            mapping={0: (1,)}, insufficient_context_mode=InsufficientContextMode.REPEAT
+        )
+        session = make_toy_model(spec, vocab)()
+        session.ingest_block(Block(payload=(0,), duration_ms=100.0, is_final=False))
+        assert int(np.argmax(session.next_token_logprobs((1, vocab.size - 1)))) == vocab.size - 1
+        with pytest.raises(ValueError, match=rf"cannot repeat token {token}: outside"):
+            session.next_token_logprobs((1, token))
+
 
 class TestSessionContract:
     @pytest.mark.parametrize("duration", [math.inf, math.nan])

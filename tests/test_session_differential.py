@@ -15,16 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_search
-from conftest import as_blocks, random_toy
-from simulbeam import Algorithm, ContextMode, PolicyKind, make_toy_model
+from conftest import POLICIES, as_blocks, random_toy
+from simulbeam import Algorithm, ContextMode, make_toy_model
 from simulbeam.core import SearchConfig
 from simulbeam.search import PolicyState, decode_session
-
-POLICIES = st.one_of(
-    st.just(PolicyState()),
-    st.integers(0, 2).map(lambda n: PolicyState(PolicyKind.HOLD, n)),
-    st.integers(2, 3).map(lambda n: PolicyState(PolicyKind.LOCAL_AGREEMENT, n)),
-)
 
 
 def _outcome(decode, *args, **kwargs):

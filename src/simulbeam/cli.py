@@ -47,8 +47,7 @@ def _parse_policy(text: str) -> tuple[PolicyKind, int]:
         return PolicyKind.NONE, 0
     kind, sep, param = text.partition(":")
     if kind in ("hold", "la") and sep and param.lstrip("-").isdigit():
-        policy = PolicyKind.HOLD if kind == "hold" else PolicyKind.LOCAL_AGREEMENT
-        return policy, int(param)
+        return PolicyKind(kind), int(param)
     raise argparse.ArgumentTypeError(f"expected none, hold:N, or la:N, got {text!r}")
 
 
@@ -159,13 +158,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigError("sweep requires at least one value")
     cfg = _run_config(args)
-    if args.sweep_param == "hold":
-        cfg = replace(cfg, policy=PolicyKind.HOLD, policy_param=values[0])
-    elif args.sweep_param == "la":
-        cfg = replace(cfg, policy=PolicyKind.LOCAL_AGREEMENT, policy_param=values[0])
+    if args.sweep_param in ("hold", "la"):
+        cfg = replace(cfg, policy=PolicyKind(args.sweep_param), policy_param=values[0])
     field = _SWEEP_FIELDS[args.sweep_param]
     corpus, factory, eos_id = _load(args, cfg)
-    points = sweep(corpus, factory, cfg, [(field, v) for v in values], eos_id)
+    points = sweep(corpus, factory, cfg, field, values, eos_id)
     _emit(sweep_to_csv(points, cfg), args.out)
     return 0
 

@@ -4,11 +4,13 @@ A corpus is a JSONL file, one utterance per line:
 
     {"id": str, "source": [int], "reference": [int], "block_ms": number}
 
-``block_ms`` is the duration of one source symbol, a positive and finite
-JSON number; the ids are JSON integers. An utterance is replayed by
-splitting its source into fixed-size blocks, advancing the clock by the
-block duration per READ, and letting the decoder WRITE commits in between;
-the resulting trace is the JSONL stream
+``id`` is a non-empty JSON string with no double quote, comma, line feed or
+carriage return, since the CSV report carries it unquoted. ``block_ms`` is the
+duration of one source symbol, a positive and finite JSON number; the source
+and reference ids are JSON integers. An utterance is replayed by splitting
+its source into fixed-size blocks, advancing the clock by the block duration
+per READ, and letting the decoder WRITE commits in between; the resulting
+trace is the JSONL stream
 ``{"kind": "READ"|"WRITE", "payload": [...], "t_ms": number}``.
 
 Reports are CSV with the fixed column order
@@ -61,6 +63,8 @@ class CorpusRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise CorpusError("record id must be non-empty")
+        if any(c in self.id for c in '",\n\r'):
+            raise CorpusError(f"record id {self.id!r} must not contain '\"', ',', '\\n' or '\\r'")
         if not self.source:
             raise CorpusError(f"record {self.id!r}: source must be non-empty")
         if not self.reference:
@@ -136,8 +140,10 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
             continue
         try:
             doc = json.loads(line)
+            if type(doc["id"]) is not str:
+                raise CorpusError(f"id must be a JSON string, got {json.dumps(doc['id'])}")
             record = CorpusRecord(
-                id=str(doc["id"]),
+                id=doc["id"],
                 source=json_ids(doc["source"], "source"),
                 reference=json_ids(doc["reference"], "reference"),
                 block_ms=json_number(doc["block_ms"], "block_ms"),
@@ -211,18 +217,14 @@ def _utterance_report(
     """The utterance's row and its BLEU statistics, counted once: the row's
     BLEU is their score, and the corpus BLEU is the score of their sum."""
     statistics = bleu_statistics(transcript.final_output, record.reference)
-    delays = token_delays(transcript)
-    if delays:
-        inp = LatencyInput(delays, transcript.source_duration_ms, len(record.reference))
-        al_ms, laal_ms = average_lagging(inp), laal(inp)
-    else:
-        # Session emitted nothing: treat as fully offline silence.
-        al_ms = laal_ms = transcript.source_duration_ms
+    inp = LatencyInput(
+        token_delays(transcript), transcript.source_duration_ms, len(record.reference)
+    )
     row = UtteranceReport(
         id=record.id,
         bleu=bleu_score(statistics),
-        al_ms=al_ms,
-        laal_ms=laal_ms,
+        al_ms=average_lagging(inp),
+        laal_ms=laal(inp),
         forward_passes=transcript.forward_passes,
         output_len=len(transcript.final_output),
         ref_len=len(record.reference),
@@ -265,9 +267,8 @@ SWEEPABLE_FIELDS = ("policy_param", "block_symbols", "beam_size")
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point of a parameter sweep."""
+    """One grid point of a parameter sweep: the swept field's value."""
 
-    field: str
     value: int
     report: EvalReport
 
@@ -276,23 +277,24 @@ def sweep(
     corpus: Sequence[CorpusRecord],
     model_factory: ModelFactory,
     base_cfg: RunConfig,
-    grid: Sequence[tuple[str, int]],
+    field: str,
+    values: Sequence[int],
     eos_id: int,
 ) -> list[SweepPoint]:
-    """Evaluate the corpus once per grid point, ordered by the swept value.
+    """Evaluate the corpus once per value of one field, in ascending order.
     Each value must be an ``int``: a float, a bool or a string raises
     ``ConfigError`` naming it instead of being truncated or converted."""
-    if not grid:
+    if field not in SWEEPABLE_FIELDS:
+        raise ConfigError(f"cannot sweep {field!r}; choose from {SWEEPABLE_FIELDS}")
+    if not values:
         raise ConfigError("sweep grid must be non-empty")
-    for field, value in grid:
-        if field not in SWEEPABLE_FIELDS:
-            raise ConfigError(f"cannot sweep {field!r}; choose from {SWEEPABLE_FIELDS}")
+    for value in values:
         if type(value) is not int:
             raise ConfigError(f"sweep value for {field} must be an integer, got {value!r}")
     points = []
-    for field, value in sorted(grid, key=lambda item: (item[0], item[1])):
+    for value in sorted(values):
         cfg = replace(base_cfg, **{field: value})
-        points.append(SweepPoint(field, value, run_corpus(corpus, model_factory, cfg, eos_id)))
+        points.append(SweepPoint(value, run_corpus(corpus, model_factory, cfg, eos_id)))
     return points
 
 

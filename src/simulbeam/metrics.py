@@ -55,9 +55,9 @@ def token_delays(transcript: SessionTranscript) -> tuple[float, ...]:
 
 def _lagging(inp: LatencyInput, rate_denominator: int) -> float:
     delays = inp.delays_ms
-    if not delays:
-        raise ValueError("cannot compute lagging without delays")
     total = inp.source_duration_ms
+    if not delays:
+        return total  # nothing emitted: as late as offline output
     step = total / rate_denominator
     tau = len(delays)
     for i, d in enumerate(delays):
@@ -72,7 +72,8 @@ def average_lagging(inp: LatencyInput) -> float:
 
     AL = (1/tau) * sum_{i=1..tau} [d_i - (i-1) * T / ref_len], where tau is
     the index of the first delay that reaches the source duration T (all of
-    them, if none does). Offline output degenerates to T.
+    them, if none does). Offline output degenerates to T, and so does an
+    output with no tokens at all.
     """
     return _lagging(inp, inp.ref_len)
 
@@ -131,19 +132,6 @@ def bleu_score(statistics: Sequence[int]) -> float:
     log_precisions = [log(match / total) for match, total in zip(matches, totals)]
     brevity = exp(min(0.0, 1.0 - ref_len / hyp_len))
     return 100.0 * brevity * exp(fsum(log_precisions) / BLEU_MAX_ORDER)
-
-
-def corpus_bleu(
-    hypotheses: Sequence[Sequence[int]], references: Sequence[Sequence[int]]
-) -> float:
-    """Corpus BLEU over token ids, in [0, 100]: the score of the pairs'
-    summed statistics (see :func:`bleu_score`)."""
-    if len(hypotheses) != len(references):
-        raise ValueError("hypotheses and references must pair up one to one")
-    if not hypotheses:
-        raise ValueError("cannot score an empty corpus")
-    pairs = map(bleu_statistics, hypotheses, references)
-    return bleu_score([sum(column) for column in zip(*pairs)])
 
 
 @dataclass(frozen=True)

@@ -291,17 +291,20 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
     """Parse the toy-model JSON schema.
 
     Schema: ``{"vocab": [...], "mapping": {...}, "epsilon": r, "mode": "...",
-    "lookahead": k}``. The vocabulary is the list of surface strings; the
+    "lookahead": k}``. The vocabulary is a JSON array of surface strings; the
     entry equal to ``"<eos>"`` designates the end-of-sequence token, and no
-    entry may repeat. Mapping keys are canonical integer strings (``"7"``,
-    not ``"07"``); targets and ``lookahead`` are JSON integers, and
-    ``epsilon`` is a JSON number.
+    entry may repeat. The mapping is a JSON object whose keys are canonical
+    integer strings (``"7"``, not ``"07"``); targets and ``lookahead`` are
+    JSON integers, and ``epsilon`` is a JSON number.
     """
     try:
-        surfaces = tuple(str(s) for s in doc["vocab"])
-        raw_mapping = doc["mapping"]
+        surfaces, raw_mapping = doc["vocab"], doc["mapping"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model spec missing required field: {exc}") from exc
+    if type(surfaces) is not list or not all(type(s) is str for s in surfaces):
+        raise ValueError("model vocab must be a JSON array of strings")
+    if type(raw_mapping) is not dict:
+        raise ValueError("model mapping must be a JSON object")
     eos_positions = [i for i, s in enumerate(surfaces) if s == EOS_SURFACE]
     if len(eos_positions) != 1:
         raise ValueError(f'model vocab must contain exactly one "{EOS_SURFACE}" entry')

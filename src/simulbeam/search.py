@@ -19,10 +19,12 @@ All three run one beam loop (:func:`_beam_loop`: rank the extensions, classify
 each as continuing or triggered) and differ only in the trigger and in
 what a triggered beam does. While source remains the trigger is the stop
 heuristic: ``bwbs`` then trims every beam and ends the block, ``ibwbs`` trims
-the one beam into the stopped pool and shrinks the width. On the final block
-the source is complete, so the trigger is a trailing EOS and, for every
-strategy, the finished beam moves to the pool and shrinks the width
-(:func:`_final_block`); the full re-decode is a re-scored prefix plus that.
+the one beam into the stopped pool and shrinks the width. The block ops handle
+mid-source blocks only. On the final block the source is complete, and
+:func:`decode_session` runs the same search for every strategy
+(:func:`_final_block`): the trigger is a trailing EOS, and the finished beam
+moves to the pool and shrinks the width. The full re-decode is a re-scored
+prefix plus that search, on every block.
 
 A step queries the model once per active beam, rejects a vector that is not
 1-D or not as long as the step's first, and NaN and ``+inf`` log-probabilities,
@@ -281,10 +283,10 @@ def _final_block(
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
-) -> list[Hypothesis]:
+) -> Hypothesis:
     """Decode to completion on the complete source: EOS finishes a beam,
-    repetitions are ignored. Returns the finished beams, else those still
-    active at the length cap, else the seeds, best-first."""
+    repetitions are ignored. Returns the best finished beam, else the best
+    still active at the length cap, else the best seed."""
     finished, leftover = _beam_loop(
         seeds,
         session,
@@ -293,7 +295,7 @@ def _final_block(
         triggered=lambda h: h.tokens[-1] == eos_id,
         on_trigger=lambda h: h,
     )
-    return sorted(finished or leftover or seeds, key=_selection_rank)
+    return select_best(finished or leftover or seeds)
 
 
 def _mid_source_block(
@@ -339,7 +341,7 @@ def standard_beam_search(
     for position, token in enumerate(committed):
         logprobs = _query(session, tuple(committed[:position]))
         prefix = prefix.extended(int(token), float(logprobs[int(token)]))
-    return _final_block([prefix], session, cfg, eos_id, max_total)[0]
+    return _final_block([prefix], session, cfg, eos_id, max_total)
 
 
 def bwbs_block(
@@ -349,7 +351,6 @@ def bwbs_block(
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
-    final: bool = False,
 ) -> tuple[Hypothesis, ...]:
     """One block of the conservative blockwise search.
 
@@ -361,13 +362,11 @@ def bwbs_block(
     may revise across blocks (re-translation semantics). A block in which no
     beam has a finite continuation returns the incoming beams.
 
-    With ``final=True`` the source is complete: the stop heuristic is off and
-    the block runs to completion; beams are returned best-first.
+    Source remains after the block: :func:`decode_session` runs the final
+    block itself (:func:`_final_block`).
     """
     if not beams:
         raise ValueError("bwbs_block requires at least one active hypothesis")
-    if final:
-        return tuple(_final_block(beams, session, cfg, eos_id, max_total))
     halted, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total, halt=True)
     return tuple(halted or active or beams)
 
@@ -379,7 +378,6 @@ def ibwbs_block(
     cfg: SearchConfig,
     eos_id: int,
     max_total: int,
-    final: bool = False,
 ) -> tuple[Hypothesis, ...]:
     """One block of the incremental blockwise search; returns one beam.
 
@@ -392,13 +390,11 @@ def ibwbs_block(
     length-normalized score is the one beam returned. If no beam had a
     finite continuation, the best incoming beam takes that place.
 
-    With ``final=True`` EOS finishes beams instead of trimming them and
-    repetitions are ignored.
+    Source remains after the block: :func:`decode_session` runs the final
+    block itself (:func:`_final_block`).
     """
     if not beams:
         raise ValueError("ibwbs_block requires at least one active hypothesis")
-    if final:
-        return (_final_block(beams, session, cfg, eos_id, max_total)[0],)
     stopped, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total)
     stopped.extend(active)  # length cap reached: survivors join unmodified
     return (select_best(stopped or beams),)
@@ -435,9 +431,11 @@ def decode_session(
     prefix lives only in the policy state: it is the floor no trim may cut
     into, and it (with its cached token log-probabilities) is the one beam
     the next block starts from, so tokens the policy held back are re-derived
-    and remain revisable. The final block bypasses the policy and commits
-    everything, with EOS accepted as a legitimate end. Each block caps its
-    hypotheses by the source read so far (``max_output_tokens(elapsed)``),
+    and remain revisable. The final block is decided here, the same way for
+    every strategy: :func:`_final_block` decodes the complete source to EOS
+    from the beams the previous block left, and in incremental mode its best
+    hypothesis bypasses the policy and is committed whole. Each block caps
+    its hypotheses by the source read so far (``max_output_tokens(elapsed)``),
     so no decision depends on source that has not arrived.
 
     With ``retranslation=True`` nothing is committed and no policy may be
@@ -472,10 +470,10 @@ def decode_session(
         floor = len(policy.committed)
         if algo is Algorithm.BS:
             best = standard_beam_search(session, policy.committed, cfg, eos_id, max_total)
+        elif block.is_final:
+            best = _final_block(beams, session, cfg, eos_id, max_total)
         else:
-            beams = _BLOCK_OPS[algo](
-                beams, floor, session, cfg, eos_id, max_total, final=block.is_final
-            )
+            beams = _BLOCK_OPS[algo](beams, floor, session, cfg, eos_id, max_total)
             best = select_best(beams)
         visible = _strip_eos(best, eos_id)
         if retranslation:

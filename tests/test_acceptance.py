@@ -21,7 +21,7 @@ from simulbeam import (
     sweep,
 )
 from simulbeam.core import SearchConfig
-from simulbeam.metrics import LatencyInput, average_lagging, corpus_bleu, laal
+from simulbeam.metrics import LatencyInput, average_lagging, bleu_score, bleu_statistics, laal
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
 from simulbeam.search import (
     PolicyState,
@@ -205,8 +205,8 @@ def test_criterion_4_metric_hand_checks():
         if laal(inp) < average_lagging(inp) - 1e-9:
             dominance_ok = False
     bleu_ok = (
-        corpus_bleu([(1, 2, 3, 4, 5)], [(1, 2, 3, 4, 5)]) == 100.0
-        and corpus_bleu([(1, 2, 3, 4)], [(1, 2, 3, 5)]) == 0.0
+        bleu_score(bleu_statistics((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))) == 100.0
+        and bleu_score(bleu_statistics((1, 2, 3, 4), (1, 2, 3, 5))) == 0.0
     )
     _verdict(
         "4 metric-hand-checks",
@@ -266,13 +266,9 @@ def test_criterion_6_policy_latency_control():
     factory = make_toy_model(spec, vocab)
     corpus = [ladder_record(f"u{i}", 8) for i in range(3)]
     hold_base = RunConfig(block_symbols=1, policy=PolicyKind.HOLD, policy_param=0)
-    hold_points = sweep(
-        corpus, factory, hold_base, [("policy_param", n) for n in (0, 1, 2, 4, 8)], vocab.eos_id
-    )
+    hold_points = sweep(corpus, factory, hold_base, "policy_param", (0, 1, 2, 4, 8), vocab.eos_id)
     hold_values = [p.report.laal_ms for p in hold_points]
-    block_points = sweep(
-        corpus, factory, RunConfig(), [("block_symbols", k) for k in (1, 2, 4)], vocab.eos_id
-    )
+    block_points = sweep(corpus, factory, RunConfig(), "block_symbols", (1, 2, 4), vocab.eos_id)
     block_values = [p.report.laal_ms for p in block_points]
     ok = hold_values == sorted(hold_values) and block_values == sorted(block_values)
     _verdict(

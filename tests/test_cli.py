@@ -162,6 +162,48 @@ class TestEval:
         assert code == 1
         assert "mapping key '00' is not a canonical integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("null", "id must be a JSON string, got null"),
+            ("true", "id must be a JSON string, got true"),
+            ("[1, 2]", "id must be a JSON string, got [1, 2]"),
+            ('"a,b"', "record id 'a,b' must not contain"),
+            ('"a\\nb"', "record id 'a\\nb' must not contain"),
+            ('"a\\rb"', "record id 'a\\rb' must not contain"),
+            ('"\\"a"', "record id '\"a' must not contain"),
+        ],
+        ids=["null", "bool", "list", "comma", "lf", "cr", "quote"],
+    )
+    def test_bad_corpus_id_is_input_error(self, workspace, capsys, value, message):
+        tmp_path, _, model = workspace
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(
+            '{"id": "u", "source": [0], "reference": [0, 1], "block_ms": 250}\n'
+            '{"id": %s, "source": [0], "reference": [0, 1], "block_ms": 250}\n' % value
+        )
+        code = run(["eval", "--corpus", str(corpus), "--model", model])
+        assert code == 1
+        assert f"input error: {corpus}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"mapping": []}, "model mapping must be a JSON object"),
+            ({"mapping": ["0"]}, "model mapping must be a JSON object"),
+            ({"vocab": "tok0"}, "model vocab must be a JSON array of strings"),
+            ({"vocab": [None, "<eos>"]}, "model vocab must be a JSON array of strings"),
+        ],
+        ids=["mapping-empty-list", "mapping-list", "vocab-string", "vocab-null-entry"],
+    )
+    def test_bad_model_shape_is_input_error(self, workspace, capsys, patch, message):
+        tmp_path, corpus, _ = workspace
+        doc = json.loads((tmp_path / "model.json").read_text())
+        (tmp_path / "bad_model.json").write_text(json.dumps({**doc, **patch}))
+        code = run(["eval", "--corpus", corpus, "--model", str(tmp_path / "bad_model.json")])
+        assert code == 1
+        assert f"input error: {tmp_path / 'bad_model.json'}: {message}" in capsys.readouterr().err
+
     def test_overflowing_total_duration_is_input_error(self, workspace, capsys):
         tmp_path, _, model = workspace
         corpus = tmp_path / "long.jsonl"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -33,8 +34,7 @@ from simulbeam.harness import (
     report_to_json,
     sweep_to_csv,
 )
-from simulbeam.metrics import corpus_bleu
-
+import reference_metrics
 from conftest import dump_corpus, ladder_record, ladder_spec, random_toy, reference_for
 
 
@@ -132,6 +132,32 @@ class TestLoadCorpus:
             ['{"id": "a", "source": [0], "reference": [0], "block_ms": 250}', json.dumps(doc)],
         )
         with pytest.raises(CorpusError, match=f":2: {field} must hold integer ids"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", ["null", "true", "7", "[1, 2]"])
+    def test_non_string_id_reports_line_number(self, tmp_path, value):
+        path = self._write(
+            tmp_path,
+            [
+                '{"id": "a", "source": [0], "reference": [0], "block_ms": 250}',
+                '{"id": %s, "source": [0], "reference": [0], "block_ms": 250}' % value,
+            ],
+        )
+        message = f":2: id must be a JSON string, got {re.escape(value)}$"
+        with pytest.raises(CorpusError, match=message):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", ["a,b", "a\\nb", "a\\rb", '\\"a'],
+                             ids=["comma", "lf", "cr", "quote"])
+    def test_id_the_csv_cannot_carry_reports_line_number(self, tmp_path, value):
+        path = self._write(
+            tmp_path,
+            [
+                '{"id": "a", "source": [0], "reference": [0], "block_ms": 250}',
+                '{"id": "%s", "source": [0], "reference": [0], "block_ms": 250}' % value,
+            ],
+        )
+        with pytest.raises(CorpusError, match=":2: record id .* must not contain"):
             load_corpus(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -246,9 +272,9 @@ class TestRunCorpus:
         report = run_corpus(corpus, factory, cfg, vocab.eos_id)
         outputs = [run_utterance(r, factory, cfg, vocab.eos_id)[0].final_output for r in corpus]
         references = [r.reference for r in corpus]
-        assert report.bleu == corpus_bleu(outputs, references)
+        assert report.bleu == reference_metrics.corpus_bleu(outputs, references)
         for row, output, reference in zip(report.utterances, outputs, references):
-            assert row.bleu == corpus_bleu([output], [reference])
+            assert row.bleu == reference_metrics.corpus_bleu([output], [reference])
 
     def test_forward_passes_sum(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
@@ -304,43 +330,41 @@ class TestSweep:
     def test_hold_grid_latency_is_monotone(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
         base = RunConfig(block_symbols=1, policy=PolicyKind.HOLD, policy_param=0)
-        points = sweep(corpus, factory, base, [("policy_param", n) for n in (0, 1, 2, 4)],
-                       vocab.eos_id)
+        points = sweep(corpus, factory, base, "policy_param", (0, 1, 2, 4), vocab.eos_id)
         values = [p.report.laal_ms for p in points]
         assert values == sorted(values)
 
     def test_block_grid_ordered_by_value(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
-        points = sweep(corpus, factory, RunConfig(), [("block_symbols", v) for v in (4, 1, 2)],
-                       vocab.eos_id)
+        points = sweep(corpus, factory, RunConfig(), "block_symbols", (4, 1, 2), vocab.eos_id)
         assert [p.value for p in points] == [1, 2, 4]
 
     def test_duplicate_id_rejected_with_name(self, ladder_setup):
         _, vocab, factory, _ = ladder_setup
         corpus = [ladder_record("a", 4), ladder_record("a", 4)]
         with pytest.raises(CorpusError, match="duplicate record id 'a'"):
-            sweep(corpus, factory, RunConfig(), [("block_symbols", 1)], vocab.eos_id)
+            sweep(corpus, factory, RunConfig(), "block_symbols", (1,), vocab.eos_id)
 
     def test_empty_grid_rejected(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
         with pytest.raises(ConfigError):
-            sweep(corpus, factory, RunConfig(), [], vocab.eos_id)
+            sweep(corpus, factory, RunConfig(), "block_symbols", (), vocab.eos_id)
 
     def test_unknown_field_rejected(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
         with pytest.raises(ConfigError, match="sweep"):
-            sweep(corpus, factory, RunConfig(), [("seed", 1)], vocab.eos_id)
+            sweep(corpus, factory, RunConfig(), "seed", (1,), vocab.eos_id)
 
     def test_invalid_grid_point_rejected(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
         with pytest.raises(ConfigError):
-            sweep(corpus, factory, RunConfig(), [("beam_size", 0)], vocab.eos_id)
+            sweep(corpus, factory, RunConfig(), "beam_size", (0,), vocab.eos_id)
 
     @pytest.mark.parametrize("value", [1.7, True, "2"], ids=["float", "bool", "string"])
     def test_non_integer_grid_value_rejected_with_name(self, ladder_setup, value):
         _, vocab, factory, corpus = ladder_setup
         with pytest.raises(ConfigError, match=f"must be an integer, got {value!r}"):
-            sweep(corpus, factory, RunConfig(), [("policy_param", value)], vocab.eos_id)
+            sweep(corpus, factory, RunConfig(), "policy_param", (value,), vocab.eos_id)
 
     @pytest.mark.parametrize("field, values", [("policy_param", (0, 1, 2, 4)),
                                                ("block_symbols", (1, 2, 3))])
@@ -351,11 +375,10 @@ class TestSweep:
         spec = replace(spec, noise_epsilon=0.05, lookahead=1)
         corpus = [ladder_record("u1", 6), ladder_record("u2", 4), ladder_record("u3", 5)]
         base = RunConfig(beam_size=3, policy=PolicyKind.HOLD, policy_param=1)
-        warm = sweep(corpus, make_toy_model(spec, vocab), base,
-                     [(field, v) for v in values], vocab.eos_id)
+        warm = sweep(corpus, make_toy_model(spec, vocab), base, field, values, vocab.eos_id)
         fresh = [
-            SweepPoint(field, v, run_corpus(corpus, make_toy_model(spec, vocab),
-                                            replace(base, **{field: v}), vocab.eos_id))
+            SweepPoint(v, run_corpus(corpus, make_toy_model(spec, vocab),
+                                     replace(base, **{field: v}), vocab.eos_id))
             for v in values
         ]
         assert sweep_to_csv(warm, base) == sweep_to_csv(fresh, base)
@@ -377,7 +400,7 @@ class TestReportFormats:
     def test_sweep_csv_param_column_holds_swept_value(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
         base = RunConfig(policy=PolicyKind.HOLD, policy_param=0)
-        points = sweep(corpus, factory, base, [("policy_param", n) for n in (0, 2)], vocab.eos_id)
+        points = sweep(corpus, factory, base, "policy_param", (0, 2), vocab.eos_id)
         lines = sweep_to_csv(points, base).strip().split("\n")
         assert [line.split(",")[3] for line in lines[1:]] == ["0", "2"]
 

@@ -3,7 +3,9 @@ it replaced (``reference_search``).
 
 Both sides decode the same blocks from the same seeds on twin sessions, and
 must agree exactly on every returned beam (tokens and log-probabilities),
-on any error raised, and on the forward passes spent. Each model strategy also gives the
+on any error raised, and on the forward passes spent. On the final block the
+complete-source search (``search._final_block``) must return the best of the
+reference op's ``final=True`` beams. Each model strategy also gives the
 log-probabilities the seed beams draw from. A second test checks one beam
 step alone: ``search._expand`` against the reference's expand-then-prune.
 """
@@ -132,10 +134,16 @@ def test_kernel_matches_reference(model, algo, beam, detection, data):
         if algo == "bs":
             new = _outcome(new_fn, new_session, committed, cfg, eos_id, max_total)
             ref = _outcome(ref_fn, ref_session, committed, cfg, eos_id, max_total)
+        elif block.is_final:
+            new = _outcome(search._final_block, beams, new_session, cfg, eos_id, max_total)
+            ref = _outcome(
+                lambda *args: reference_search.select_best(ref_fn(*args, final=True)),
+                beams, len(committed), ref_session, cfg, eos_id, max_total,
+            )
         else:
             args = (beams, len(committed))
-            new = _outcome(new_fn, *args, new_session, cfg, eos_id, max_total, block.is_final)
-            ref = _outcome(ref_fn, *args, ref_session, cfg, eos_id, max_total, block.is_final)
+            new = _outcome(new_fn, *args, new_session, cfg, eos_id, max_total)
+            ref = _outcome(ref_fn, *args, ref_session, cfg, eos_id, max_total)
         assert new == ref
         assert new_session.forward_pass_count() == ref_session.forward_pass_count()
         if new[0] == "raised":

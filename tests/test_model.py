@@ -391,6 +391,26 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match="model.json: epsilon must be a JSON number"):
             load_model_file(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mapping", [], "mapping must be a JSON object"),
+            ("mapping", ["0"], "mapping must be a JSON object"),
+            ("mapping", "0", "mapping must be a JSON object"),
+            ("vocab", ["a", None, "<eos>"], "vocab must be a JSON array of strings"),
+            ("vocab", ["a", 1, "<eos>"], "vocab must be a JSON array of strings"),
+            ("vocab", {"a": 0, "<eos>": 1}, "vocab must be a JSON array of strings"),
+        ],
+        ids=["mapping-empty-list", "mapping-list", "mapping-string",
+             "vocab-null", "vocab-int", "vocab-object"],
+    )
+    def test_wrong_json_shape_is_named(self, tmp_path, key, value, message):
+        path = tmp_path / "model.json"
+        doc = {"vocab": ["a", "b", "<eos>"], "mapping": {"0": [0]}, key: value}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"model.json: model {message}$"):
+            load_model_file(path)
+
     def test_load_model_file_reports_path(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

@@ -171,8 +171,9 @@ class TestBwbsBlock:
         session = factory()
         session.ingest_block(Block(payload=(7,), duration_ms=100.0, is_final=True))
         cfg = SearchConfig(beam_size=1)
-        out = bwbs_block(*_script_seed(), session, cfg, vocab.eos_id, max_total=10, final=True)
-        assert out[0].tokens == (0, 1, vocab.eos_id)
+        beams, _ = _script_seed()
+        best = search._final_block(beams, session, cfg, vocab.eos_id, max_total=10)
+        assert best.tokens == (0, 1, vocab.eos_id)
 
     def test_zero_length_budget_leaves_state_unchanged(self, repeat_toy):
         _, vocab, factory = repeat_toy

@@ -48,6 +48,12 @@ class Hypothesis:
     tokens: tuple[int, ...] = ()
     token_logprobs: tuple[float, ...] = ()
 
+    # The exact score once summed. Not a field: the constructor, eq, hash,
+    # repr and ``dataclasses.replace`` ignore it, so every new instance sums
+    # its own. The beam step stores the sum it ranked a hypothesis by. Two
+    # threads that race to fill it store the same value.
+    _score = None
+
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.token_logprobs):
             raise ValueError("tokens and token_logprobs must have equal length")
@@ -57,8 +63,13 @@ class Hypothesis:
 
     @property
     def score(self) -> float:
-        """Cumulative log-probability of the token sequence."""
-        return math.fsum(self.token_logprobs)
+        """Cumulative log-probability of the token sequence, summed exactly
+        (``math.fsum``) once per instance."""
+        score = self._score
+        if score is None:
+            score = math.fsum(self.token_logprobs)
+            object.__setattr__(self, "_score", score)
+        return score
 
     def extended(self, token: int, logprob: float) -> Hypothesis:
         """Copy with one more scored token appended."""

@@ -295,8 +295,11 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
     entry equal to ``"<eos>"`` designates the end-of-sequence token, and no
     entry may repeat. The mapping is a JSON object whose keys are canonical
     integer strings (``"7"``, not ``"07"``); targets and ``lookahead`` are
-    JSON integers, and ``epsilon`` is a JSON number.
+    JSON integers, ``epsilon`` is a JSON number, and ``mode`` is one of the
+    lowercase mode names (default ``"repeat"``).
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError("model spec must be a JSON object")
     try:
         surfaces, raw_mapping = doc["vocab"], doc["mapping"]
     except (KeyError, TypeError) as exc:
@@ -324,10 +327,14 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
     lookahead = doc.get("lookahead", 0)
     if type(lookahead) is not int:
         raise ValueError(f"lookahead must be an integer, got {lookahead!r}")
+    modes = [m.value for m in InsufficientContextMode]
+    mode = doc.get("mode", "repeat")
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {', '.join(modes)}, got {mode!r}")
     spec = ToyTransducerSpec(
         mapping=mapping,
         noise_epsilon=json_number(doc.get("epsilon", 0.0), "epsilon"),
-        insufficient_context_mode=InsufficientContextMode(str(doc.get("mode", "repeat")).lower()),
+        insufficient_context_mode=InsufficientContextMode(mode),
         lookahead=lookahead,
     )
     spec.validate_against(vocab)

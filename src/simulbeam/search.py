@@ -26,14 +26,18 @@ mid-source blocks only. On the final block the source is complete, and
 moves to the pool and shrinks the width. The full re-decode is a re-scored
 prefix plus that search, on every block.
 
-A step queries the model once per active beam, rejects a vector that is not
-1-D or not as long as the step's first, and NaN and ``+inf`` log-probabilities,
-with a ``ValueError`` naming the prefix. It then ranks the extensions of all
-the beams at once (:func:`_expand`): one approximate cut across the stacked
-rows and a cap on exact ties leave only the candidates that can place, and
-one exact sort, by the ``math.fsum`` score and then by token order, ranks
-them. Only the top ``width`` are built, and the Python work besides the
-model grows with the candidates that can place, not with the vocabulary.
+A step queries the model once per active beam, in order, and rejects a
+vector that is not 1-D or not as long as the step's first as it arrives. It
+then checks all the step's answers for NaN and ``+inf`` at once
+(:func:`_answers`), so that error comes after the step's remaining beams were
+queried. Each error is a ``ValueError`` naming the prefix. The step then ranks
+the extensions of all the beams at once (:func:`_expand`): one approximate cut
+across the stacked rows and a cap on exact ties leave only the candidates
+that can place, and one exact sort, by the ``math.fsum`` score and then by
+token order, ranks them. Only the top ``width`` are built, each keeping the
+exact score it was ranked by, so no hypothesis is summed twice, and the
+Python work besides the model grows with the candidates that can place, not
+with the vocabulary.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -134,80 +138,94 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
     return PolicyState(state.kind, state.n, history, committed + new), new
 
 
-def _query(session: ModelSession, prefix: tuple[int, ...]) -> np.ndarray:
-    """One forward pass, rejecting a vector that is not 1-D or is empty, and
-    NaN or ``+inf`` log-probabilities: a NaN would vanish from every
-    comparison and ``+inf`` is no probability."""
-    logprobs = session.next_token_logprobs(prefix)
-    if logprobs.ndim != 1:
-        raise ValueError(f"model returned {logprobs.ndim}-D log-probabilities "
-                         f"after prefix {prefix}")
-    if not logprobs.size:
-        raise ValueError(f"model returned 0 log-probabilities after prefix {prefix}")
-    # ndarray.max without its Python-level wrapper: this runs on every pass.
-    if not np.maximum.reduce(logprobs) < np.inf:
-        raise ValueError(f"model returned a NaN or +inf log-probability after prefix {prefix}")
-    return logprobs
+def _answers(
+    session: ModelSession, prefixes: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, float]:
+    """One forward pass per prefix, in order: the answers end to end, and
+    their largest entry.
+
+    Each answer must be a non-empty 1-D vector as long as the first, which
+    is checked as it arrives. NaN and ``+inf`` (a NaN would vanish from
+    every comparison, and ``+inf`` is no probability) are checked once over
+    all the answers, and the error names the first offending prefix in
+    query order."""
+    answers = []
+    for prefix in prefixes:
+        logprobs = session.next_token_logprobs(prefix)
+        if logprobs.ndim != 1:
+            raise ValueError(f"model returned {logprobs.ndim}-D log-probabilities "
+                             f"after prefix {prefix}")
+        if not logprobs.size or (answers and logprobs.size != answers[0].size):
+            raise ValueError(f"model returned {logprobs.size} log-probabilities "
+                             f"after prefix {prefix}")
+        answers.append(logprobs)
+    stacked = answers[0] if len(answers) == 1 else np.concatenate(answers)
+    # ndarray.max without its Python-level wrapper: this runs on every step.
+    peak = np.maximum.reduce(stacked)
+    if not peak < np.inf:
+        for prefix, logprobs in zip(prefixes, answers):
+            if not np.maximum.reduce(logprobs) < np.inf:
+                raise ValueError(f"model returned a NaN or +inf log-probability "
+                                 f"after prefix {prefix}")
+    return stacked, float(peak)
 
 
 def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
     """The top ``width`` single-token extensions of the active beams, ranked
     by ``(-score, tokens)``, so replay is deterministic.
 
-    Each active beam costs one forward pass, in order. A beam whose tokens
-    repeat an earlier beam's still costs its pass but adds nothing:
-    duplicate candidates merge into the earlier beam's copies.
+    Each active beam costs one forward pass, in order, and the answers are
+    checked together (:func:`_answers`). A beam whose tokens repeat an
+    earlier beam's still costs its pass but adds nothing: its row is dropped
+    and duplicate candidates merge into the earlier beam's copies.
     Zero-probability tokens are skipped: they can never belong to a valid
-    hypothesis and would break score finiteness. Three stages over the
-    stacked rows leave only the candidates that can place, and only the
-    placed ones are built:
+    hypothesis and would break score finiteness. A step with one finite
+    candidate returns it. Otherwise three stages over the stacked rows leave
+    only the candidates that can place, and only the placed ones are built:
 
     1. The cut, when the step has more than ``width`` finite entries. A
        candidate's approximate score ``a = parent.score + lp`` lies within
-       ``g`` of its exact score ``t``: ``parent.score`` (one ``fsum``) is off
-       by at most half an ulp of itself, ``a`` by half an ulp of ``a`` and
-       ``t`` by half an ulp of ``t``. All three magnitudes are at most
-       ``2 (S + L)``, with ``S`` the largest finite ``|parent.score|`` and
-       ``L`` the largest finite ``|lp|`` of the step, so
-       ``g <= 1.5 ulp(2 (S + L))``. With ``K`` the ``width``-th best ``a``,
-       a candidate with ``a < K - 2g`` scores strictly below ``width``
-       others (their exact scores are at least ``K - g``), so only
-       ``a >= K - 3 ulp(2 (S + L))`` go on. A ``K`` of ``-inf`` (fewer
-       than ``width`` finite ``a``, as when every parent is scored ``-inf``,
-       which a forced prefix can be) leaves nothing to cut.
+       ``g`` of its exact score ``t``: ``parent.score`` (the stored
+       ``math.fsum`` of the parent's log-probs) is off by at most half an
+       ulp of itself, ``a`` by half an ulp of ``a`` and ``t`` by half an ulp
+       of ``t``. All three magnitudes are at most ``2 (S + L)``, with ``S``
+       the largest finite ``|parent.score|`` and ``L`` the largest finite
+       ``|lp|`` of the step, so ``g <= 1.5 ulp(2 (S + L))``. With ``K`` the
+       ``width``-th best ``a``, a candidate with ``a < K - 2g`` scores
+       strictly below ``width`` others (their exact scores are at least
+       ``K - g``), so only ``a >= K - 3 ulp(2 (S + L))`` go on. A ``K`` of
+       ``-inf`` (fewer than ``width`` finite ``a``, as when every parent is
+       scored ``-inf``, which a forced prefix can be) leaves nothing to cut.
     2. The tie cap. In one row, equal log-probs give equal exact scores, and
        the new token's id breaks the tie; so of each ``(row, lp)`` group only
        the ``width`` lowest ids can place. A stable sort by ``lp`` keeps each
        group together in id order, and a candidate is dropped if the one
        ``width`` places before it is of its group.
-    3. The exact ranking: what is left is scored with ``math.fsum`` and
-       sorted, and the first ``width`` are built.
+    3. The exact ranking: what is left is scored with ``math.fsum``, once
+       per run of one ``(row, lp)`` group, and sorted. The first ``width``
+       are built, each storing the exact score it was ranked by, which the
+       next step's parent scores and :func:`select_best` read.
     """
-    parents: dict[tuple[int, ...], Hypothesis] = {}
-    rows: list[np.ndarray] = []
-    for hyp in active:
-        logprobs = _query(session, hyp.tokens)
-        if rows and logprobs.size != rows[0].size:
-            raise ValueError(f"model returned {logprobs.size} log-probabilities "
-                             f"after prefix {hyp.tokens}")
-        if hyp.tokens not in parents:
-            parents[hyp.tokens] = hyp
-            rows.append(logprobs)
-    beams = list(parents.values())
-    size = rows[0].size
+    matrix, peak = _answers(session, [hyp.tokens for hyp in active])
+    size = matrix.size // len(active)
     # The rows end to end: entry ``i`` is token ``i % size`` of beam ``i // size``.
-    matrix = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    first: dict[tuple[int, ...], int] = {}
+    for row, hyp in enumerate(active):
+        if first.setdefault(hyp.tokens, row) != row:
+            # A repeat, so there are two or more answers and ``matrix`` is their copy.
+            matrix[row * size : (row + 1) * size] = -np.inf
     finite = matrix > -np.inf
     flat = finite.nonzero()[0]
+    if flat.size <= 1:
+        return [active[i // size].extended(i % size, matrix.item(i)) for i in flat.tolist()]
     if flat.size > width:
-        scores = [beam.score for beam in beams]
+        scores = [beam.score for beam in active]
         approx = (np.array(scores)[:, None] + matrix.reshape(-1, size)).ravel()
         cut = float(np.partition(approx, approx.size - width)[approx.size - width])
         if cut > -math.inf:
             # An upper bound on L: the finite minimum, capped at 0, and the maximum.
-            largest = max(-np.minimum.reduce(matrix, where=finite, initial=0.0),
-                          np.maximum.reduce(matrix))
-            bound = max(abs(s) for s in scores if s > -math.inf) + float(largest)
+            largest = max(-float(np.minimum.reduce(matrix, where=finite, initial=0.0)), peak)
+            bound = max(abs(s) for s in scores if s > -math.inf) + largest
             flat = (approx >= cut - 3 * math.ulp(2 * bound)).nonzero()[0]
     values = matrix[flat]
     if flat.size > width:
@@ -220,11 +238,21 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
     # Candidates' tokens are distinct (their parents' are, and so are the ids
     # in a row), so the sort never compares beams.
     ranked = []
+    last_row, last_lp = -1, 0.0
     for i, lp in zip(flat.tolist(), values.tolist()):
-        beam = beams[i // size]
-        ranked.append((-math.fsum(beam.token_logprobs + (lp,)), beam.tokens + (i % size,), beam, lp))
+        row = i // size
+        beam = active[row]
+        if row != last_row or lp != last_lp:
+            last_row, last_lp = row, lp
+            key = -math.fsum(beam.token_logprobs + (lp,))
+        ranked.append((key, beam.tokens + (i - row * size,), beam, lp))
     ranked.sort()
-    return [beam.extended(tokens[-1], lp) for _, tokens, beam, lp in ranked[:width]]
+    built = []
+    for key, tokens, beam, lp in ranked[:width]:
+        hyp = beam.extended(tokens[-1], lp)
+        object.__setattr__(hyp, "_score", -key)  # see Hypothesis.score
+        built.append(hyp)
+    return built
 
 
 def _selection_rank(hyp: Hypothesis) -> tuple:
@@ -331,16 +359,20 @@ def standard_beam_search(
     """Classic beam search from a forced prefix to end-of-sequence.
 
     The forced prefix is re-scored against the current context, one query
-    per position, so repeated calls over growing input pay the full
-    re-decode cost. The stop heuristic is never applied: EOS is always a
-    legitimate end here, and the search runs until every beam finishes or
-    the length cap is reached. Returns the best finished hypothesis by
-    normalized score, falling back to the best unfinished one at the cap.
+    per position with the answers checked together (:func:`_answers`), so
+    repeated calls over growing input pay the full re-decode cost. The stop
+    heuristic is never applied: EOS is always a legitimate end here, and the
+    search runs until every beam finishes or the length cap is reached.
+    Returns the best finished hypothesis by normalized score, falling back
+    to the best unfinished one at the cap.
     """
     prefix = Hypothesis()
-    for position, token in enumerate(committed):
-        logprobs = _query(session, tuple(committed[:position]))
-        prefix = prefix.extended(int(token), float(logprobs[int(token)]))
+    if committed:
+        tokens = tuple(int(token) for token in committed)
+        stacked, _ = _answers(session, [tokens[:position] for position in range(len(tokens))])
+        # Row ``position`` is the answer after ``tokens[:position]``.
+        picked = stacked.reshape(len(tokens), -1)[np.arange(len(tokens)), tokens]
+        prefix = Hypothesis(tokens, tuple(picked.astype(float).tolist()))
     return _final_block([prefix], session, cfg, eos_id, max_total)
 
 

@@ -9,7 +9,10 @@ The block ops take the beams and the committed-prefix length (``floor``)
 and return beams, as the package's do. :func:`decode_session` is the
 session loop that kept the committed prefix in a local of its own.
 Only the public value types, the stop heuristic, the output-length cap and
-the commit policy come from the package.
+the commit policy come from the package. Scores are summed here with
+``math.fsum`` over each hypothesis's log-probs, never read from
+``Hypothesis.score``: the beams compared are often the search's own, and
+would carry the scores the code under test stored.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from simulbeam.core import (
     StopReason,
     detect_stop,
     max_output_tokens,
-    normalized_score,
 )
 from simulbeam.search import PolicyState, apply_policy
 
@@ -41,16 +43,21 @@ def _expand(active: Sequence[Hypothesis], session) -> list[Hypothesis]:
     return pool
 
 
+def _score(hyp: Hypothesis) -> float:
+    return math.fsum(hyp.token_logprobs)
+
+
 def _prune(pool: Iterable[Hypothesis], width: int) -> list[Hypothesis]:
     seen: dict[tuple[int, ...], Hypothesis] = {}
     for hyp in pool:
         seen.setdefault(hyp.tokens, hyp)
-    ranked = sorted(seen.values(), key=lambda h: (-h.score, h.tokens))
+    ranked = sorted(seen.values(), key=lambda h: (-_score(h), h.tokens))
     return ranked[:width]
 
 
 def _selection_rank(hyp: Hypothesis) -> tuple:
-    return (0 if hyp.tokens else 1, -normalized_score(hyp), -len(hyp.tokens), hyp.tokens)
+    normalized = _score(hyp) / len(hyp.tokens) if hyp.tokens else 0.0
+    return (0 if hyp.tokens else 1, -normalized, -len(hyp.tokens), hyp.tokens)
 
 
 def select_best(candidates: Sequence[Hypothesis]) -> Hypothesis:

@@ -204,6 +204,23 @@ class TestEval:
         assert code == 1
         assert f"input error: {tmp_path / 'bad_model.json'}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {**doc, "mode": "REPEAT"},
+             "mode must be one of repeat, eos, hallucinate, got 'REPEAT'"),
+            (lambda doc: [doc], "model spec must be a JSON object"),
+        ],
+        ids=["uppercase-mode", "top-level-array"],
+    )
+    def test_loose_model_spec_is_input_error(self, workspace, capsys, edit, message):
+        tmp_path, corpus, _ = workspace
+        doc = json.loads((tmp_path / "model.json").read_text())
+        (tmp_path / "bad_model.json").write_text(json.dumps(edit(doc)))
+        code = run(["eval", "--corpus", corpus, "--model", str(tmp_path / "bad_model.json")])
+        assert code == 1
+        assert f"input error: {tmp_path / 'bad_model.json'}: {message}" in capsys.readouterr().err
+
     def test_overflowing_total_duration_is_input_error(self, workspace, capsys):
         tmp_path, _, model = workspace
         corpus = tmp_path / "long.jsonl"

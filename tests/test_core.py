@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -128,6 +129,21 @@ class TestValidation:
         hyp = Hypothesis((1, 2), (-0.25, -0.75))
         assert hyp.score == pytest.approx(-1.0)
         assert math.isfinite(hyp.score)
+
+    def test_derived_hypotheses_sum_their_own_score(self):
+        hyp = Hypothesis((1, 2, 3), (-0.5, -0.25, -1.0))
+        assert hyp.score == -1.75  # summed and kept
+        assert hyp.sliced(2).score == -0.75
+        assert hyp.extended(4, -0.25).score == -2.0
+        assert dataclasses.replace(hyp, token_logprobs=(-1.0, -1.0, -1.0)).score == -3.0
+
+    def test_kept_score_is_not_part_of_the_value(self):
+        hyp = Hypothesis((1, 2), (-0.25, -0.75))
+        fresh = Hypothesis((1, 2), (-0.25, -0.75))
+        assert hyp.score == -1.0
+        assert hyp == fresh and hash(hyp) == hash(fresh) and repr(hyp) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(Hypothesis)] == ["tokens", "token_logprobs"]
+        assert isinstance(vars(Hypothesis)["score"], property)
 
     def test_commit_event_requires_tokens(self):
         with pytest.raises(ValueError):

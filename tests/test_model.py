@@ -411,6 +411,24 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match=f"model.json: model {message}$"):
             load_model_file(path)
 
+    @pytest.mark.parametrize("mode", ["REPEAT", "Eos", " repeat", None, 1])
+    def test_mode_must_be_an_exact_lowercase_name(self, tmp_path, mode):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, "mode": mode}))
+        message = f"model.json: mode must be one of repeat, eos, hallucinate, got {mode!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_model_file(path)
+
+    @pytest.mark.parametrize(
+        "doc", [[], [{"vocab": ["a", "<eos>"], "mapping": {"0": [0]}}], "model", 1, None],
+        ids=["empty-array", "array", "string", "number", "null"],
+    )
+    def test_spec_must_be_a_json_object(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="model.json: model spec must be a JSON object$"):
+            load_model_file(path)
+
     def test_load_model_file_reports_path(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

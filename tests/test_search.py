@@ -7,6 +7,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_search
 
@@ -49,6 +51,7 @@ from conftest import (
     reference_for,
     two_path_script,
 )
+from test_kernel_differential import beam_steps, scripted_models, toy_models, vector_models
 
 
 def hyp(*tokens: int, lp: float = -0.1) -> Hypothesis:
@@ -593,6 +596,106 @@ class TestBeamStep:
                 eos_id=2,
                 algo=algo,
             )
+
+
+class TestBatchedGuard:
+    """A step's answers are checked for NaN and ``+inf`` together, after the
+    step's last query, and the error names the first offending prefix."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("offending, named", [({1}, 1), ({1, 2}, 1), ({2}, 2)])
+    def test_later_beams_answer(self, bad, offending, named):
+        def logprobs(level, prefix):
+            return [-0.1, bad, -2.0] if prefix[0] in offending else [-0.5, -0.7, -2.0]
+
+        session = VectorSession(logprobs)
+        active = [Hypothesis((token,), (-0.1,)) for token in range(3)]
+        with pytest.raises(ValueError,
+                           match=rf"NaN or \+inf log-probability after prefix \({named},\)$"):
+            search._expand(active, session, 3)
+        assert session.forward_pass_count() == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_duplicate_beams_answer(self, bad):
+        # The repeated beam's row joins no candidate, but its answer is checked.
+        answers = iter([[-0.5, -0.7, -2.0], [-0.5, -0.7, -2.0], [-0.1, bad, -2.0]])
+        session = VectorSession(lambda level, prefix: next(answers))
+        active = [Hypothesis((0,), (-0.1,)), Hypothesis((1,), (-0.2,)), Hypothesis((0,), (-0.3,))]
+        with pytest.raises(ValueError, match=r"after prefix \(0,\)$"):
+            search._expand(active, session, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_later_position_of_the_re_scored_prefix(self, bad):
+        def logprobs(level, prefix):
+            return [-0.1, bad, -2.0] if prefix == (0, 1) else [-0.5, -0.1, -2.0]
+
+        session = VectorSession(logprobs)
+        session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=True))
+        with pytest.raises(ValueError, match=r"after prefix \(0, 1\)$"):
+            standard_beam_search(session, (0, 1, 1), SearchConfig(beam_size=2), eos_id=2,
+                                 max_total=10)
+        assert session.forward_pass_count() == 3
+
+    def test_re_scored_prefix_is_one_hypothesis(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(Hypothesis, "extended",
+                            lambda self, token, logprob: built.append(token))
+        session = VectorSession(lambda level, prefix: [-0.5, -0.25, -2.0])
+        session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=True))
+        best = standard_beam_search(session, (0, 1, 1), SearchConfig(beam_size=2), eos_id=2,
+                                    max_total=3)
+        assert best == Hypothesis((0, 1, 1), (-0.5, -0.25, -0.25))
+        assert built == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=beam_steps())
+def test_step_stores_each_built_hypothesis_exact_score(step):
+    parents, rows, width = step
+    for hyp in search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]), width):
+        assert hyp.score == math.fsum(hyp.token_logprobs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=st.one_of(toy_models(), scripted_models(), vector_models()),
+    beam=st.integers(1, 6),
+    detection=st.booleans(),
+    data=st.data(),
+)
+def test_block_ops_return_exact_scores(model, beam, detection, data):
+    # Every hypothesis a step builds and every one the block ops and the
+    # final block return has the exact sum of its log-probs as its score.
+    factory, vocab_size, eos_id, blocks, logprob = model
+    cfg = SearchConfig(beam_size=beam, repetition_detection=detection)
+    seeds = []
+    for _ in range(data.draw(st.integers(1, 3), label="seeds")):
+        tokens = tuple(data.draw(st.lists(st.integers(0, vocab_size - 1), max_size=3)))
+        lps = tuple(data.draw(st.lists(logprob, min_size=len(tokens), max_size=len(tokens))))
+        seeds.append(Hypothesis(tokens, lps))
+    max_total = max(map(len, seeds)) + data.draw(st.integers(0, 6), label="headroom")
+    expand = search._expand
+    seen: list[Hypothesis] = []
+
+    def recorded(active, session, width):
+        ranked = expand(active, session, width)
+        seen.extend(ranked)
+        return ranked
+
+    ops = (
+        lambda session: bwbs_block(seeds, 0, session, cfg, eos_id, max_total),
+        lambda session: ibwbs_block(seeds, 0, session, cfg, eos_id, max_total),
+        lambda session: (search._final_block(seeds, session, cfg, eos_id, max_total),),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_expand", recorded)
+        for op in ops:
+            session = factory()
+            for block in blocks:
+                session.ingest_block(block)
+            seen.extend(op(session))
+    for hyp in seen:
+        assert hyp.score == math.fsum(hyp.token_logprobs)
 
 
 class TestDecodeSession:

@@ -132,14 +132,18 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
     records: list[CorpusRecord] = []
     seen_ids: set[str] = set()
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
+            if type(doc) is not dict:
+                raise CorpusError("record must be a JSON object")
             if type(doc["id"]) is not str:
                 raise CorpusError(f"id must be a JSON string, got {json.dumps(doc['id'])}")
             record = CorpusRecord(
@@ -148,7 +152,9 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
                 reference=json_ids(doc["reference"], "reference"),
                 block_ms=json_number(doc["block_ms"], "block_ms"),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: missing required field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         if record.id in seen_ids:
             raise CorpusError(f"{path}:{lineno}: duplicate record id {record.id!r}")

@@ -33,7 +33,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -265,10 +265,12 @@ def make_toy_model(
     return factory
 
 
-def json_ids(values: Iterable, field: str) -> tuple[int, ...]:
-    """The entries of a JSON id list as a tuple. Each must be a JSON integer:
-    a float, a numeric string or a boolean raises ``TypeError`` instead of
-    being truncated or converted."""
+def json_ids(values, field: str) -> tuple[int, ...]:
+    """The entries of a JSON id array as a tuple. Anything but an array, and
+    any entry but a JSON integer (a float, a numeric string or a boolean),
+    raises ``TypeError`` instead of being iterated, truncated or converted."""
+    if type(values) is not list:
+        raise TypeError(f"{field} must be a JSON array of integer ids, got {json.dumps(values)}")
     ids = tuple(values)
     for value in ids:
         if type(value) is not int:
@@ -344,7 +346,9 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
 def load_model_file(path: str | Path) -> tuple[ToyTransducerSpec, Vocabulary]:
     """Load a toy-model JSON file, reporting schema problems by name."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from exc
     try:

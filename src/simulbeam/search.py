@@ -32,12 +32,13 @@ then checks all the step's answers for NaN and ``+inf`` at once
 (:func:`_answers`), so that error comes after the step's remaining beams were
 queried. Each error is a ``ValueError`` naming the prefix. The step then ranks
 the extensions of all the beams at once (:func:`_expand`): one approximate cut
-across the stacked rows and a cap on exact ties leave only the candidates
-that can place, and one exact sort, by the ``math.fsum`` score and then by
-token order, ranks them. Only the top ``width`` are built, each keeping the
-exact score it was ranked by, so no hypothesis is summed twice, and the
-Python work besides the model grows with the candidates that can place, not
-with the vocabulary.
+across the stacked rows, whose threshold comes from a full sort (selection by
+partition stalls on the many tied log-probs of a row), and a cap on exact
+ties leave only the candidates that can place, and one exact sort, by the
+``math.fsum`` score and then by token order, ranks them. Only the top
+``width`` are built, each keeping the exact score it was ranked by, so no
+hypothesis is summed twice, and the Python work besides the model grows with
+the candidates that can place, not with the vocabulary.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -190,12 +191,16 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
        ulp of itself, ``a`` by half an ulp of ``a`` and ``t`` by half an ulp
        of ``t``. All three magnitudes are at most ``2 (S + L)``, with ``S``
        the largest finite ``|parent.score|`` and ``L`` the largest finite
-       ``|lp|`` of the step, so ``g <= 1.5 ulp(2 (S + L))``. With ``K`` the
-       ``width``-th best ``a``, a candidate with ``a < K - 2g`` scores
-       strictly below ``width`` others (their exact scores are at least
-       ``K - g``), so only ``a >= K - 3 ulp(2 (S + L))`` go on. A ``K`` of
-       ``-inf`` (fewer than ``width`` finite ``a``, as when every parent is
-       scored ``-inf``, which a forced prefix can be) leaves nothing to cut.
+       ``|lp|`` of the step, so ``g <= 1.5 ulp(2 (S + L))``. ``K``, the
+       ``width``-th best ``a``, is read from one full sort of the ``a``.
+       A partial selection (numpy's introselect) would be linear on untied
+       rows, but it stalls on large groups of tied log-probs, and every toy
+       row ties all but one of its tokens. With that ``K``, a candidate
+       with ``a < K - 2g`` scores strictly below ``width`` others (their
+       exact scores are at least ``K - g``), so only
+       ``a >= K - 3 ulp(2 (S + L))`` go on. A ``K`` of ``-inf`` (fewer than
+       ``width`` finite ``a``, as when every parent is scored ``-inf``,
+       which a forced prefix can be) leaves nothing to cut.
     2. The tie cap. In one row, equal log-probs give equal exact scores, and
        the new token's id breaks the tie; so of each ``(row, lp)`` group only
        the ``width`` lowest ids can place. A stable sort by ``lp`` keeps each
@@ -221,7 +226,7 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
     if flat.size > width:
         scores = [beam.score for beam in active]
         approx = (np.array(scores)[:, None] + matrix.reshape(-1, size)).ravel()
-        cut = float(np.partition(approx, approx.size - width)[approx.size - width])
+        cut = float(np.sort(approx)[approx.size - width])
         if cut > -math.inf:
             # An upper bound on L: the finite minimum, capped at 0, and the maximum.
             largest = max(-float(np.minimum.reduce(matrix, where=finite, initial=0.0)), peak)

@@ -221,6 +221,24 @@ class TestEval:
         assert code == 1
         assert f"input error: {tmp_path / 'bad_model.json'}: {message}" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_is_named(self, workspace, capsys):
+        tmp_path, _, model = workspace
+        corpus = tmp_path / "latin1.jsonl"
+        corpus.write_bytes(b"\xff\n")
+        code = run(["eval", "--corpus", str(corpus), "--model", model])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"input error: {corpus}: not UTF-8 text: 'utf-8' codec can't decode" in err
+
+    def test_non_utf8_model_is_named(self, workspace, capsys):
+        tmp_path, corpus, _ = workspace
+        model = tmp_path / "latin1.json"
+        model.write_bytes(b'{"vocab": ["\xe9", "<eos>"], "mapping": {"0": [0]}}')
+        code = run(["eval", "--corpus", corpus, "--model", str(model)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"input error: {model}: not UTF-8 text: 'utf-8' codec can't decode" in err
+
     def test_overflowing_total_duration_is_input_error(self, workspace, capsys):
         tmp_path, _, model = workspace
         corpus = tmp_path / "long.jsonl"

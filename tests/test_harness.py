@@ -147,6 +147,30 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=message):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "record must be a JSON object"),
+            ('"a"', "record must be a JSON object"),
+            ('{"id": "b", "source": [0], "reference": [0]}', "missing required field 'block_ms'"),
+            ('{"source": [0], "reference": [0], "block_ms": 250}', "missing required field 'id'"),
+            ('{"id": "b", "source": 5, "reference": [0], "block_ms": 250}',
+             "source must be a JSON array of integer ids, got 5"),
+            ('{"id": "b", "source": [0], "reference": "01", "block_ms": 250}',
+             'reference must be a JSON array of integer ids, got "01"'),
+            ('{"id": "b", "source": null, "reference": [0], "block_ms": 250}',
+             "source must be a JSON array of integer ids, got null"),
+        ],
+        ids=["array", "string", "no-block_ms", "no-id", "source-int", "reference-string",
+             "source-null"],
+    )
+    def test_record_shape_errors_are_named(self, tmp_path, line, message):
+        path = self._write(
+            tmp_path, ['{"id": "a", "source": [0], "reference": [0], "block_ms": 250}', line]
+        )
+        with pytest.raises(CorpusError, match=f":2: {re.escape(message)}$"):
+            load_corpus(path)
+
     @pytest.mark.parametrize("value", ["a,b", "a\\nb", "a\\rb", '\\"a'],
                              ids=["comma", "lf", "cr", "quote"])
     def test_id_the_csv_cannot_carry_reports_line_number(self, tmp_path, value):

@@ -16,7 +16,7 @@ import math
 import random
 from functools import partial
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_search
@@ -176,8 +176,27 @@ def beam_steps(draw):
     return parents, rows, draw(st.integers(1, 6))
 
 
+def wide_step(parent_scores, width=6):
+    """One beam step of the ``wide-vocab`` shape: a parent per score, each
+    row 1001 tokens wide with one favoured token at ``log(0.95)`` and the
+    other 1000 tied at ``log(0.05 / 1000)``, about 9.9 nats below it."""
+    parents = [Hypothesis((i,), (score,)) for i, score in enumerate(parent_scores)]
+    rows = {}
+    for i, parent in enumerate(parents):
+        row = [math.log(0.05 / 1000)] * 1001
+        row[(i + 1) * 167 % 1001] = math.log(0.95)
+        rows[parent.tokens] = row
+    return parents, rows, width
+
+
 @settings(max_examples=500, deadline=None)
 @given(step=beam_steps())
+# Distinct parent scores closer than the favoured-to-noise gap: the cut's
+# threshold is the sixth favoured token.
+@example(step=wide_step([-0.05, -0.3, -0.7, -1.1, -2.3, -3.0]))
+# Scores spread wider than the gap: the threshold falls inside the first
+# row's group of 1000 tied tokens, so the tie cap and the id order decide.
+@example(step=wide_step([-0.05, -12.0, -25.0, -40.0, -55.0, -70.0]))
 def test_step_matches_reference(step):
     parents, rows, width = step
     new = search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]), width)

@@ -377,6 +377,19 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match=f"model.json: .*{key}.* integer"):
             load_model_file(path)
 
+    @pytest.mark.parametrize(
+        "target, shown",
+        [(5, "5"), ("01", '"01"'), (None, "null"), ({"0": 1}, '{"0": 1}')],
+        ids=["int", "string", "null", "object"],
+    )
+    def test_mapping_target_must_be_an_array(self, tmp_path, target, shown):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": target}}))
+        message = ("model.json: malformed model mapping: mapping for symbol 0 must be "
+                   f"a JSON array of integer ids, got {shown}")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_model_file(path)
+
     @pytest.mark.parametrize("key", ["00", " 1_0 ", "+1", "-0"])
     def test_non_canonical_mapping_keys_are_rejected(self, key):
         doc = {"vocab": ["a", "b", "<eos>"], "mapping": {"0": [0], key: [1]}}

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,8 +69,9 @@ class InsufficientContextMode(enum.Enum):
 class Block:
     """A fixed-duration segment of source input.
 
-    ``payload`` holds source symbol ids for toy models; non-integer entries
-    (e.g. opaque feature frames) are accepted and ignored by toy models.
+    ``payload`` holds source symbol ids for toy models: any integer but a
+    bool, Python or NumPy, is a symbol. Other entries (e.g. opaque feature
+    frames) are accepted and ignored by toy models.
     """
 
     payload: tuple
@@ -168,7 +170,11 @@ class _ToySession(ModelSession):
     def ingest_block(self, block: Block) -> None:
         if self._final_seen:
             raise RuntimeError("cannot ingest: session already received its final block")
-        symbols = [s for s in block.payload if isinstance(s, int) and not isinstance(s, bool)]
+        # ``type`` first: the ``Integral`` check is an order of magnitude slower.
+        symbols = [
+            int(s) for s in block.payload
+            if type(s) is int or isinstance(s, numbers.Integral) and not isinstance(s, bool)
+        ]
         for symbol in symbols:
             if symbol not in self._spec.mapping:
                 raise ValueError(f"source symbol {symbol} not covered by the model mapping")

@@ -32,13 +32,17 @@ then checks all the step's answers for NaN and ``+inf`` at once
 (:func:`_answers`), so that error comes after the step's remaining beams were
 queried. Each error is a ``ValueError`` naming the prefix. The step then ranks
 the extensions of all the beams at once (:func:`_expand`): one approximate cut
-across the stacked rows, whose threshold comes from a full sort (selection by
-partition stalls on the many tied log-probs of a row), and a cap on exact
-ties leave only the candidates that can place, and one exact sort, by the
-``math.fsum`` score and then by token order, ranks them. Only the top
-``width`` are built, each keeping the exact score it was ranked by, so no
-hypothesis is summed twice, and the Python work besides the model grows with
-the candidates that can place, not with the vocabulary.
+across the stacked rows, whose threshold and rounding margin both come from
+one full sort (selection by partition stalls on the many tied log-probs of a
+row), and a cap on exact ties leave only the candidates that can place, and
+one exact sort, by the ``math.fsum`` score and then by token order, ranks
+them. When the parents share one length, that token order is the parent's
+tokens and then the new token's id, so a candidate that does not place never
+gets a token tuple. Only the top ``width`` are built, each keeping the exact
+score it was ranked by, so no hypothesis is summed twice, and the Python work
+besides the model grows with the candidates that can place, not with the
+vocabulary. Repeated beams are looked for on a loop's first step only: the
+seeds may repeat, but the children of one step never do.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -139,11 +143,8 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
     return PolicyState(state.kind, state.n, history, committed + new), new
 
 
-def _answers(
-    session: ModelSession, prefixes: Sequence[tuple[int, ...]]
-) -> tuple[np.ndarray, float]:
-    """One forward pass per prefix, in order: the answers end to end, and
-    their largest entry.
+def _answers(session: ModelSession, prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """One forward pass per prefix, in order: the answers end to end.
 
     Each answer must be a non-empty 1-D vector as long as the first, which
     is checked as it arrives. NaN and ``+inf`` (a NaN would vanish from
@@ -162,76 +163,97 @@ def _answers(
         answers.append(logprobs)
     stacked = answers[0] if len(answers) == 1 else np.concatenate(answers)
     # ndarray.max without its Python-level wrapper: this runs on every step.
-    peak = np.maximum.reduce(stacked)
-    if not peak < np.inf:
+    if not np.maximum.reduce(stacked) < np.inf:
         for prefix, logprobs in zip(prefixes, answers):
             if not np.maximum.reduce(logprobs) < np.inf:
                 raise ValueError(f"model returned a NaN or +inf log-probability "
                                  f"after prefix {prefix}")
-    return stacked, float(peak)
+    return stacked
 
 
-def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
+def _expand(
+    active: Sequence[Hypothesis], session: ModelSession, width: int, may_repeat: bool = True
+) -> list[Hypothesis]:
     """The top ``width`` single-token extensions of the active beams, ranked
     by ``(-score, tokens)``, so replay is deterministic.
 
     Each active beam costs one forward pass, in order, and the answers are
-    checked together (:func:`_answers`). A beam whose tokens repeat an
-    earlier beam's still costs its pass but adds nothing: its row is dropped
-    and duplicate candidates merge into the earlier beam's copies.
+    checked together (:func:`_answers`). With ``may_repeat``, a beam whose
+    tokens repeat an earlier beam's still costs its pass but adds nothing:
+    its row is dropped and duplicate candidates merge into the earlier
+    beam's copies. :func:`_beam_loop` asks for that check on its first step
+    only, since the children of one step are always distinct.
     Zero-probability tokens are skipped: they can never belong to a valid
-    hypothesis and would break score finiteness. A step with one finite
-    candidate returns it. Otherwise three stages over the stacked rows leave
-    only the candidates that can place, and only the placed ones are built:
+    hypothesis and would break score finiteness. A step with at most one
+    finite candidate returns that one, if any. Otherwise three stages over
+    the stacked rows leave only the candidates that can place, and only the
+    placed ones are built:
 
     1. The cut, when the step has more than ``width`` finite entries. A
        candidate's approximate score ``a = parent.score + lp`` lies within
        ``g`` of its exact score ``t``: ``parent.score`` (the stored
        ``math.fsum`` of the parent's log-probs) is off by at most half an
        ulp of itself, ``a`` by half an ulp of ``a`` and ``t`` by half an ulp
-       of ``t``. All three magnitudes are at most ``2 (S + L)``, with ``S``
-       the largest finite ``|parent.score|`` and ``L`` the largest finite
-       ``|lp|`` of the step, so ``g <= 1.5 ulp(2 (S + L))``. ``K``, the
-       ``width``-th best ``a``, is read from one full sort of the ``a``.
-       A partial selection (numpy's introselect) would be linear on untied
-       rows, but it stalls on large groups of tied log-probs, and every toy
-       row ties all but one of its tokens. With that ``K``, a candidate
-       with ``a < K - 2g`` scores strictly below ``width`` others (their
-       exact scores are at least ``K - g``), so only
-       ``a >= K - 3 ulp(2 (S + L))`` go on. A ``K`` of ``-inf`` (fewer than
-       ``width`` finite ``a``, as when every parent is scored ``-inf``,
-       which a forced prefix can be) leaves nothing to cut.
+       of ``t``, so ``g`` is at most 1.5 ulp of the largest of the three.
+       One full sort of the ``a`` gives ``K``, the ``width``-th best, and
+       ``T``, the best. A partial selection (numpy's introselect) would be
+       linear on untied rows, but it stalls on large groups of tied
+       log-probs, and every toy row ties all but one of its tokens. With
+       ``S`` the largest finite ``|parent.score|``, let
+       ``A = 2 (S + max(|K|, |T|))``. The ``width`` candidates with
+       ``a >= K`` have ``|a|, |t| <= A``, so their exact scores are at least
+       ``K - 1.5 ulp(A)``. A candidate with ``|a| <= A`` has ``|t|`` within
+       ``2 A``, so if ``a < K - 3 ulp(2 A)`` it scores strictly below those
+       ``width``. A candidate with ``|a| > A`` lies below
+       ``-2 (S + max(|K|, |T|))``, as no ``a`` exceeds ``T``; its parent
+       score is under half its size, so ``t`` is within a few ulps of ``a``
+       and far below ``-max(|K|, |T|) - 1.5 ulp(A)``, under all those
+       ``width`` too. So only ``a >= K - 3 ulp(2 A)`` go on. A ``K`` of ``-inf`` (fewer
+       than ``width`` finite ``a``, as when every parent is scored
+       ``-inf``, which a forced prefix can be) leaves nothing to cut.
     2. The tie cap. In one row, equal log-probs give equal exact scores, and
        the new token's id breaks the tie; so of each ``(row, lp)`` group only
        the ``width`` lowest ids can place. A stable sort by ``lp`` keeps each
        group together in id order, and a candidate is dropped if the one
        ``width`` places before it is of its group.
     3. The exact ranking: what is left is scored with ``math.fsum``, once
-       per run of one ``(row, lp)`` group, and sorted. The first ``width``
-       are built, each storing the exact score it was ranked by, which the
-       next step's parent scores and :func:`select_best` read.
+       per run of one ``(row, lp)`` group, and sorted. When the parents
+       share one length, which they always do inside :func:`decode_session`,
+       the key is ``(-score, parent tokens, token id)``: it orders as the
+       child's tokens would, a tie within a row compares one parent tuple
+       (by identity) and then one int, and only the placed candidates ever
+       get a token tuple. Parents of different lengths keep the child's
+       whole tuple, since a parent that is a proper prefix of another
+       would otherwise rank its children wrongly. The first ``width`` are
+       built, each storing the exact score it was ranked by, which the next
+       step's parent scores and :func:`select_best` read.
     """
-    matrix, peak = _answers(session, [hyp.tokens for hyp in active])
+    matrix = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
     # The rows end to end: entry ``i`` is token ``i % size`` of beam ``i // size``.
-    first: dict[tuple[int, ...], int] = {}
-    for row, hyp in enumerate(active):
-        if first.setdefault(hyp.tokens, row) != row:
-            # A repeat, so there are two or more answers and ``matrix`` is their copy.
-            matrix[row * size : (row + 1) * size] = -np.inf
+    if may_repeat:
+        first: dict[tuple[int, ...], int] = {}
+        for row, hyp in enumerate(active):
+            if first.setdefault(hyp.tokens, row) != row:
+                # A repeat, so there are two or more answers and ``matrix`` is their copy.
+                matrix[row * size : (row + 1) * size] = -np.inf
     finite = matrix > -np.inf
-    flat = finite.nonzero()[0]
-    if flat.size <= 1:
-        return [active[i // size].extended(i % size, matrix.item(i)) for i in flat.tolist()]
-    if flat.size > width:
+    count = np.count_nonzero(finite)
+    if count <= 1:
+        i = int(finite.argmax())  # the finite entry, if there is one
+        return [active[i // size].extended(i % size, matrix.item(i))] if count else []
+    cut = -math.inf
+    if count > width:
         scores = [beam.score for beam in active]
         approx = (np.array(scores)[:, None] + matrix.reshape(-1, size)).ravel()
-        cut = float(np.sort(approx)[approx.size - width])
-        if cut > -math.inf:
-            # An upper bound on L: the finite minimum, capped at 0, and the maximum.
-            largest = max(-float(np.minimum.reduce(matrix, where=finite, initial=0.0)), peak)
-            bound = max(abs(s) for s in scores if s > -math.inf) + largest
-            flat = (approx >= cut - 3 * math.ulp(2 * bound)).nonzero()[0]
+        ordered = np.sort(approx)
+        cut = float(ordered[-width])
+    if cut > -math.inf:
+        bound = 2 * (max(abs(s) for s in scores if s > -math.inf)
+                     + max(abs(cut), abs(float(ordered[-1]))))
+        flat = (approx >= cut - 3 * math.ulp(2 * bound)).nonzero()[0]
+    else:
+        flat = finite.nonzero()[0]
     values = matrix[flat]
     if flat.size > width:
         order = np.argsort(values, kind="stable")
@@ -240,21 +262,25 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
         tied = np.zeros(flat.size, bool)
         tied[width:] = (values[width:] == values[:-width]) & (owner[width:] == owner[:-width])
         flat, values = flat[~tied], values[~tied]
-    # Candidates' tokens are distinct (their parents' are, and so are the ids
-    # in a row), so the sort never compares beams.
+    # The key orders as the child's tokens would: by the parent's tokens and
+    # then the id when all parents have one length, else by the whole tuple.
+    # Keys are distinct (parents' tokens are, and so are the ids in a row),
+    # so the sort never compares beams.
+    length = len(active[0].tokens)
+    whole = any(len(beam.tokens) != length for beam in active)
     ranked = []
     last_row, last_lp = -1, 0.0
     for i, lp in zip(flat.tolist(), values.tolist()):
-        row = i // size
+        row, token = divmod(i, size)
         beam = active[row]
         if row != last_row or lp != last_lp:
             last_row, last_lp = row, lp
             key = -math.fsum(beam.token_logprobs + (lp,))
-        ranked.append((key, beam.tokens + (i - row * size,), beam, lp))
+        ranked.append((key, beam.tokens + (token,) if whole else beam.tokens, token, beam, lp))
     ranked.sort()
     built = []
-    for key, tokens, beam, lp in ranked[:width]:
-        hyp = beam.extended(tokens[-1], lp)
+    for key, _, token, beam, lp in ranked[:width]:
+        hyp = beam.extended(token, lp)
         object.__setattr__(hyp, "_score", -key)  # see Hypothesis.score
         built.append(hyp)
     return built
@@ -296,8 +322,10 @@ def _beam_loop(
     candidate there and ends the loop. Returns ``(pool, still_active)``."""
     pool: list[Hypothesis] = []
     active = list(seeds)
+    may_repeat = True  # the seeds may repeat; the children of one step never do
     while active and len(active[0].tokens) < max_total and width > 0:
-        ranked = _expand(active, session, width)
+        ranked = _expand(active, session, width, may_repeat)
+        may_repeat = False
         active = []
         for hyp in ranked:
             if not triggered(hyp):
@@ -374,7 +402,7 @@ def standard_beam_search(
     prefix = Hypothesis()
     if committed:
         tokens = tuple(int(token) for token in committed)
-        stacked, _ = _answers(session, [tokens[:position] for position in range(len(tokens))])
+        stacked = _answers(session, [tokens[:position] for position in range(len(tokens))])
         # Row ``position`` is the answer after ``tokens[:position]``.
         picked = stacked.reshape(len(tokens), -1)[np.arange(len(tokens)), tokens]
         prefix = Hypothesis(tokens, tuple(picked.astype(float).tolist()))

@@ -8,6 +8,7 @@ different steps) that the position-aligned toy transducer cannot express.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -123,6 +124,23 @@ class VectorSession(ModelSession):
 
     def forward_pass_count(self) -> int:
         return self._forward_passes
+
+
+class ScriptedData:
+    """Stands in for ``st.data()`` in an ``@example``: each ``draw`` ignores
+    its strategy and returns the next of ``values``, starting over after the
+    last, so a test that draws them all up front replays the same values
+    each time the example runs."""
+
+    def __init__(self, *values):
+        self._values = values
+        self._next = itertools.cycle(values)
+
+    def draw(self, strategy, label=None):
+        return next(self._next)
+
+    def __repr__(self) -> str:
+        return f"ScriptedData{self._values!r}"
 
 
 class RecordingSession(ModelSession):

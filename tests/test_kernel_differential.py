@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_search
-from conftest import ScriptedSession, VectorSession, as_blocks, random_toy
+from conftest import ScriptedData, ScriptedSession, VectorSession, as_blocks, random_toy
 from simulbeam import Block, ContextMode, Hypothesis, make_toy_model, search
 from simulbeam.core import SearchConfig
 from simulbeam.model import InsufficientContextMode
@@ -112,6 +112,24 @@ def _outcome(fn, *args):
     detection=st.booleans(),
     data=st.data(),
 )
+# Repeated seeds, the second of them scored higher: each repeat costs its pass
+# and adds nothing, on a mid-source block (then the final block) and on a
+# lone final block. The draws are the committed prefix, the extra tokens per
+# seed, the seed count, each seed's extra tokens and log-probs, and headroom.
+@example(
+    model=(partial(VectorSession, lambda level, prefix: [-0.5, -1.2, -2.3, -0.9] if len(prefix) % 2
+                   else [-0.9, -2.3, -1.2, -0.5]),
+           4, 3, [Block((), 100.0), Block((), 100.0, True)], SMALL_LOGPROBS),
+    algo="ibwbs", beam=3, detection=True,
+    data=ScriptedData([0], 1, 3, [1], [-0.05, -0.7], [1], [-0.05, -0.05], [2], [-0.05, -0.7], 3),
+)
+@example(
+    model=(partial(VectorSession, lambda level, prefix: [-0.5, -1.2, -2.3, -0.9] if len(prefix) % 2
+                   else [-0.9, -2.3, -1.2, -0.5]),
+           4, 3, [Block((), 100.0, True)], SMALL_LOGPROBS),
+    algo="bwbs", beam=3, detection=True,
+    data=ScriptedData([0], 1, 3, [1], [-0.05, -0.7], [1], [-0.05, -0.05], [2], [-0.05, -0.7], 3),
+)
 def test_kernel_matches_reference(model, algo, beam, detection, data):
     factory, vocab_size, eos_id, blocks, logprob = model
     cfg = SearchConfig(beam_size=beam, repetition_detection=detection)
@@ -197,6 +215,50 @@ def wide_step(parent_scores, width=6):
 # Scores spread wider than the gap: the threshold falls inside the first
 # row's group of 1000 tied tokens, so the tie cap and the id order decide.
 @example(step=wide_step([-0.05, -12.0, -25.0, -40.0, -55.0, -70.0]))
+# A parent that is a proper prefix of the other, and children of both tied
+# exactly at -1.2: only the whole token tuple puts (1, 0, 5) before (1, 2).
+@example(step=(
+    [Hypothesis((1,), (-0.5,)), Hypothesis((1, 0), (-0.25, -0.25))],
+    {(1,): [-math.inf, -math.inf, -0.7, -math.inf, -math.inf, -math.inf],
+     (1, 0): [-math.inf] * 5 + [-0.7]},
+    2,
+))
+# A parent scored -inf beside a finite one: fewer than ``width`` finite
+# approximate scores, so K is -inf, nothing is cut, and two of the -inf
+# parent's children place by token order.
+@example(step=(
+    [Hypothesis((0,), (-0.05,)), Hypothesis((1,), (-math.inf,))],
+    {(0,): [-0.5, -math.inf, -0.7, -math.inf], (1,): [-0.1, -0.2, -0.3, -math.inf]},
+    4,
+))
+# Rows mixing -1e300 with small log-probs and K small: the -1e300 children lie
+# far below A. The first parent's stored score rounds its sum, so its child's
+# approximate score is one ulp under K while the exact scores tie, and the
+# child wins the tie by its tokens.
+@example(step=(
+    [Hypothesis((0, 0), (-0.41, -2.54)), Hypothesis((0, 1), (-2.6399999999999997, -0.0))],
+    {(0, 0): [-0.1, -1e300, -math.inf], (0, 1): [-math.inf, -1e300, -0.41]},
+    1,
+))
+# The same near -1e300, where K is too: the parent (0, 0) sums to 0.6 ulp
+# below -1e300 and stores a full ulp below, so its child's approximate score
+# is two ulps under -1e300 and its exact score one, tying K's and winning the
+# tie by its tokens. The margin must scale with the 1e300 magnitudes.
+@example(step=(
+    [Hypothesis((0, 0), (-1e300, -0.6 * math.ulp(1e300))), Hypothesis((0, 1), (-1e300, -0.5))],
+    {(0, 0): [-0.55 * math.ulp(1e300), -1e300, -0.5], (0, 1): [-math.ulp(1e300), -0.5, -1e300]},
+    2,
+))
+# A positive log-prob (accepted, though no probability) cancels that parent's
+# -1e300: its child's approximate score is -1 ulp(1e300) and its exact score
+# -0.6 ulp, above the other child's -0.8 ulp. Only the parent score's share
+# S of the margin keeps it.
+@example(step=(
+    [Hypothesis((0, 0), (-1e300, -0.6 * math.ulp(1e300))),
+     Hypothesis((0, 1), (-0.8 * math.ulp(1e300), -0.0))],
+    {(0, 0): [1e300, -math.inf], (0, 1): [-0.0, -math.inf]},
+    1,
+))
 def test_step_matches_reference(step):
     parents, rows, width = step
     new = search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]), width)

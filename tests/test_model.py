@@ -12,6 +12,7 @@ import pytest
 
 from simulbeam import Block, ContextMode, load_model_file, make_toy_model
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec, spec_from_json
+from simulbeam.search import decode_session
 
 from conftest import as_blocks, make_vocab, random_toy, spec_to_json
 
@@ -209,6 +210,18 @@ class TestSessionContract:
         )
         session.ingest_block(Block(payload=(True, 7, "frame"), duration_ms=100.0, is_final=False))
         assert greedy_rollout(session, 4) == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("context", list(ContextMode))
+    def test_numpy_integer_symbols_decode_like_python_ints(self, context, integer):
+        spec, vocab = ToyTransducerSpec(mapping={0: (0,), 1: (1,)}), make_vocab(2)
+
+        def decoded(symbol):
+            blocks = [Block((symbol(0),), 100.0), Block((symbol(1),), 100.0, True)]
+            factory = make_toy_model(spec, vocab, context)
+            return decode_session(factory, blocks, eos_id=vocab.eos_id).final_output
+
+        assert decoded(integer) == decoded(int) == (0, 1)
 
     @pytest.mark.parametrize("context", list(ContextMode))
     def test_queries_read_the_encoding_of_the_last_ingest(self, context, monkeypatch):

@@ -482,9 +482,9 @@ class TestBeamStep:
             built.append(token)
             return extended(self, token, logprob)
 
-        def counted_step(active, session, width):
+        def counted_step(active, session, width, may_repeat):
             before = len(built)
-            pool = expand(active, session, width)
+            pool = expand(active, session, width, may_repeat)
             per_step.append(len(built) - before)
             return pool
 
@@ -527,9 +527,9 @@ class TestBeamStep:
             counts["scored"] += 1
             return fsum(values)
 
-        def checked_step(active, session, width):
+        def checked_step(active, session, width, may_repeat):
             counts.update(built=0, scored=0)
-            ranked = expand(active, session, width)
+            ranked = expand(active, session, width, may_repeat)
             assert len(ranked) <= width
             assert len({h.tokens for h in ranked}) == len(ranked)
             assert ranked == sorted(ranked, key=lambda h: (-h.score, h.tokens))
@@ -677,8 +677,8 @@ def test_block_ops_return_exact_scores(model, beam, detection, data):
     expand = search._expand
     seen: list[Hypothesis] = []
 
-    def recorded(active, session, width):
-        ranked = expand(active, session, width)
+    def recorded(active, session, width, may_repeat):
+        ranked = expand(active, session, width, may_repeat)
         seen.extend(ranked)
         return ranked
 

@@ -113,7 +113,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _load(
@@ -146,7 +146,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = run_corpus(corpus, factory, cfg, eos_id)
     _emit(report_to_csv(report, cfg), args.out)
     if args.json is not None:
-        Path(args.json).write_text(report_to_json(report, cfg) + "\n")
+        Path(args.json).write_text(report_to_json(report, cfg) + "\n", encoding="utf-8")
     return 0
 
 

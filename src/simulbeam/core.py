@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 
@@ -96,18 +96,32 @@ class CommitEvent:
 
 
 @dataclass(frozen=True)
+class BlockDecision:
+    """What one block decided, stamped with the source time read by its end:
+    ``best`` is the visible best hypothesis (no EOS), ``committed`` the tokens
+    this block committed (always ``()`` in re-translation mode)."""
+
+    source_ms: float
+    best: tuple[int, ...]
+    committed: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class SessionTranscript:
     """Complete record of one decoding session.
 
-    For incremental sessions the commit stream concatenates to
-    ``final_output``. Sessions that revise their output (re-translation)
-    carry no commits; only the final hypothesis is recorded.
+    ``decisions`` holds one :class:`BlockDecision` per block, in order, and
+    the last one's ``best`` is ``final_output``; equality ignores them. For
+    incremental sessions the commit stream concatenates to ``final_output``.
+    Sessions that revise their output (re-translation) carry no commits:
+    each decision's ``best`` is the snapshot shown after that block.
     """
 
     commits: tuple[CommitEvent, ...]
     final_output: tuple[int, ...]
     source_duration_ms: float
     forward_passes: int
+    decisions: tuple[BlockDecision, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.source_duration_ms <= 0:

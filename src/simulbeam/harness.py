@@ -9,7 +9,8 @@ carriage return, since the CSV report carries it unquoted. ``block_ms`` is the
 duration of one source symbol, a positive and finite JSON number; the source
 and reference ids are JSON integers. An utterance is replayed by splitting
 its source into fixed-size blocks, advancing the clock by the block duration
-per READ, and letting the decoder WRITE commits in between; the resulting
+per READ. Each block's decision is a READ and then, if it wrote anything, a
+WRITE of its commit (in re-translation mode, of its snapshot); the resulting
 trace is the JSONL stream
 ``{"kind": "READ"|"WRITE", "payload": [...], "t_ms": number}``.
 
@@ -187,33 +188,25 @@ def run_utterance(
     cfg: RunConfig,
     eos_id: int,
 ) -> tuple[SessionTranscript, list[TraceEvent]]:
-    """Replay one utterance as a streaming session and record its trace."""
-    blocks = blocks_for(record, cfg)
-    snapshots: list[tuple[float, tuple[int, ...]]] = []
+    """Replay one utterance as a streaming session and record its trace: per
+    block decision, a READ and then, if the block wrote anything, a WRITE of
+    its commit (or, in re-translation mode, always one of its snapshot)."""
     transcript = decode_session(
         model_factory,
-        blocks,
+        blocks_for(record, cfg),
         eos_id=eos_id,
         algo=cfg.algo,
         policy=cfg.policy_state(),
         retranslation=cfg.retranslation,
         cfg=cfg.search_config(),
-        snapshots=snapshots,
     )
     events: list[TraceEvent] = []
-    elapsed = 0.0
-    for index, block in enumerate(blocks):
-        elapsed += block.duration_ms
-        events.append(TraceEvent("READ", (index,), elapsed))
-    if cfg.retranslation:
-        writes = [TraceEvent("WRITE", tokens, t_ms) for t_ms, tokens in snapshots]
-    else:
-        writes = [
-            TraceEvent("WRITE", event.tokens, event.source_consumed_ms)
-            for event in transcript.commits
-        ]
-    events.extend(writes)
-    events.sort(key=lambda e: (e.source_consumed_ms, 0 if e.kind == "READ" else 1))
+    for index, decision in enumerate(transcript.decisions):
+        events.append(TraceEvent("READ", (index,), decision.source_ms))
+        if cfg.retranslation:
+            events.append(TraceEvent("WRITE", decision.best, decision.source_ms))
+        elif decision.committed:
+            events.append(TraceEvent("WRITE", decision.committed, decision.source_ms))
     return transcript, events
 
 

@@ -36,18 +36,20 @@ across the stacked rows, whose threshold and rounding margin both come from
 one full sort (selection by partition stalls on the many tied log-probs of a
 row), and a cap on exact ties leave only the candidates that can place, and
 one exact sort, by the ``math.fsum`` score and then by token order, ranks
-them. When the parents share one length, that token order is the parent's
-tokens and then the new token's id, so a candidate that does not place never
-gets a token tuple. Only the top ``width`` are built, each keeping the exact
-score it was ranked by, so no hypothesis is summed twice, and the Python work
-besides the model grows with the candidates that can place, not with the
-vocabulary. Repeated beams are looked for on a loop's first step only: the
-seeds may repeat, but the children of one step never do.
+them. A block's beams share one length, which :func:`_beam_loop` requires, so
+that token order is the parent's tokens and then the new token's id, and a
+candidate that does not place never gets a token tuple. Only the top
+``width`` are built, each keeping the exact score it was ranked by, so no
+hypothesis is summed twice, and the Python work besides the model grows with
+the candidates that can place, not with the vocabulary. Repeated beams are
+looked for on a loop's first step only: the seeds may repeat, but the
+children of one step never do.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
-local-agreement policy to decide how much of it to commit, and records the
-commit stream with source timestamps.
+local-agreement policy to decide how much of it to commit, and records each
+block's decision (the visible best and the tokens committed) with its source
+timestamp.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    BlockDecision,
     CommitEvent,
     Hypothesis,
     SearchConfig,
@@ -217,16 +220,14 @@ def _expand(
        group together in id order, and a candidate is dropped if the one
        ``width`` places before it is of its group.
     3. The exact ranking: what is left is scored with ``math.fsum``, once
-       per run of one ``(row, lp)`` group, and sorted. When the parents
-       share one length, which they always do inside :func:`decode_session`,
-       the key is ``(-score, parent tokens, token id)``: it orders as the
-       child's tokens would, a tie within a row compares one parent tuple
-       (by identity) and then one int, and only the placed candidates ever
-       get a token tuple. Parents of different lengths keep the child's
-       whole tuple, since a parent that is a proper prefix of another
-       would otherwise rank its children wrongly. The first ``width`` are
-       built, each storing the exact score it was ranked by, which the next
-       step's parent scores and :func:`select_best` read.
+       per run of one ``(row, lp)`` group, and sorted by
+       ``(-score, parent tokens, token id)``. The parents share one length
+       (:func:`_beam_loop` requires it), so the key orders as the child's
+       tokens would, a tie within a row compares one parent tuple (by
+       identity) and then one int, and only the placed candidates ever get
+       a token tuple. The first ``width`` are built, each storing the exact
+       score it was ranked by, which the next step's parent scores and
+       :func:`select_best` read.
     """
     matrix = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
@@ -262,12 +263,9 @@ def _expand(
         tied = np.zeros(flat.size, bool)
         tied[width:] = (values[width:] == values[:-width]) & (owner[width:] == owner[:-width])
         flat, values = flat[~tied], values[~tied]
-    # The key orders as the child's tokens would: by the parent's tokens and
-    # then the id when all parents have one length, else by the whole tuple.
-    # Keys are distinct (parents' tokens are, and so are the ids in a row),
-    # so the sort never compares beams.
-    length = len(active[0].tokens)
-    whole = any(len(beam.tokens) != length for beam in active)
+    # The key orders as the child's tokens would, since the parents share one
+    # length. Keys are distinct (parents' tokens are, and so are the ids in a
+    # row), so the sort never compares beams.
     ranked = []
     last_row, last_lp = -1, 0.0
     for i, lp in zip(flat.tolist(), values.tolist()):
@@ -276,7 +274,7 @@ def _expand(
         if row != last_row or lp != last_lp:
             last_row, last_lp = row, lp
             key = -math.fsum(beam.token_logprobs + (lp,))
-        ranked.append((key, beam.tokens + (token,) if whole else beam.tokens, token, beam, lp))
+        ranked.append((key, beam.tokens, token, beam, lp))
     ranked.sort()
     built = []
     for key, _, token, beam, lp in ranked[:width]:
@@ -319,7 +317,12 @@ def _beam_loop(
     beam or slot is left or the length cap is reached. A triggered candidate
     goes through ``on_trigger`` into the pool and vacates its slot (no
     refill); with ``halt`` the first trigger instead sends every ranked
-    candidate there and ends the loop. Returns ``(pool, still_active)``."""
+    candidate there and ends the loop. Returns ``(pool, still_active)``.
+
+    The seeds must be one or more beams of one length, as every block's are;
+    anything else raises ``ValueError`` before the first forward pass."""
+    if len({len(seed.tokens) for seed in seeds}) != 1:
+        raise ValueError("a block needs one or more beams, all of one length")
     pool: list[Hypothesis] = []
     active = list(seeds)
     may_repeat = True  # the seeds may repeat; the children of one step never do
@@ -419,19 +422,18 @@ def bwbs_block(
 ) -> tuple[Hypothesis, ...]:
     """One block of the conservative blockwise search.
 
-    ``beams`` all extend the committed prefix, which is ``floor`` tokens
-    long. All beams advance one token per step. The first step at which *any*
-    beam shows a repetition or EOS ends the block: the last two tokens are
-    removed from every beam (never below ``floor``) and the beams wait for
-    more source. No pruning to a single hypothesis happens here, so snapshots
-    may revise across blocks (re-translation semantics). A block in which no
-    beam has a finite continuation returns the incoming beams.
+    ``beams``, one or more of one length, all extend the committed prefix,
+    which is ``floor`` tokens long. All beams advance one token per step.
+    The first step at which *any* beam shows a repetition or EOS ends the
+    block: the last two tokens are removed from every beam (never below
+    ``floor``) and the beams wait for more source. No pruning to a single
+    hypothesis happens here, so snapshots may revise across blocks
+    (re-translation semantics). A block in which no beam has a finite
+    continuation returns the incoming beams.
 
     Source remains after the block: :func:`decode_session` runs the final
     block itself (:func:`_final_block`).
     """
-    if not beams:
-        raise ValueError("bwbs_block requires at least one active hypothesis")
     halted, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total, halt=True)
     return tuple(halted or active or beams)
 
@@ -458,8 +460,6 @@ def ibwbs_block(
     Source remains after the block: :func:`decode_session` runs the final
     block itself (:func:`_final_block`).
     """
-    if not beams:
-        raise ValueError("ibwbs_block requires at least one active hypothesis")
     stopped, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total)
     stopped.extend(active)  # length cap reached: survivors join unmodified
     return (select_best(stopped or beams),)
@@ -485,7 +485,6 @@ def decode_session(
     policy: PolicyState = PolicyState(),
     retranslation: bool = False,
     cfg: SearchConfig = SearchConfig(),
-    snapshots: list[tuple[float, tuple[int, ...]]] | None = None,
 ) -> SessionTranscript:
     """Drive one full utterance through per-block decoding.
 
@@ -503,11 +502,15 @@ def decode_session(
     its hypotheses by the source read so far (``max_output_tokens(elapsed)``),
     so no decision depends on source that has not arrived.
 
+    Each block leaves one :class:`~simulbeam.core.BlockDecision` on the
+    transcript's ``decisions``: the source time read, the visible best
+    hypothesis and the tokens committed. The last decision's best is the
+    final output.
+
     With ``retranslation=True`` nothing is committed and no policy may be
-    set: each block appends a ``(source_ms, tokens)`` snapshot of its best
-    hypothesis to ``snapshots`` (if given), the next block starts from every
-    beam this one returned (all of them for ``bwbs``, one for ``ibwbs``), and
-    the last snapshot is the final output.
+    set: each decision's best is the snapshot shown, and the next block
+    starts from every beam this one returned (all of them for ``bwbs``, one
+    for ``ibwbs``).
 
     For ``algo=BS`` every block triggers a full re-decode from the committed
     prefix via :func:`standard_beam_search`.
@@ -527,6 +530,7 @@ def decode_session(
     session = model_factory()
     beams: tuple[Hypothesis, ...] = (Hypothesis(),)
     commits: list[CommitEvent] = []
+    decisions: list[BlockDecision] = []
     elapsed = 0.0
     for block in blocks:
         session.ingest_block(block)
@@ -541,21 +545,20 @@ def decode_session(
             beams = _BLOCK_OPS[algo](beams, floor, session, cfg, eos_id, max_total)
             best = select_best(beams)
         visible = _strip_eos(best, eos_id)
-        if retranslation:
-            if snapshots is not None:
-                snapshots.append((elapsed, visible.tokens))
-            continue
-        if block.is_final:
-            new = visible.tokens[floor:]
-            policy = PolicyState(policy.kind, policy.n, policy.history, visible.tokens)
-        else:
-            policy, new = apply_policy(policy, visible)
-        if new:
-            commits.append(CommitEvent(tokens=new, source_consumed_ms=elapsed))
-        beams = (visible.sliced(len(policy.committed)),)
+        new: tuple[int, ...] = ()
+        if not retranslation:
+            if block.is_final:
+                new = visible.tokens[floor:]
+            else:
+                policy, new = apply_policy(policy, visible)
+                beams = (visible.sliced(len(policy.committed)),)
+            if new:
+                commits.append(CommitEvent(tokens=new, source_consumed_ms=elapsed))
+        decisions.append(BlockDecision(elapsed, visible.tokens, new))
     return SessionTranscript(
         commits=tuple(commits),
-        final_output=visible.tokens if retranslation else policy.committed,
+        final_output=decisions[-1].best,
         source_duration_ms=total_ms,
         forward_passes=session.forward_pass_count(),
+        decisions=tuple(decisions),
     )

@@ -1,9 +1,9 @@
 """Causality property: a decision taken after block k reads blocks 1..k only.
 
 Two streams share every block before the shorter one's final block; the
-longer one goes on with more source. Whatever the decoder committed (or,
-in re-translation mode, showed) up to the end of the shared blocks must be
-identical in both, or it depended on source that had not yet arrived. The
+longer one goes on with more source. Every block decision up to the end of
+the shared blocks (the best hypothesis shown and the tokens committed) must
+be identical in both, or it depended on source that had not yet arrived. The
 per-block length cap is the part this pins: it grows with the source read
 so far, not with the whole utterance.
 """
@@ -46,7 +46,6 @@ def test_decisions_before_the_final_block_ignore_later_source(
     shared_ms = sum(block.duration_ms for block in short_blocks[:-1])
 
     def decisions_in_shared_blocks(blocks):
-        snapshots: list = []
         transcript = decode_session(
             factory,
             blocks,
@@ -55,11 +54,8 @@ def test_decisions_before_the_final_block_ignore_later_source(
             policy=policy,
             retranslation=retranslation,
             cfg=SearchConfig(beam_size=beam, repetition_detection=detection),
-            snapshots=snapshots,
         )
-        if retranslation:
-            return [(t_ms, tokens) for t_ms, tokens in snapshots if t_ms <= shared_ms]
-        return [c for c in transcript.commits if c.source_consumed_ms <= shared_ms]
+        return [d for d in transcript.decisions if d.source_ms <= shared_ms]
 
     assert decisions_in_shared_blocks(short_blocks) == decisions_in_shared_blocks(
         as_blocks(longer, block_symbols)

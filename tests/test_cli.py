@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,3 +311,33 @@ class TestSweep:
              "--sweep-values", "a,b"]
         )
         assert code == 2
+
+
+def test_output_files_are_utf8_whatever_the_locale(workspace):
+    # Warnings for a locale-dependent default encoding are errors, and the C
+    # locale (not coerced to UTF-8) has no way to write a non-ASCII id.
+    tmp_path, _, model = workspace
+    corpus = tmp_path / "utf8.jsonl"
+    record = {"id": "café中", "source": [0, 1, 2], "reference": [0, 1, 2, 3], "block_ms": 250.0}
+    corpus.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    flags = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "simulbeam.cli"]
+    files = ["--corpus", str(corpus), "--model", model]
+    commands = [
+        ["eval", *files, "--out", str(tmp_path / "report.csv"),
+         "--json", str(tmp_path / "report.json")],
+        ["sweep", *files, "--sweep-param", "hold", "--sweep-values", "0,1",
+         "--out", str(tmp_path / "curve.csv")],
+        ["decode", *files, "--out", str(tmp_path / "trace.jsonl")],
+    ]
+    for command in commands:
+        done = subprocess.run(flags + command, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    report = (tmp_path / "report.csv").read_bytes().decode("utf-8")
+    assert report.splitlines()[1].startswith("café中,")
+    assert json.loads((tmp_path / "report.json").read_bytes().decode("utf-8"))["utterances"] == 1
+    assert (tmp_path / "curve.csv").read_bytes().decode("utf-8").count("\n") == 3
+    assert (tmp_path / "trace.jsonl").read_bytes().decode("utf-8").startswith('{"kind": "READ"')

@@ -21,7 +21,7 @@ from simulbeam import (
     make_toy_model,
     search,
 )
-from simulbeam.core import SearchConfig
+from simulbeam.core import BlockDecision, SearchConfig
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
 from simulbeam.search import (
     PolicyState,
@@ -598,6 +598,29 @@ class TestBeamStep:
             )
 
 
+class TestBeamsOfOneLength:
+    """A block starts from one or more beams of one length. No beams, or a
+    beam beside a longer one, is one named error before any forward pass."""
+
+    OPS = {
+        "bwbs": bwbs_block,
+        "ibwbs": ibwbs_block,
+        "final": lambda beams, floor, *args: search._final_block(beams, *args),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize(
+        "beams", [(), (Hypothesis((1,), (-0.5,)), Hypothesis((1, 0), (-0.25, -0.25)))]
+    )
+    def test_rejected_before_any_forward_pass(self, op, beams):
+        session = RecordingSession(VectorSession(lambda level, prefix: [-0.7] * 6))
+        session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
+        message = r"^a block needs one or more beams, all of one length$"
+        with pytest.raises(ValueError, match=message):
+            self.OPS[op](beams, 0, session, SearchConfig(beam_size=2), 5, 4)
+        assert session.calls == ["ingest_block"]
+
+
 class TestBatchedGuard:
     """A step's answers are checked for NaN and ``+inf`` together, after the
     step's last query, and the error names the first offending prefix."""
@@ -668,12 +691,13 @@ def test_block_ops_return_exact_scores(model, beam, detection, data):
     # final block return has the exact sum of its log-probs as its score.
     factory, vocab_size, eos_id, blocks, logprob = model
     cfg = SearchConfig(beam_size=beam, repetition_detection=detection)
+    length = data.draw(st.integers(0, 3), label="length")  # a block's beams share one length
     seeds = []
     for _ in range(data.draw(st.integers(1, 3), label="seeds")):
-        tokens = tuple(data.draw(st.lists(st.integers(0, vocab_size - 1), max_size=3)))
-        lps = tuple(data.draw(st.lists(logprob, min_size=len(tokens), max_size=len(tokens))))
-        seeds.append(Hypothesis(tokens, lps))
-    max_total = max(map(len, seeds)) + data.draw(st.integers(0, 6), label="headroom")
+        tokens = st.lists(st.integers(0, vocab_size - 1), min_size=length, max_size=length)
+        lps = st.lists(logprob, min_size=length, max_size=length)
+        seeds.append(Hypothesis(tuple(data.draw(tokens)), tuple(data.draw(lps))))
+    max_total = length + data.draw(st.integers(0, 6), label="headroom")
     expand = search._expand
     seen: list[Hypothesis] = []
 
@@ -758,14 +782,13 @@ class TestDecodeSession:
             Block(payload=(0,), duration_ms=500.0, is_final=False),
             Block(payload=(1,), duration_ms=500.0, is_final=True),
         ]
-        snapshots: list = []
         transcript = decode_session(
             factory, blocks, eos_id=TWO_PATH_EOS, algo=Algorithm.BWBS,
             retranslation=True, cfg=SearchConfig(beam_size=2),
-            snapshots=snapshots,
         )
         assert transcript.commits == ()
-        assert snapshots == [(500.0, (0,)), (1000.0, (1, 2))]
+        assert transcript.decisions == (BlockDecision(500.0, (0,), ()),
+                                        BlockDecision(1000.0, (1, 2), ()))
         assert transcript.final_output == (1, 2)
 
     def test_prefix_monotone_commits(self):

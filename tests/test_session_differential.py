@@ -4,12 +4,16 @@ a local of its own and drives the reference block ops.
 
 Both sides decode the same random toy utterance, and must agree exactly on
 the transcript (commits with their timestamps, final output, forward
-passes), on the re-translation snapshots and on any error raised.
+passes), on the re-translation snapshots and on any error raised. The
+reference hands its snapshots out through a ``snapshots`` list; the new
+side records one decision per block on the transcript, whose best is the
+snapshot.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,16 +21,30 @@ from hypothesis import strategies as st
 import reference_search
 from conftest import POLICIES, as_blocks, random_toy
 from simulbeam import Algorithm, ContextMode, make_toy_model
-from simulbeam.core import SearchConfig
+from simulbeam.core import CommitEvent, SearchConfig
 from simulbeam.search import PolicyState, decode_session
 
 
 def _outcome(decode, *args, **kwargs):
     snapshots: list = []
+    if decode is reference_search.decode_session:
+        kwargs["snapshots"] = snapshots
     try:
-        transcript = decode(*args, snapshots=snapshots, **kwargs)
+        transcript = decode(*args, **kwargs)
     except ValueError as exc:
         return "raised", str(exc)
+    if decode is decode_session:
+        decisions = transcript.decisions
+        # One decision per block, stamped with the source time read so far.
+        assert [d.source_ms for d in decisions] == list(
+            accumulate(block.duration_ms for block in args[1])
+        )
+        assert decisions[-1].best == transcript.final_output
+        assert transcript.commits == tuple(
+            CommitEvent(d.committed, d.source_ms) for d in decisions if d.committed
+        )
+        if kwargs["retranslation"]:
+            snapshots = [(d.source_ms, d.best) for d in decisions]
     return "returned", transcript, snapshots
 
 

@@ -110,8 +110,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` as UTF-8, to ``out`` or to stdout, whatever the locale."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
     else:
         Path(out).write_text(text, encoding="utf-8")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -81,21 +81,6 @@ class Hypothesis:
 
 
 @dataclass(frozen=True)
-class CommitEvent:
-    """Tokens irrevocably shown to the user, stamped with the amount of
-    source time that had been read when they were emitted."""
-
-    tokens: tuple[int, ...]
-    source_consumed_ms: float
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ValueError("a commit must carry at least one token")
-        if self.source_consumed_ms < 0:
-            raise ValueError("source_consumed_ms must be non-negative")
-
-
-@dataclass(frozen=True)
 class BlockDecision:
     """What one block decided, stamped with the source time read by its end:
     ``best`` is the visible best hypothesis (no EOS), ``committed`` the tokens
@@ -108,38 +93,43 @@ class BlockDecision:
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """Complete record of one decoding session.
+    """Complete record of one decoding session: one :class:`BlockDecision`
+    per block, in order, and the forward passes the session spent.
 
-    ``decisions`` holds one :class:`BlockDecision` per block, in order, and
-    the last one's ``best`` is ``final_output``; equality ignores them. For
-    incremental sessions the commit stream concatenates to ``final_output``.
-    Sessions that revise their output (re-translation) carry no commits:
-    each decision's ``best`` is the snapshot shown after that block.
+    The last decision's ``best`` is the final output and its ``source_ms``
+    the source duration. In incremental sessions the committed tokens
+    concatenate to the final output, each stamped with its block's
+    ``source_ms``. Sessions that revise their output (re-translation) commit
+    nothing: each decision's ``best`` is the snapshot shown after that block.
     """
 
-    commits: tuple[CommitEvent, ...]
-    final_output: tuple[int, ...]
-    source_duration_ms: float
+    decisions: tuple[BlockDecision, ...]
     forward_passes: int
-    decisions: tuple[BlockDecision, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.source_duration_ms <= 0:
-            raise ValueError("source_duration_ms must be positive")
+        if not self.decisions:
+            raise ValueError("a transcript needs at least one block decision")
         if self.forward_passes < 0:
             raise ValueError("forward_passes must be non-negative")
-        if self.commits:
-            joined: tuple[int, ...] = ()
-            last = 0.0
-            for event in self.commits:
-                joined += event.tokens
-                if event.source_consumed_ms < last:
-                    raise ValueError("commit timestamps must be non-decreasing")
-                if event.source_consumed_ms > self.source_duration_ms:
-                    raise ValueError("commit timestamp exceeds source duration")
-                last = event.source_consumed_ms
-            if joined != self.final_output:
-                raise ValueError("commits must concatenate to final_output")
+        if not self.decisions[0].source_ms > 0:
+            raise ValueError("source_ms must be positive")
+        joined: tuple[int, ...] = ()
+        last = 0.0
+        for decision in self.decisions:
+            if not decision.source_ms >= last:
+                raise ValueError("decision timestamps must be non-decreasing")
+            joined += decision.committed
+            last = decision.source_ms
+        if joined and joined != self.final_output:
+            raise ValueError("committed tokens must concatenate to the last best")
+
+    @property
+    def final_output(self) -> tuple[int, ...]:
+        return self.decisions[-1].best
+
+    @property
+    def source_duration_ms(self) -> float:
+        return self.decisions[-1].source_ms
 
 
 MAX_TOKENS_PER_SECOND = 10.0  # output tokens allowed per source second

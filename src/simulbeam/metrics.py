@@ -25,7 +25,7 @@ class LatencyInput:
     """Per-token emission delays for one utterance.
 
     ``delays_ms[i]`` is the source time consumed when output token ``i`` was
-    emitted; every token of a commit inherits its event's timestamp.
+    emitted; every token a block committed carries that block's timestamp.
     """
 
     delays_ms: tuple[float, ...]
@@ -47,10 +47,8 @@ class LatencyInput:
 
 
 def token_delays(transcript: SessionTranscript) -> tuple[float, ...]:
-    """Flatten a commit stream into one delay per output token."""
-    return tuple(
-        event.source_consumed_ms for event in transcript.commits for _ in event.tokens
-    )
+    """One delay per committed token: the source time its block had read."""
+    return tuple(d.source_ms for d in transcript.decisions for _ in d.committed)
 
 
 def _lagging(inp: LatencyInput, rate_denominator: int) -> float:

@@ -63,7 +63,6 @@ import numpy as np
 
 from .core import (
     BlockDecision,
-    CommitEvent,
     Hypothesis,
     SearchConfig,
     SessionTranscript,
@@ -504,8 +503,9 @@ def decode_session(
 
     Each block leaves one :class:`~simulbeam.core.BlockDecision` on the
     transcript's ``decisions``: the source time read, the visible best
-    hypothesis and the tokens committed. The last decision's best is the
-    final output.
+    hypothesis and the tokens committed. The decisions and the forward
+    passes are the whole transcript: the last decision's best is the final
+    output, and its source time the source duration.
 
     With ``retranslation=True`` nothing is committed and no policy may be
     set: each decision's best is the snapshot shown, and the next block
@@ -524,12 +524,10 @@ def decode_session(
         raise ValueError("the block stream must end with exactly one final block")
     if retranslation and policy.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
-    total_ms = sum(b.duration_ms for b in blocks)
-    if not total_ms < math.inf:
+    if not sum(b.duration_ms for b in blocks) < math.inf:
         raise ValueError("the blocks' total duration must be finite")
     session = model_factory()
     beams: tuple[Hypothesis, ...] = (Hypothesis(),)
-    commits: list[CommitEvent] = []
     decisions: list[BlockDecision] = []
     elapsed = 0.0
     for block in blocks:
@@ -552,13 +550,5 @@ def decode_session(
             else:
                 policy, new = apply_policy(policy, visible)
                 beams = (visible.sliced(len(policy.committed)),)
-            if new:
-                commits.append(CommitEvent(tokens=new, source_consumed_ms=elapsed))
         decisions.append(BlockDecision(elapsed, visible.tokens, new))
-    return SessionTranscript(
-        commits=tuple(commits),
-        final_output=decisions[-1].best,
-        source_duration_ms=total_ms,
-        forward_passes=session.forward_pass_count(),
-        decisions=tuple(decisions),
-    )
+    return SessionTranscript(tuple(decisions), session.forward_pass_count())

@@ -36,7 +36,7 @@ def dump_corpus(records, path) -> None:
         )
         for r in records
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def spec_to_json(spec: ToyTransducerSpec, vocab: Vocabulary) -> dict:

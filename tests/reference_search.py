@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from simulbeam import Algorithm, Block, Hypothesis, PolicyKind
 from simulbeam.core import (
-    CommitEvent,
+    BlockDecision,
     SearchConfig,
     SessionTranscript,
     StopReason,
@@ -184,25 +184,24 @@ def decode_session(
     policy: PolicyState | None = None,
     retranslation: bool = False,
     cfg: SearchConfig = SearchConfig(),
-    snapshots: list[tuple[float, tuple[int, ...]]] | None = None,
 ) -> SessionTranscript:
     """The session loop as it stood before the committed prefix moved into
-    the policy state: it keeps its own ``committed`` and ``last_best``, runs
-    the final block outside the policy, and in re-translation mode carries
-    every beam for ``bwbs`` and only the best for the others."""
+    the policy state: it keeps its own ``committed``, runs the final block
+    outside the policy, and in re-translation mode carries every beam for
+    ``bwbs`` and only the best for the others. Each block records one
+    decision: the source time read, the visible best and the tokens it
+    committed."""
     blocks = list(blocks)
     if not blocks or not blocks[-1].is_final or any(b.is_final for b in blocks[:-1]):
         raise ValueError("the block stream must end with exactly one final block")
     policy_state = policy if policy is not None else PolicyState()
     if retranslation and policy_state.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
-    total_ms = sum(b.duration_ms for b in blocks)
     session = model_factory()
     block_ops = {Algorithm.BWBS: bwbs_block, Algorithm.IBWBS: ibwbs_block}
     committed: tuple[int, ...] = ()
     carry: tuple[Hypothesis, ...] = (Hypothesis(),)
-    commits: list[CommitEvent] = []
-    last_best = Hypothesis()
+    decisions: list[BlockDecision] = []
     elapsed = 0.0
     for block in blocks:
         session.ingest_block(block)
@@ -217,24 +216,16 @@ def decode_session(
             )
             best = select_best(beams)
         visible = _strip_eos(best, eos_id)
+        new: tuple[int, ...] = ()
         if not retranslation:
             if block.is_final:
                 new = visible.tokens[len(committed) :]
             else:
                 policy_state, new = apply_policy(policy_state, visible)
             if new:
-                commits.append(CommitEvent(tokens=tuple(new), source_consumed_ms=elapsed))
                 committed = committed + tuple(new)
             carry = (visible.sliced(len(committed)),)
         else:
-            if snapshots is not None:
-                snapshots.append((elapsed, visible.tokens))
-            last_best = visible
             carry = beams if algo is Algorithm.BWBS else (best,)
-    final_output = last_best.tokens if retranslation else committed
-    return SessionTranscript(
-        commits=tuple(commits),
-        final_output=final_output,
-        source_duration_ms=total_ms,
-        forward_passes=session.forward_pass_count(),
-    )
+        decisions.append(BlockDecision(elapsed, visible.tokens, tuple(new)))
+    return SessionTranscript(tuple(decisions), session.forward_pass_count())

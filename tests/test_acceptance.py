@@ -118,10 +118,10 @@ def test_criterion_2_prefix_monotonicity():
             cfg=SearchConfig(beam_size=3),
         )
         joined: tuple[int, ...] = ()
-        for event in transcript.commits:
-            previous = joined
-            joined += event.tokens
-            if len(joined) <= len(previous) or joined[: len(previous)] != previous:
+        for decision in transcript.decisions:
+            joined += decision.committed
+            # Everything committed so far is a prefix of what the block shows.
+            if decision.best[: len(joined)] != joined:
                 violations += 1
         if joined != transcript.final_output:
             violations += 1
@@ -160,7 +160,7 @@ def test_criterion_3_ibwbs_beats_bwbs_on_two_path_fixture():
             cfg=SearchConfig(beam_size=2),
         )
         return tuple(
-            t for e in transcript.commits if e.source_consumed_ms <= 500.0 for t in e.tokens
+            t for d in transcript.decisions if d.source_ms <= 500.0 for t in d.committed
         )
 
     relaxed_commit = first_block_commit(Algorithm.IBWBS)
@@ -313,7 +313,7 @@ def test_criterion_8_determinism(tmp_path):
 
     spec, vocab = ladder_spec(symbols=6)
     model_path = tmp_path / "model.json"
-    model_path.write_text(json_module.dumps(spec_to_json(spec, vocab)))
+    model_path.write_text(json_module.dumps(spec_to_json(spec, vocab)), encoding="utf-8")
     corpus_path = tmp_path / "corpus.jsonl"
     dump_corpus([ladder_record("u1", 6), ladder_record("u2", 4)], corpus_path)
     outputs = []

@@ -21,7 +21,7 @@ from conftest import dump_corpus, ladder_record, ladder_spec, spec_to_json
 def workspace(tmp_path):
     spec, vocab = ladder_spec(symbols=6)
     model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps(spec_to_json(spec, vocab)))
+    model_path.write_text(json.dumps(spec_to_json(spec, vocab)), encoding="utf-8")
     corpus_path = tmp_path / "corpus.jsonl"
     dump_corpus([ladder_record("u1", 6), ladder_record("u2", 4)], corpus_path)
     return tmp_path, str(corpus_path), str(model_path)
@@ -102,10 +102,10 @@ class TestEval:
              "--policy", "hold:1", "--out", str(out), "--json", str(json_out)]
         )
         assert code == 0
-        lines = out.read_text().strip().split("\n")
+        lines = out.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "id,algo,policy,param,bleu,al_ms,laal_ms,fw_passes"
         assert lines[-1].split(",")[0] == "corpus"
-        assert json.loads(json_out.read_text())["policy"] == "hold"
+        assert json.loads(json_out.read_text(encoding="utf-8"))["policy"] == "hold"
 
     def test_missing_corpus_is_input_error(self, workspace, capsys):
         tmp_path, _, model = workspace
@@ -131,7 +131,8 @@ class TestEval:
         tmp_path, _, model = workspace
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text(
-            '{"id": "u", "source": [0], "reference": [0, 1], "block_ms": %s}\n' % value
+            '{"id": "u", "source": [0], "reference": [0, 1], "block_ms": %s}\n' % value,
+            encoding="utf-8",
         )
         code = run(["eval", "--corpus", str(corpus), "--model", model])
         assert code == 1
@@ -150,18 +151,20 @@ class TestEval:
     ):
         tmp_path, _, model = workspace
         corpus = tmp_path / "bad.jsonl"
-        corpus.write_text(corpus_line + "\n")
-        doc = json.loads((tmp_path / "model.json").read_text())
-        (tmp_path / "bad_model.json").write_text(json.dumps({**doc, **model_patch}))
+        corpus.write_text(corpus_line + "\n", encoding="utf-8")
+        doc = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        (tmp_path / "bad_model.json").write_text(
+            json.dumps({**doc, **model_patch}), encoding="utf-8"
+        )
         code = run(["eval", "--corpus", str(corpus), "--model", str(tmp_path / "bad_model.json")])
         assert code == 1
         assert "must be a JSON number" in capsys.readouterr().err
 
     def test_non_canonical_mapping_key_is_input_error(self, workspace, capsys):
         tmp_path, corpus, _ = workspace
-        doc = json.loads((tmp_path / "model.json").read_text())
+        doc = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
         doc["mapping"]["00"] = doc["mapping"]["0"]
-        (tmp_path / "bad_model.json").write_text(json.dumps(doc))
+        (tmp_path / "bad_model.json").write_text(json.dumps(doc), encoding="utf-8")
         code = run(["eval", "--corpus", corpus, "--model", str(tmp_path / "bad_model.json")])
         assert code == 1
         assert "mapping key '00' is not a canonical integer" in capsys.readouterr().err
@@ -184,7 +187,8 @@ class TestEval:
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text(
             '{"id": "u", "source": [0], "reference": [0, 1], "block_ms": 250}\n'
-            '{"id": %s, "source": [0], "reference": [0, 1], "block_ms": 250}\n' % value
+            '{"id": %s, "source": [0], "reference": [0, 1], "block_ms": 250}\n' % value,
+            encoding="utf-8",
         )
         code = run(["eval", "--corpus", str(corpus), "--model", model])
         assert code == 1
@@ -202,8 +206,10 @@ class TestEval:
     )
     def test_bad_model_shape_is_input_error(self, workspace, capsys, patch, message):
         tmp_path, corpus, _ = workspace
-        doc = json.loads((tmp_path / "model.json").read_text())
-        (tmp_path / "bad_model.json").write_text(json.dumps({**doc, **patch}))
+        doc = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        (tmp_path / "bad_model.json").write_text(
+            json.dumps({**doc, **patch}), encoding="utf-8"
+        )
         code = run(["eval", "--corpus", corpus, "--model", str(tmp_path / "bad_model.json")])
         assert code == 1
         assert f"input error: {tmp_path / 'bad_model.json'}: {message}" in capsys.readouterr().err
@@ -219,8 +225,8 @@ class TestEval:
     )
     def test_loose_model_spec_is_input_error(self, workspace, capsys, edit, message):
         tmp_path, corpus, _ = workspace
-        doc = json.loads((tmp_path / "model.json").read_text())
-        (tmp_path / "bad_model.json").write_text(json.dumps(edit(doc)))
+        doc = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        (tmp_path / "bad_model.json").write_text(json.dumps(edit(doc)), encoding="utf-8")
         code = run(["eval", "--corpus", corpus, "--model", str(tmp_path / "bad_model.json")])
         assert code == 1
         assert f"input error: {tmp_path / 'bad_model.json'}: {message}" in capsys.readouterr().err
@@ -247,7 +253,8 @@ class TestEval:
         tmp_path, _, model = workspace
         corpus = tmp_path / "long.jsonl"
         corpus.write_text(
-            '{"id": "u", "source": [0, 1], "reference": [0, 1], "block_ms": 1e308}\n'
+            '{"id": "u", "source": [0, 1], "reference": [0, 1], "block_ms": 1e308}\n',
+            encoding="utf-8",
         )
         code = run(["eval", "--corpus", str(corpus), "--model", model])
         assert code == 1
@@ -273,8 +280,8 @@ class TestEval:
             )
             == 0
         )
-        on_fw = int(base.read_text().strip().split("\n")[-1].split(",")[-1])
-        off_fw = int(off.read_text().strip().split("\n")[-1].split(",")[-1])
+        on_fw = int(base.read_text(encoding="utf-8").strip().split("\n")[-1].split(",")[-1])
+        off_fw = int(off.read_text(encoding="utf-8").strip().split("\n")[-1].split(",")[-1])
         # Without the trigger the per-block loops run to the length cap.
         assert off_fw > on_fw
 
@@ -288,7 +295,7 @@ class TestSweep:
              "--sweep-values", "0,1,2", "--out", str(out)]
         )
         assert code == 0
-        lines = out.read_text().strip().split("\n")
+        lines = out.read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 4
         assert [line.split(",")[3] for line in lines[1:]] == ["0", "1", "2"]
         laal_values = [float(line.split(",")[6]) for line in lines[1:]]
@@ -315,7 +322,8 @@ class TestSweep:
 
 def test_output_files_are_utf8_whatever_the_locale(workspace):
     # Warnings for a locale-dependent default encoding are errors, and the C
-    # locale (not coerced to UTF-8) has no way to write a non-ASCII id.
+    # locale (not coerced to UTF-8) has no way to write a non-ASCII id. The
+    # same goes for stdout, which eval and decode write without --out.
     tmp_path, _, model = workspace
     corpus = tmp_path / "utf8.jsonl"
     record = {"id": "café中", "source": [0, 1, 2], "reference": [0, 1, 2, 3], "block_ms": 250.0}
@@ -332,10 +340,17 @@ def test_output_files_are_utf8_whatever_the_locale(workspace):
         ["sweep", *files, "--sweep-param", "hold", "--sweep-values", "0,1",
          "--out", str(tmp_path / "curve.csv")],
         ["decode", *files, "--out", str(tmp_path / "trace.jsonl")],
+        ["eval", *files],
+        ["decode", *files],
     ]
+    stdout = []
     for command in commands:
         done = subprocess.run(flags + command, env=env, capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        stdout.append(done.stdout)
+    assert stdout[:3] == [b"", b"", b""]
+    assert stdout[3] == (tmp_path / "report.csv").read_bytes()
+    assert stdout[4] == (tmp_path / "trace.jsonl").read_bytes()
     report = (tmp_path / "report.csv").read_bytes().decode("utf-8")
     assert report.splitlines()[1].startswith("café中,")
     assert json.loads((tmp_path / "report.json").read_bytes().decode("utf-8"))["utterances"] == 1

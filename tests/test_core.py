@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from simulbeam import Hypothesis
 from simulbeam.core import (
-    CommitEvent,
+    BlockDecision,
     SearchConfig,
     SessionTranscript,
     StopReason,
@@ -145,21 +145,32 @@ class TestValidation:
         assert [f.name for f in dataclasses.fields(Hypothesis)] == ["tokens", "token_logprobs"]
         assert isinstance(vars(Hypothesis)["score"], property)
 
-    def test_commit_event_requires_tokens(self):
-        with pytest.raises(ValueError):
-            CommitEvent(tokens=(), source_consumed_ms=10.0)
+    def test_transcript_needs_a_decision(self):
+        with pytest.raises(ValueError, match="at least one block decision"):
+            SessionTranscript((), 0)
 
     def test_transcript_commit_concatenation(self):
-        commits = (CommitEvent((1,), 100.0), CommitEvent((2, 3), 200.0))
-        transcript = SessionTranscript(commits, (1, 2, 3), 200.0, 5)
+        decisions = (BlockDecision(100.0, (1, 4), (1,)), BlockDecision(200.0, (1, 2, 3), (2, 3)))
+        transcript = SessionTranscript(decisions, 5)
         assert transcript.final_output == (1, 2, 3)
-        with pytest.raises(ValueError):
-            SessionTranscript(commits, (1, 2), 200.0, 5)
+        assert transcript.source_duration_ms == 200.0
+        with pytest.raises(ValueError, match="concatenate"):
+            SessionTranscript(decisions[:1] + (BlockDecision(200.0, (1, 2), (2, 3)),), 5)
+        # Re-translation commits nothing: the output is the last snapshot.
+        snapshots = (BlockDecision(100.0, (4,), ()), BlockDecision(200.0, (1, 2), ()))
+        assert SessionTranscript(snapshots, 3).final_output == (1, 2)
 
     def test_transcript_timestamps_monotone(self):
-        commits = (CommitEvent((1,), 200.0), CommitEvent((2,), 100.0))
-        with pytest.raises(ValueError):
-            SessionTranscript(commits, (1, 2), 200.0, 0)
+        backwards = (BlockDecision(200.0, (1,), (1,)), BlockDecision(100.0, (1, 2), (2,)))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            SessionTranscript(backwards, 0)
+        same = (BlockDecision(100.0, (1,), (1,)), BlockDecision(100.0, (1, 2), (2,)))
+        assert SessionTranscript(same, 0).source_duration_ms == 100.0
+
+    def test_transcript_source_time_positive(self):
+        for source_ms in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                SessionTranscript((BlockDecision(source_ms, (), ()),), 0)
 
     def test_search_config_bounds(self):
         with pytest.raises(ValueError):

@@ -49,7 +49,7 @@ def ladder_setup():
 class TestLoadCorpus:
     def _write(self, tmp_path, lines):
         path = tmp_path / "corpus.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
     def test_valid_two_lines(self, tmp_path):

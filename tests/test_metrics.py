@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simulbeam import Algorithm, Block, EvalReport, Hypothesis, make_toy_model
-from simulbeam.core import CommitEvent, SearchConfig, SessionTranscript
+from simulbeam.core import BlockDecision, SearchConfig, SessionTranscript
 from simulbeam.metrics import (
     LatencyInput,
     UtteranceReport,
@@ -202,16 +202,18 @@ class TestForwardPassAccounting:
         assert session.forward_pass_count() == 3 * 4
 
     def test_transcript_carries_session_count(self):
-        transcript = SessionTranscript((), (), 100.0, forward_passes=17)
+        transcript = SessionTranscript((BlockDecision(100.0, (), ()),), forward_passes=17)
         assert transcript.forward_passes == 17
 
 
 class TestTokenDelays:
-    def test_every_token_inherits_its_commit_timestamp(self):
+    def test_every_token_inherits_its_block_timestamp(self):
         transcript = SessionTranscript(
-            commits=(CommitEvent((1, 2), 400.0), CommitEvent((3,), 900.0)),
-            final_output=(1, 2, 3),
-            source_duration_ms=900.0,
+            decisions=(
+                BlockDecision(400.0, (1, 2, 4), (1, 2)),
+                BlockDecision(600.0, (1, 2, 4), ()),
+                BlockDecision(900.0, (1, 2, 3), (3,)),
+            ),
             forward_passes=0,
         )
         assert token_delays(transcript) == (400.0, 400.0, 900.0)

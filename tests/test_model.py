@@ -386,7 +386,10 @@ class TestSpecValidationAndJson:
     )
     def test_non_integer_ids_are_rejected(self, tmp_path, key, value):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, key: value}))
+        path.write_text(
+            json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, key: value}),
+            encoding="utf-8",
+        )
         with pytest.raises(ValueError, match=f"model.json: .*{key}.* integer"):
             load_model_file(path)
 
@@ -397,7 +400,10 @@ class TestSpecValidationAndJson:
     )
     def test_mapping_target_must_be_an_array(self, tmp_path, target, shown):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": target}}))
+        path.write_text(
+            json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": target}}),
+            encoding="utf-8",
+        )
         message = ("model.json: malformed model mapping: mapping for symbol 0 must be "
                    f"a JSON array of integer ids, got {shown}")
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
@@ -413,7 +419,7 @@ class TestSpecValidationAndJson:
     def test_non_number_epsilon_is_rejected(self, tmp_path, value):
         path = tmp_path / "model.json"
         doc = {"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, "epsilon": value}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match="model.json: epsilon must be a JSON number"):
             load_model_file(path)
 
@@ -433,14 +439,17 @@ class TestSpecValidationAndJson:
     def test_wrong_json_shape_is_named(self, tmp_path, key, value, message):
         path = tmp_path / "model.json"
         doc = {"vocab": ["a", "b", "<eos>"], "mapping": {"0": [0]}, key: value}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match=f"model.json: model {message}$"):
             load_model_file(path)
 
     @pytest.mark.parametrize("mode", ["REPEAT", "Eos", " repeat", None, 1])
     def test_mode_must_be_an_exact_lowercase_name(self, tmp_path, mode):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, "mode": mode}))
+        path.write_text(
+            json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}, "mode": mode}),
+            encoding="utf-8",
+        )
         message = f"model.json: mode must be one of repeat, eos, hallucinate, got {mode!r}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             load_model_file(path)
@@ -451,16 +460,19 @@ class TestSpecValidationAndJson:
     )
     def test_spec_must_be_a_json_object(self, tmp_path, doc):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match="model.json: model spec must be a JSON object$"):
             load_model_file(path)
 
     def test_load_model_file_reports_path(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="model.json"):
             load_model_file(path)
-        path.write_text(json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}}))
+        path.write_text(
+            json.dumps({"vocab": ["a", "<eos>"], "mapping": {"0": [0]}}),
+            encoding="utf-8",
+        )
         spec, vocab = load_model_file(path)
         assert spec.mapping == {0: (0,)}
         assert vocab.eos_id == 1

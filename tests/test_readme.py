@@ -12,7 +12,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_library_use_runs_and_states_the_public_api(monkeypatch, capsys):
-    section = README.read_text().split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
     example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     monkeypatch.chdir(README.parent)
     exec(compile(example, str(README), "exec"), {})

@@ -22,6 +22,7 @@ from simulbeam import (
     search,
 )
 from simulbeam.core import BlockDecision, SearchConfig
+from simulbeam.metrics import token_delays
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
 from simulbeam.search import (
     PolicyState,
@@ -430,7 +431,7 @@ class TestBeamStep:
                cfg=SearchConfig(beam_size=2))
             for fn in (decode_session, reference_search.decode_session)
         )
-        assert new.commits[0].tokens == (0,)
+        assert new.decisions[0].committed == (0,)
         assert new == reference
 
     def test_exact_ties_keep_lowest_ids(self):
@@ -732,10 +733,23 @@ class TestDecodeSession:
             algo=Algorithm.IBWBS, policy=PolicyState(PolicyKind.HOLD, 0),
         )
         assert transcript.final_output == reference_for(spec, (0, 1))
-        assert len(transcript.commits) == 2
-        assert transcript.commits[0].tokens == (0, 1)
-        assert transcript.commits[0].source_consumed_ms == 250.0
-        assert transcript.commits[1].source_consumed_ms == 500.0
+        first, second = transcript.decisions
+        assert first.committed == (0, 1) and first.source_ms == 250.0
+        assert second.committed and second.source_ms == 500.0
+
+    def test_source_duration_is_the_last_block_time_whatever_sum_rounds(self, monkeypatch):
+        # Python 3.12's sum() of floats is compensated, so it can round the
+        # blocks' total differently from the running sum that stamps each
+        # block; math.fsum stands in for it here.
+        monkeypatch.setattr(search, "sum", math.fsum, raising=False)
+        spec, vocab = ladder_spec(symbols=6)
+        transcript = decode_session(
+            make_toy_model(spec, vocab), as_blocks(range(6), 1, symbol_ms=0.3),
+            eos_id=vocab.eos_id, algo=Algorithm.IBWBS,
+        )
+        assert transcript.final_output == reference_for(spec, range(6))
+        assert transcript.source_duration_ms == transcript.decisions[-1].source_ms
+        assert token_delays(transcript)[-1] == transcript.source_duration_ms
 
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_single_final_block_is_offline_decoding(self, algo):
@@ -745,8 +759,9 @@ class TestDecodeSession:
         assert len(blocks) == 1
         transcript = decode_session(factory, blocks, eos_id=vocab.eos_id, algo=algo)
         assert transcript.final_output == reference_for(spec, (0, 1, 2))
-        assert len(transcript.commits) == 1
-        assert transcript.commits[0].source_consumed_ms == transcript.source_duration_ms
+        [decision] = transcript.decisions
+        assert decision.committed == transcript.final_output
+        assert decision.source_ms == transcript.source_duration_ms == 3 * 250.0
 
     def test_offline_equivalence_across_algorithms(self):
         rng = random.Random(31)
@@ -786,7 +801,6 @@ class TestDecodeSession:
             factory, blocks, eos_id=TWO_PATH_EOS, algo=Algorithm.BWBS,
             retranslation=True, cfg=SearchConfig(beam_size=2),
         )
-        assert transcript.commits == ()
         assert transcript.decisions == (BlockDecision(500.0, (0,), ()),
                                         BlockDecision(1000.0, (1, 2), ()))
         assert transcript.final_output == (1, 2)
@@ -808,10 +822,9 @@ class TestDecodeSession:
                 policy=rng.choice(policies), cfg=SearchConfig(beam_size=3),
             )
             joined: tuple[int, ...] = ()
-            for event in transcript.commits:
-                previous = joined
-                joined += event.tokens
-                assert joined[: len(previous)] == previous
+            for decision in transcript.decisions:
+                joined += decision.committed
+                assert decision.best[: len(joined)] == joined
             assert joined == transcript.final_output
 
     @pytest.mark.parametrize("retranslation", [False, True], ids=["incremental", "retranslation"])
@@ -828,7 +841,7 @@ class TestDecodeSession:
             retranslation=retranslation,
         )
         assert transcript.final_output == ()
-        assert transcript.commits == ()
+        assert all(d.committed == () for d in transcript.decisions)
 
     @pytest.mark.parametrize("retranslation", [False, True], ids=["incremental", "retranslation"])
     @pytest.mark.parametrize("algo", list(Algorithm))
@@ -911,4 +924,4 @@ class TestDecodeSession:
             cfg=SearchConfig(repetition_detection=False),
         )
         assert transcript.final_output == reference_for(spec, (0, 1, 2, 3))
-        assert len(transcript.commits) >= 2
+        assert sum(1 for d in transcript.decisions if d.committed) >= 2

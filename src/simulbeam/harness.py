@@ -5,9 +5,10 @@ A corpus is a JSONL file, one utterance per line:
     {"id": str, "source": [int], "reference": [int], "block_ms": number}
 
 ``id`` is a non-empty JSON string with no double quote, comma, line feed or
-carriage return, since the CSV report carries it unquoted. ``block_ms`` is the
-duration of one source symbol, a positive and finite JSON number; the source
-and reference ids are JSON integers. An utterance is replayed by splitting
+carriage return, since the CSV report carries it unquoted, and it is not
+``corpus``, the aggregate row's id. ``block_ms`` is the duration of one source
+symbol, a positive and finite JSON number; the source and reference ids are
+JSON integers. An utterance is replayed by splitting
 its source into fixed-size blocks, advancing the clock by the block duration
 per READ. Each block's decision is a READ and then, if it wrote anything, a
 WRITE of its commit (in re-translation mode, of its snapshot); the resulting
@@ -64,8 +65,9 @@ class CorpusRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise CorpusError("record id must be non-empty")
-        if any(c in self.id for c in '",\n\r'):
-            raise CorpusError(f"record id {self.id!r} must not contain '\"', ',', '\\n' or '\\r'")
+        if any(c in self.id for c in '",\n\r') or self.id == "corpus":
+            raise CorpusError(f"record id {self.id!r} must not contain '\"', ',', '\\n' or '\\r', "
+                              "nor be 'corpus', the aggregate row's id")
         if not self.source:
             raise CorpusError(f"record {self.id!r}: source must be non-empty")
         if not self.reference:

@@ -28,22 +28,23 @@ prefix plus that search, on every block.
 
 A step queries the model once per active beam, in order, and rejects a
 vector that is not 1-D or not as long as the step's first as it arrives. It
-then checks all the step's answers for NaN and ``+inf`` at once
-(:func:`_answers`), so that error comes after the step's remaining beams were
-queried. Each error is a ``ValueError`` naming the prefix. The step then ranks
-the extensions of all the beams at once (:func:`_expand`): one approximate cut
-across the stacked rows, whose threshold and rounding margin both come from
-one full sort (selection by partition stalls on the many tied log-probs of a
-row), and a cap on exact ties leave only the candidates that can place, and
-one exact sort, by the ``math.fsum`` score and then by token order, ranks
-them. A block's beams share one length, which :func:`_beam_loop` requires, so
-that token order is the parent's tokens and then the new token's id, and a
-candidate that does not place never gets a token tuple. Only the top
-``width`` are built, each keeping the exact score it was ranked by, so no
-hypothesis is summed twice, and the Python work besides the model grows with
-the candidates that can place, not with the vocabulary. Repeated beams are
-looked for on a loop's first step only: the seeds may repeat, but the
-children of one step never do.
+then checks all the step's answers against the contract at once
+(:func:`_answers`): every entry at most 0, so NaN, ``+inf`` and positive
+entries are rejected, and that error comes after the step's remaining beams
+were queried. Each error is a ``ValueError`` naming the prefix. The step then
+ranks the extensions of all the beams at once (:func:`_expand`): one
+approximate cut across the stacked rows, whose threshold comes from one full
+sort (selection by partition stalls on the many tied log-probs of a row) and
+whose rounding margin from that threshold alone, and a cap on exact ties leave
+only the candidates that can place, and one exact sort, by the ``math.fsum``
+score and then by token order, ranks them. A block's beams share one length,
+which :func:`_beam_loop` requires, so that token order is the parent's tokens
+and then the new token's id, and a candidate that does not place never gets a
+token tuple. Only the top ``width`` are built, each keeping the exact score it
+was ranked by, so no hypothesis is summed twice, and the Python work besides
+the model grows with the candidates that can place, not with the vocabulary.
+Repeated beams are looked for on a loop's first step only: the seeds may
+repeat, but the children of one step never do.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -149,10 +150,11 @@ def _answers(session: ModelSession, prefixes: Sequence[tuple[int, ...]]) -> np.n
     """One forward pass per prefix, in order: the answers end to end.
 
     Each answer must be a non-empty 1-D vector as long as the first, which
-    is checked as it arrives. NaN and ``+inf`` (a NaN would vanish from
-    every comparison, and ``+inf`` is no probability) are checked once over
-    all the answers, and the error names the first offending prefix in
-    query order."""
+    is checked as it arrives. Every entry must be at most 0, as the log of
+    a probability is: NaN, ``+inf`` and positive entries are rejected (a NaN
+    would also vanish from every comparison). That is checked once over all
+    the answers, and the error names the first offending prefix in query
+    order. :func:`_expand`'s cut rests on it."""
     answers = []
     for prefix in prefixes:
         logprobs = session.next_token_logprobs(prefix)
@@ -165,10 +167,10 @@ def _answers(session: ModelSession, prefixes: Sequence[tuple[int, ...]]) -> np.n
         answers.append(logprobs)
     stacked = answers[0] if len(answers) == 1 else np.concatenate(answers)
     # ndarray.max without its Python-level wrapper: this runs on every step.
-    if not np.maximum.reduce(stacked) < np.inf:
+    if not np.maximum.reduce(stacked) <= 0:
         for prefix, logprobs in zip(prefixes, answers):
-            if not np.maximum.reduce(logprobs) < np.inf:
-                raise ValueError(f"model returned a NaN or +inf log-probability "
+            if not np.maximum.reduce(logprobs) <= 0:
+                raise ValueError(f"model returned a NaN or positive log-probability "
                                  f"after prefix {prefix}")
     return stacked
 
@@ -180,38 +182,42 @@ def _expand(
     by ``(-score, tokens)``, so replay is deterministic.
 
     Each active beam costs one forward pass, in order, and the answers are
-    checked together (:func:`_answers`). With ``may_repeat``, a beam whose
-    tokens repeat an earlier beam's still costs its pass but adds nothing:
-    its row is dropped and duplicate candidates merge into the earlier
-    beam's copies. :func:`_beam_loop` asks for that check on its first step
-    only, since the children of one step are always distinct.
+    checked together (:func:`_answers`): every entry at most 0, so NaN,
+    ``+inf`` and positive entries are rejected. With ``may_repeat``, a beam
+    whose tokens repeat an earlier beam's still costs its pass but adds
+    nothing: its row is dropped and duplicate candidates merge into the
+    earlier beam's copies. :func:`_beam_loop` asks for that check on its
+    first step only, since the children of one step are always distinct.
     Zero-probability tokens are skipped: they can never belong to a valid
     hypothesis and would break score finiteness. A step with at most one
     finite candidate returns that one, if any. Otherwise three stages over
     the stacked rows leave only the candidates that can place, and only the
     placed ones are built:
 
-    1. The cut, when the step has more than ``width`` finite entries. A
-       candidate's approximate score ``a = parent.score + lp`` lies within
-       ``g`` of its exact score ``t``: ``parent.score`` (the stored
-       ``math.fsum`` of the parent's log-probs) is off by at most half an
-       ulp of itself, ``a`` by half an ulp of ``a`` and ``t`` by half an ulp
-       of ``t``, so ``g`` is at most 1.5 ulp of the largest of the three.
-       One full sort of the ``a`` gives ``K``, the ``width``-th best, and
-       ``T``, the best. A partial selection (numpy's introselect) would be
-       linear on untied rows, but it stalls on large groups of tied
-       log-probs, and every toy row ties all but one of its tokens. With
-       ``S`` the largest finite ``|parent.score|``, let
-       ``A = 2 (S + max(|K|, |T|))``. The ``width`` candidates with
-       ``a >= K`` have ``|a|, |t| <= A``, so their exact scores are at least
-       ``K - 1.5 ulp(A)``. A candidate with ``|a| <= A`` has ``|t|`` within
-       ``2 A``, so if ``a < K - 3 ulp(2 A)`` it scores strictly below those
-       ``width``. A candidate with ``|a| > A`` lies below
-       ``-2 (S + max(|K|, |T|))``, as no ``a`` exceeds ``T``; its parent
-       score is under half its size, so ``t`` is within a few ulps of ``a``
-       and far below ``-max(|K|, |T|) - 1.5 ulp(A)``, under all those
-       ``width`` too. So only ``a >= K - 3 ulp(2 A)`` go on. A ``K`` of ``-inf`` (fewer
-       than ``width`` finite ``a``, as when every parent is scored
+    1. The cut, when the step has more than ``width`` finite entries. It
+       rests on the checked contract: every ``lp`` is at most 0
+       (:func:`_answers`), and so is every seed's score (:func:`_beam_loop`),
+       so no child outscores its parent. A finite candidate's approximate
+       score is ``a = s + lp``, where its parent's stored score ``s`` (the
+       ``math.fsum`` of the parent's log-probs) is off their exact sum by at
+       most half an ulp of ``s``, and ``a`` is off ``s + lp`` by at most
+       half an ulp of ``a``. As ``|s| <= |a|``, the child's exact sum lies
+       within ``ulp(a)`` of ``a``, so its exact score ``t`` (that sum
+       rounded) lies between the floats ``a - ulp(a)`` and ``a + ulp(a)``.
+       One full sort of the ``a`` gives ``K``, the ``width``-th best. A
+       partial selection (numpy's introselect) would be linear on untied
+       rows, but it stalls on large groups of tied log-probs, and every toy
+       row ties all but one of its tokens. With ``A = 2 |K|``, the
+       ``width`` candidates with ``a >= K`` have ``|a| <= |K|``, so
+       ``t >= K - ulp(K)``. Any other candidate with ``a < K - 3 ulp(2 A)``
+       has ``t <= a + ulp(a) < K - ulp(K)``: if ``|a| <= 2 A``, because
+       ``ulp(a) <= ulp(2 A)`` and rounding the threshold costs at most half
+       of that; if ``|a| > 2 A``, because ``a + ulp(a) <= a / 2 < -2 |K|``.
+       (A ``K`` of 0 is exact: only a sum of 0 rounds to 0, so those
+       ``width`` score 0 and the rest below it.) So only
+       ``a >= K - 3 ulp(2 A)`` go on, a margin read from ``K`` alone;
+       ``3 ulp(K)`` would do, and the rest is slack. A ``K`` of ``-inf``
+       (fewer than ``width`` finite ``a``, as when every parent is scored
        ``-inf``, which a forced prefix can be) leaves nothing to cut.
     2. The tie cap. In one row, equal log-probs give equal exact scores, and
        the new token's id breaks the tie; so of each ``(row, lp)`` group only
@@ -246,12 +252,9 @@ def _expand(
     if count > width:
         scores = [beam.score for beam in active]
         approx = (np.array(scores)[:, None] + matrix.reshape(-1, size)).ravel()
-        ordered = np.sort(approx)
-        cut = float(ordered[-width])
+        cut = float(np.sort(approx)[-width])
     if cut > -math.inf:
-        bound = 2 * (max(abs(s) for s in scores if s > -math.inf)
-                     + max(abs(cut), abs(float(ordered[-1]))))
-        flat = (approx >= cut - 3 * math.ulp(2 * bound)).nonzero()[0]
+        flat = (approx >= cut - 3 * math.ulp(4 * cut)).nonzero()[0]  # 3 ulp(2 A), A = 2 |K|
     else:
         flat = finite.nonzero()[0]
     values = matrix[flat]
@@ -318,10 +321,11 @@ def _beam_loop(
     refill); with ``halt`` the first trigger instead sends every ranked
     candidate there and ends the loop. Returns ``(pool, still_active)``.
 
-    The seeds must be one or more beams of one length, as every block's are;
+    The seeds must be one or more beams of one length, each scored at most
+    0, as every block's are (:func:`_expand`'s cut rests on the scores);
     anything else raises ``ValueError`` before the first forward pass."""
-    if len({len(seed.tokens) for seed in seeds}) != 1:
-        raise ValueError("a block needs one or more beams, all of one length")
+    if len({len(seed.tokens) for seed in seeds}) != 1 or not all(s.score <= 0 for s in seeds):
+        raise ValueError("a block needs one or more beams, all of one length and scored at most 0")
     pool: list[Hypothesis] = []
     active = list(seeds)
     may_repeat = True  # the seeds may repeat; the children of one step never do
@@ -517,11 +521,15 @@ def decode_session(
 
     The emitted token stream never includes EOS. A block stream that does
     not end in exactly one final block, or whose total duration is not
-    finite, raises ``ValueError`` before the session is opened.
+    finite, and a policy state already in progress (with a ``history`` or
+    a ``committed`` prefix) raise ``ValueError`` before the session is
+    opened.
     """
     blocks = list(blocks)
     if not blocks or not blocks[-1].is_final or any(b.is_final for b in blocks[:-1]):
         raise ValueError("the block stream must end with exactly one final block")
+    if policy.history or policy.committed:
+        raise ValueError("a session starts from a fresh policy: no history, nothing committed")
     if retranslation and policy.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
     if not sum(b.duration_ms for b in blocks) < math.inf:

@@ -1,0 +1,185 @@
+"""Mutation gate for the beam step's hand-proved and differentially checked
+paths.
+
+Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
+``old`` must occur exactly once in that file. For each mutant the script
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+applies the edit, and runs the differential subset (``SUBSET``) there in one
+pytest process. A failing run kills the mutant.
+
+A mutant marked equivalent carries the reason no test can kill it. It is
+still run, and a kill fails the gate too, since it means the reason is wrong.
+A survivor is never dropped from the list: a test or an ``@example`` that
+kills it is added instead.
+
+Run from the repository root::
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named ones
+
+It prints one line per mutant and exits 0 when every mutant not marked
+equivalent is killed and every equivalent one survives. The unmutated copy
+must pass the subset first. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEARCH = "src/simulbeam/search.py"
+SUBSET = (
+    "tests/test_kernel_differential.py",
+    "tests/test_search.py",
+    "tests/test_session_differential.py",
+)
+# The same draws on every run, so a kill or a survival can be replayed.
+PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
+
+# The margin's proof (stage 1 of ``search._expand``'s docstring) bounds a
+# child's exact score ``t`` by ``a - ulp(a) <= t <= a + ulp(a)``, since every
+# log-prob and parent score is at most 0. So the ``width`` candidates at or
+# above the cut ``K`` score at least ``K - ulp(K)``, and any candidate with
+# ``a`` below the threshold ``K - m`` scores at most ``a + ulp(a)``, which is
+# below ``K - ulp(K)`` once ``m >= 3 ulp(K)``. With ``k = |K|`` and
+# ``u = ulp(K)``, the rounded threshold is at least ``k + 2u`` from 0, and
+# ``a`` is further: ``|a| >= k + 3u`` when ``ulp(a) = u``; ``|a| > k + 3u``
+# when ``ulp(a) = 2u``, since the threshold lies on that grid if rounding
+# moved it; and ``|a| - ulp(a) > |a| / 2 >= k + u`` when ``ulp(a) >= 4u``.
+# Sums below ``2**-1021`` in magnitude round exactly, which covers a
+# subnormal ``K``, where ``ulp(4 K)`` can equal ``ulp(K)``. One ulp of ``K``
+# is not enough: an ``@example`` of ``test_step_matches_reference`` at the
+# binade edge 2 kills that margin.
+SMALLER_MARGIN = "at least 3 ulp(|K|), enough by the proof above; 3 ulp(4|K|) is slack"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    equivalent: str = ""  # why no test can kill it, if none can
+
+
+MUTANTS = (
+    # _answers: the contract check.
+    Mutant("contract-reverted-to-finite", SEARCH,
+           "    if not np.maximum.reduce(stacked) <= 0:\n"
+           "        for prefix, logprobs in zip(prefixes, answers):\n"
+           "            if not np.maximum.reduce(logprobs) <= 0:",
+           "    if not np.maximum.reduce(stacked) < np.inf:\n"
+           "        for prefix, logprobs in zip(prefixes, answers):\n"
+           "            if not np.maximum.reduce(logprobs) < np.inf:"),
+    Mutant("check-first-answer-only", SEARCH,
+           "np.maximum.reduce(stacked)", "np.maximum.reduce(answers[0])"),
+    # _beam_loop: the seeds.
+    Mutant("seed-score-check-dropped", SEARCH,
+           " or not all(s.score <= 0 for s in seeds)", ""),
+    Mutant("repeat-check-never-asked", SEARCH,
+           "may_repeat = True  # the seeds", "may_repeat = False  # the seeds"),
+    # _expand: repeated parents.
+    Mutant("repeat-check-skipped", SEARCH, "    if may_repeat:\n", "    if False:\n"),
+    Mutant("repeated-row-kept", SEARCH,
+           "matrix[row * size : (row + 1) * size] = -np.inf", "pass"),
+    # _expand: the cut.
+    Mutant("cut-threshold-one-place-off", SEARCH,
+           "np.sort(approx)[-width]", "np.sort(approx)[1 - width]"),
+    Mutant("cut-guarded-by-count", SEARCH, "    if cut > -math.inf:\n", "    if count > width:\n"),
+    Mutant("no-margin", SEARCH, "cut - 3 * math.ulp(4 * cut)", "cut"),
+    Mutant("fixed-margin-3-ulp-of-1", SEARCH,
+           "cut - 3 * math.ulp(4 * cut)", "cut - 3 * math.ulp(1.0)"),
+    Mutant("margin-1-ulp-of-K", SEARCH, "3 * math.ulp(4 * cut)", "math.ulp(cut)"),
+    Mutant("margin-3-ulp-of-2K", SEARCH, "3 * math.ulp(4 * cut)", "3 * math.ulp(2 * cut)",
+           equivalent=SMALLER_MARGIN),
+    Mutant("margin-3-ulp-of-K", SEARCH, "3 * math.ulp(4 * cut)", "3 * math.ulp(cut)",
+           equivalent=SMALLER_MARGIN),
+    Mutant("margin-1-ulp-of-4K", SEARCH, "3 * math.ulp(4 * cut)", "math.ulp(4 * cut)",
+           equivalent=SMALLER_MARGIN),
+    # _expand: the tie cap.
+    Mutant("tie-cap-unstable-sort", SEARCH,
+           'np.argsort(values, kind="stable")', "np.argsort(values)"),
+    Mutant("tie-cap-ignores-row", SEARCH, " & (owner[width:] == owner[:-width])", ""),
+    Mutant("no-tie-cap", SEARCH, "    if flat.size > width:\n", "    if False:\n"),
+    # _expand: the exact ranking.
+    Mutant("one-fsum-per-row", SEARCH,
+           "if row != last_row or lp != last_lp:", "if row != last_row:"),
+    Mutant("stored-score-sign", SEARCH, '"_score", -key)', '"_score", key)'),
+)
+
+
+def _copy_tree(destination: Path) -> None:
+    shutil.copytree(ROOT / "src", destination / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(ROOT / "tests", destination / "tests",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", destination / "pyproject.toml")
+
+
+def _apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"mutant {mutant.name}: its text occurs {count} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def _env(tree: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+
+def _passes(tree: Path) -> bool:
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", *PYTEST, *SUBSET],
+        cwd=tree, env=_env(tree), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return run.returncode == 0
+
+
+def main(names: list[str]) -> int:
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[name] for name in names] or list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="simulbeam-mutants-") as scratch:
+        baseline = Path(scratch) / "baseline"
+        _copy_tree(baseline)
+        # Each copy must import its own src/, whatever is installed.
+        where = subprocess.run(
+            [sys.executable, "-c", "import simulbeam; print(simulbeam.__file__)"],
+            cwd=baseline, env=_env(baseline), capture_output=True, encoding="utf-8", check=True,
+        ).stdout.strip()
+        if not Path(where).resolve().is_relative_to(baseline.resolve()):
+            raise SystemExit(f"simulbeam imports from {where}, not from the copy under test")
+        if not _passes(baseline):
+            print("baseline: the unmutated tree fails the subset", flush=True)
+            return 1
+        failures = 0
+        for mutant in chosen:
+            tree = Path(scratch) / mutant.name
+            _copy_tree(tree)
+            _apply(tree, mutant)
+            killed = not _passes(tree)
+            shutil.rmtree(tree)
+            if mutant.equivalent:
+                ok = not killed
+                verdict = "killed, but marked equivalent" if killed else "survived (equivalent)"
+            else:
+                ok = killed
+                verdict = "killed" if killed else "SURVIVED"
+            failures += not ok
+            print(f"{mutant.name}: {verdict}", flush=True)
+    print(f"{len(chosen) - failures} of {len(chosen)} mutants as expected", flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -171,8 +171,8 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=f":2: {re.escape(message)}$"):
             load_corpus(path)
 
-    @pytest.mark.parametrize("value", ["a,b", "a\\nb", "a\\rb", '\\"a'],
-                             ids=["comma", "lf", "cr", "quote"])
+    @pytest.mark.parametrize("value", ["a,b", "a\\nb", "a\\rb", '\\"a', "corpus"],
+                             ids=["comma", "lf", "cr", "quote", "aggregate-row-id"])
     def test_id_the_csv_cannot_carry_reports_line_number(self, tmp_path, value):
         path = self._write(
             tmp_path,

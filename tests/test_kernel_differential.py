@@ -226,7 +226,7 @@ def wide_step(parent_scores, width=6):
     4,
 ))
 # Rows mixing -1e300 with small log-probs and K small: the -1e300 children lie
-# far below A. The first parent's stored score rounds its sum, so its child's
+# far beyond 2A. The first parent's stored score rounds its sum, so its child's
 # approximate score is one ulp under K while the exact scores tie, and the
 # child wins the tie by its tokens.
 @example(step=(
@@ -243,10 +243,21 @@ def wide_step(parent_scores, width=6):
     {(0, 0): [-0.55 * math.ulp(1e300), -1e300, -0.5], (0, 1): [-math.ulp(1e300), -0.5, -1e300]},
     2,
 ))
-# A positive log-prob (accepted, though no probability) cancels that parent's
-# -1e300: its child's approximate score is -1 ulp(1e300) and its exact score
-# -0.6 ulp, above the other child's -0.8 ulp. Only the parent score's share
-# S of the margin keeps it.
+# At the binade edge 2, where the ulp doubles: each parent's exact sum lies
+# halfway between two floats and is stored rounded away from zero, so the child
+# of (0, 1, 1) has an approximate score two ulps of K below K = -(2 + 2**-51),
+# while both children score -(2 + 2**-50) exactly. It wins that tie by its
+# tokens, so a margin of one ulp of K would lose it.
+@example(step=(
+    [Hypothesis((0, 1, 1), (-(2 - 2**-50), -3 * 2**-52, -2**-50)),
+     Hypothesis((2, 2, 2), (-(2 - 2**-51), -0.0, -3 * 2**-52))],
+    {(0, 1, 1): [-math.inf, -1.5 * 2**-52], (2, 2, 2): [-2**-51, -math.inf]},
+    1,
+))
+# A positive log-prob, which no probability has, is rejected after the step's
+# last query. Accepted, it would cancel that parent's -1e300: its child's
+# approximate score -1 ulp(1e300) would hide an exact score of -0.6 ulp, above
+# the other child's -0.8 ulp, and the margin would need the parent scores.
 @example(step=(
     [Hypothesis((0, 0), (-1e300, -0.6 * math.ulp(1e300))),
      Hypothesis((0, 1), (-0.8 * math.ulp(1e300), -0.0))],
@@ -255,6 +266,12 @@ def wide_step(parent_scores, width=6):
 ))
 def test_step_matches_reference(step):
     parents, rows, width = step
-    new = search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]), width)
+    new = _outcome(search._expand, parents, VectorSession(lambda level, prefix: rows[prefix]),
+                   width)
+    positive = [parent.tokens for parent in parents if max(rows[parent.tokens]) > 0]
+    if positive:
+        message = "model returned a NaN or positive log-probability after prefix"
+        assert new == ("raised", f"{message} {positive[0]}")
+        return
     ref_pool = reference_search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]))
-    assert new == reference_search._prune(ref_pool, width)
+    assert new == ("returned", reference_search._prune(ref_pool, width))

@@ -511,37 +511,45 @@ class TestBeamStep:
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_step_ranks_and_builds_at_most_width_candidates(self, algo, toy, monkeypatch):
         # Each step returns at most ``width`` distinct hypotheses, ranked by
-        # ``(-score, tokens)``, and builds only those. On these toys it scores
-        # at most ``2 x width`` candidates exactly: the tie cap keeps a row's
-        # tied noise tokens (1000 of them on the wide toy) out of the sort.
+        # ``(-score, tokens)``, and builds only those. On these toys it ranks
+        # at most ``2 x width`` candidates, and scores at most as many exactly:
+        # the tie cap keeps a row's tied noise tokens (1000 of them on the
+        # wide toy) out of the ranking.
         extended = Hypothesis.extended
         expand = search._expand
         fsum = math.fsum
-        counts = {"built": 0, "scored": 0}
+        counts = {"built": 0, "ranked": 0, "scored": 0}
         steps = []
 
         def counted_extended(self, token, logprob):
             counts["built"] += 1
             return extended(self, token, logprob)
 
+        def counted_divmod(index, size):
+            counts["ranked"] += 1  # once per candidate that reaches the ranking
+            return divmod(index, size)
+
         def counted_fsum(values):
             counts["scored"] += 1
             return fsum(values)
 
         def checked_step(active, session, width, may_repeat):
-            counts.update(built=0, scored=0)
+            counts.update(built=0, ranked=0, scored=0)
             ranked = expand(active, session, width, may_repeat)
             assert len(ranked) <= width
             assert len({h.tokens for h in ranked}) == len(ranked)
             assert ranked == sorted(ranked, key=lambda h: (-h.score, h.tokens))
             assert counts["built"] == len(ranked)
+            assert counts["ranked"] <= 2 * width
             assert counts["scored"] <= 2 * width
             steps.append(width)
             return ranked
 
         monkeypatch.setattr(Hypothesis, "extended", counted_extended)
-        # Only the search module's own ``fsum`` calls are counted: parent
-        # scores come from ``Hypothesis.score`` in the core module.
+        # Only the search module's own ``divmod`` and ``fsum`` calls are
+        # counted: parent scores come from ``Hypothesis.score`` in the core
+        # module.
+        monkeypatch.setattr(search, "divmod", counted_divmod, raising=False)
         monkeypatch.setattr(search, "math", SimpleNamespace(**{**vars(math), "fsum": counted_fsum}))
         monkeypatch.setattr(search, "_expand", checked_step)
         if toy == "wide":
@@ -583,13 +591,14 @@ class TestBeamStep:
                 algo=algo,
             )
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_nan_and_positive_inf_logprobs_are_rejected(self, algo, bad):
         def logprobs(level, prefix):
             return [bad, -0.1, -3.0] if prefix == (1,) else [-3.0, -0.1, -3.0]
 
-        with pytest.raises(ValueError, match=r"after prefix \(1,\)"):
+        with pytest.raises(ValueError,
+                           match=r"NaN or positive log-probability after prefix \(1,\)$"):
             decode_session(
                 lambda: VectorSession(logprobs),
                 [Block(payload=(), duration_ms=100.0, is_final=False),
@@ -600,8 +609,9 @@ class TestBeamStep:
 
 
 class TestBeamsOfOneLength:
-    """A block starts from one or more beams of one length. No beams, or a
-    beam beside a longer one, is one named error before any forward pass."""
+    """A block starts from one or more beams of one length, each scored at
+    most 0. No beams, a beam beside a longer one, or a beam scored above 0
+    is one named error before any forward pass."""
 
     OPS = {
         "bwbs": bwbs_block,
@@ -611,22 +621,28 @@ class TestBeamsOfOneLength:
 
     @pytest.mark.parametrize("op", sorted(OPS))
     @pytest.mark.parametrize(
-        "beams", [(), (Hypothesis((1,), (-0.5,)), Hypothesis((1, 0), (-0.25, -0.25)))]
+        "beams",
+        [
+            (),
+            (Hypothesis((1,), (-0.5,)), Hypothesis((1, 0), (-0.25, -0.25))),
+            (Hypothesis((0,), (-0.5,)), Hypothesis((1,), (0.5,))),
+        ],
     )
     def test_rejected_before_any_forward_pass(self, op, beams):
         session = RecordingSession(VectorSession(lambda level, prefix: [-0.7] * 6))
         session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
-        message = r"^a block needs one or more beams, all of one length$"
+        message = r"^a block needs one or more beams, all of one length and scored at most 0$"
         with pytest.raises(ValueError, match=message):
             self.OPS[op](beams, 0, session, SearchConfig(beam_size=2), 5, 4)
         assert session.calls == ["ingest_block"]
 
 
 class TestBatchedGuard:
-    """A step's answers are checked for NaN and ``+inf`` together, after the
-    step's last query, and the error names the first offending prefix."""
+    """A step's answers are checked for NaN, ``+inf`` and positive entries
+    together, after the step's last query, and the error names the first
+    offending prefix."""
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     @pytest.mark.parametrize("offending, named", [({1}, 1), ({1, 2}, 1), ({2}, 2)])
     def test_later_beams_answer(self, bad, offending, named):
         def logprobs(level, prefix):
@@ -635,27 +651,29 @@ class TestBatchedGuard:
         session = VectorSession(logprobs)
         active = [Hypothesis((token,), (-0.1,)) for token in range(3)]
         with pytest.raises(ValueError,
-                           match=rf"NaN or \+inf log-probability after prefix \({named},\)$"):
+                           match=rf"NaN or positive log-probability after prefix \({named},\)$"):
             search._expand(active, session, 3)
         assert session.forward_pass_count() == 3
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     def test_duplicate_beams_answer(self, bad):
         # The repeated beam's row joins no candidate, but its answer is checked.
         answers = iter([[-0.5, -0.7, -2.0], [-0.5, -0.7, -2.0], [-0.1, bad, -2.0]])
         session = VectorSession(lambda level, prefix: next(answers))
         active = [Hypothesis((0,), (-0.1,)), Hypothesis((1,), (-0.2,)), Hypothesis((0,), (-0.3,))]
-        with pytest.raises(ValueError, match=r"after prefix \(0,\)$"):
+        with pytest.raises(ValueError,
+                           match=r"NaN or positive log-probability after prefix \(0,\)$"):
             search._expand(active, session, 3)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     def test_later_position_of_the_re_scored_prefix(self, bad):
         def logprobs(level, prefix):
             return [-0.1, bad, -2.0] if prefix == (0, 1) else [-0.5, -0.1, -2.0]
 
         session = VectorSession(logprobs)
         session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=True))
-        with pytest.raises(ValueError, match=r"after prefix \(0, 1\)$"):
+        with pytest.raises(ValueError,
+                           match=r"NaN or positive log-probability after prefix \(0, 1\)$"):
             standard_beam_search(session, (0, 1, 1), SearchConfig(beam_size=2), eos_id=2,
                                  max_total=10)
         assert session.forward_pass_count() == 3
@@ -888,6 +906,28 @@ class TestDecodeSession:
         ]
         with pytest.raises(ValueError, match="total duration must be finite"):
             decode_session(factory, blocks, eos_id=0)
+        assert not opened
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            # A stale LA-2 history would make the first block commit (0,).
+            PolicyState(PolicyKind.LOCAL_AGREEMENT, 2, history=((0, 0, 0),)),
+            # A stale commit would fail only after forward passes.
+            PolicyState(PolicyKind.HOLD, 1, committed=(2, 2)),
+        ],
+        ids=["la-history", "hold-committed"],
+    )
+    def test_rejects_policy_in_progress_before_opening(self, policy):
+        opened = []
+
+        def factory():
+            opened.append(True)
+            raise AssertionError("the session must not be opened")
+
+        with pytest.raises(ValueError, match="^a session starts from a fresh policy: "
+                                             "no history, nothing committed$"):
+            decode_session(factory, as_blocks((0, 1), 1), eos_id=3, policy=policy)
         assert not opened
 
     def test_rejects_policy_with_retranslation(self):

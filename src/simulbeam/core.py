@@ -144,8 +144,8 @@ class SearchConfig:
     repetition_detection: bool = True
 
     def __post_init__(self) -> None:
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be at least 1")
+        if type(self.beam_size) is not int or self.beam_size < 1:
+            raise ValueError(f"beam_size must be an integer, at least 1, got {self.beam_size!r}")
 
 
 def max_output_tokens(source_duration_ms: float) -> int:

@@ -91,8 +91,9 @@ class RunConfig:
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
 
     def __post_init__(self) -> None:
-        if self.block_symbols < 1:
-            raise ConfigError("block size must be at least 1 symbol")
+        if type(self.block_symbols) is not int or self.block_symbols < 1:
+            raise ConfigError(
+                f"block_symbols must be an integer, at least 1, got {self.block_symbols!r}")
         if self.block_ms is not None and not 0 < self.block_ms < math.inf:
             raise ConfigError("block_ms must be positive and finite")
         if self.retranslation and self.policy is not PolicyKind.NONE:
@@ -283,20 +284,22 @@ def sweep(
     eos_id: int,
 ) -> list[SweepPoint]:
     """Evaluate the corpus once per value of one field, in ascending order.
-    Each value must be an ``int``: a float, a bool or a string raises
-    ``ConfigError`` naming it instead of being truncated or converted."""
+
+    Every point's config is built before any point is decoded: a value the
+    config rejects (a float, a bool or a string where an ``int`` belongs is
+    not truncated or converted) and a repeated value raise ``ConfigError``
+    first."""
     if field not in SWEEPABLE_FIELDS:
         raise ConfigError(f"cannot sweep {field!r}; choose from {SWEEPABLE_FIELDS}")
     if not values:
         raise ConfigError("sweep grid must be non-empty")
+    configs: dict[int, RunConfig] = {}
     for value in values:
-        if type(value) is not int:
-            raise ConfigError(f"sweep value for {field} must be an integer, got {value!r}")
-    points = []
-    for value in sorted(values):
         cfg = replace(base_cfg, **{field: value})
-        points.append(SweepPoint(value, run_corpus(corpus, model_factory, cfg, eos_id)))
-    return points
+        if configs.setdefault(value, cfg) is not cfg:
+            raise ConfigError(f"sweep value {value!r} for {field} is repeated")
+    return [SweepPoint(value, run_corpus(corpus, model_factory, configs[value], eos_id))
+            for value in sorted(configs)]
 
 
 def _csv_row(row_id: str, cfg: RunConfig, param: int, row: EvalReport | UtteranceReport) -> str:

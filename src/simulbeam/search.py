@@ -18,13 +18,13 @@ Three decoding strategies drive a :class:`~simulbeam.model.ModelSession`:
 All three run one beam loop (:func:`_beam_loop`: rank the extensions, classify
 each as continuing or triggered) and differ only in the trigger and in
 what a triggered beam does. While source remains the trigger is the stop
-heuristic: ``bwbs`` then trims every beam and ends the block, ``ibwbs`` trims
-the one beam into the stopped pool and shrinks the width. The block ops handle
-mid-source blocks only. On the final block the source is complete, and
-:func:`decode_session` runs the same search for every strategy
-(:func:`_final_block`): the trigger is a trailing EOS, and the finished beam
-moves to the pool and shrinks the width. The full re-decode is a re-scored
-prefix plus that search, on every block.
+heuristic: ``bwbs`` then trims every beam, keeps one of each copy the trim
+makes and ends the block, ``ibwbs`` trims the one beam into the stopped pool
+and shrinks the width. The block ops handle mid-source blocks only. On the
+final block the source is complete, and :func:`decode_session` runs the same
+search for every strategy (:func:`_final_block`): the trigger is a trailing
+EOS, and the finished beam moves to the pool and shrinks the width. The full
+re-decode is a re-scored prefix plus that search, on every block.
 
 A step queries the model once per active beam, in order, and rejects a
 vector that is not 1-D or not as long as the step's first as it arrives. It
@@ -37,14 +37,14 @@ approximate cut across the stacked rows, whose threshold comes from one full
 sort (selection by partition stalls on the many tied log-probs of a row) and
 whose rounding margin from that threshold alone, and a cap on exact ties leave
 only the candidates that can place, and one exact sort, by the ``math.fsum``
-score and then by token order, ranks them. A block's beams share one length,
-which :func:`_beam_loop` requires, so that token order is the parent's tokens
-and then the new token's id, and a candidate that does not place never gets a
-token tuple. Only the top ``width`` are built, each keeping the exact score it
-was ranked by, so no hypothesis is summed twice, and the Python work besides
-the model grows with the candidates that can place, not with the vocabulary.
-Repeated beams are looked for on a loop's first step only: the seeds may
-repeat, but the children of one step never do.
+score and then by token order, ranks them. A block's beams are distinct and
+share one length, which :func:`_beam_loop` requires, so that token order is
+the parent's tokens and then the new token's id, and a candidate that does
+not place never gets a token tuple. Only the top ``width`` are built, each
+keeping the exact score it was ranked by, so no hypothesis is summed twice,
+and the Python work besides the model grows with the candidates that can
+place, not with the vocabulary. The children of distinct parents are
+distinct, so no step looks for repeats.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -108,6 +108,8 @@ class PolicyState:
     committed: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ValueError(f"the policy's n must be an integer, got {self.n!r}")
         if self.kind is PolicyKind.HOLD and self.n < 0:
             raise ValueError("hold-n requires n >= 0")
         if self.kind is PolicyKind.LOCAL_AGREEMENT and self.n < 2:
@@ -175,24 +177,18 @@ def _answers(session: ModelSession, prefixes: Sequence[tuple[int, ...]]) -> np.n
     return stacked
 
 
-def _expand(
-    active: Sequence[Hypothesis], session: ModelSession, width: int, may_repeat: bool = True
-) -> list[Hypothesis]:
-    """The top ``width`` single-token extensions of the active beams, ranked
+def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
+    """The top ``width`` single-token extensions of the active beams, which
+    are distinct and of one length (:func:`_beam_loop` requires it), ranked
     by ``(-score, tokens)``, so replay is deterministic.
 
     Each active beam costs one forward pass, in order, and the answers are
     checked together (:func:`_answers`): every entry at most 0, so NaN,
-    ``+inf`` and positive entries are rejected. With ``may_repeat``, a beam
-    whose tokens repeat an earlier beam's still costs its pass but adds
-    nothing: its row is dropped and duplicate candidates merge into the
-    earlier beam's copies. :func:`_beam_loop` asks for that check on its
-    first step only, since the children of one step are always distinct.
-    Zero-probability tokens are skipped: they can never belong to a valid
-    hypothesis and would break score finiteness. A step with at most one
-    finite candidate returns that one, if any. Otherwise three stages over
-    the stacked rows leave only the candidates that can place, and only the
-    placed ones are built:
+    ``+inf`` and positive entries are rejected. Zero-probability tokens are
+    skipped: they can never belong to a valid hypothesis and would break
+    score finiteness. A step with at most one finite candidate returns that
+    one, if any. Otherwise three stages over the stacked rows leave only the
+    candidates that can place, and only the placed ones are built:
 
     1. The cut, when the step has more than ``width`` finite entries. It
        rests on the checked contract: every ``lp`` is at most 0
@@ -226,23 +222,16 @@ def _expand(
        ``width`` places before it is of its group.
     3. The exact ranking: what is left is scored with ``math.fsum``, once
        per run of one ``(row, lp)`` group, and sorted by
-       ``(-score, parent tokens, token id)``. The parents share one length
-       (:func:`_beam_loop` requires it), so the key orders as the child's
-       tokens would, a tie within a row compares one parent tuple (by
-       identity) and then one int, and only the placed candidates ever get
-       a token tuple. The first ``width`` are built, each storing the exact
-       score it was ranked by, which the next step's parent scores and
-       :func:`select_best` read.
+       ``(-score, parent tokens, token id)``. The parents are distinct and
+       share one length, so the key orders as the child's tokens would, a
+       tie within a row compares one parent tuple (by identity) and then one
+       int, and only the placed candidates ever get a token tuple. The first
+       ``width`` are built, each storing the exact score it was ranked by,
+       which the next step's parent scores and :func:`select_best` read.
     """
     matrix = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
     # The rows end to end: entry ``i`` is token ``i % size`` of beam ``i // size``.
-    if may_repeat:
-        first: dict[tuple[int, ...], int] = {}
-        for row, hyp in enumerate(active):
-            if first.setdefault(hyp.tokens, row) != row:
-                # A repeat, so there are two or more answers and ``matrix`` is their copy.
-                matrix[row * size : (row + 1) * size] = -np.inf
     finite = matrix > -np.inf
     count = np.count_nonzero(finite)
     if count <= 1:
@@ -319,25 +308,33 @@ def _beam_loop(
     beam or slot is left or the length cap is reached. A triggered candidate
     goes through ``on_trigger`` into the pool and vacates its slot (no
     refill); with ``halt`` the first trigger instead sends every ranked
-    candidate there and ends the loop. Returns ``(pool, still_active)``.
+    candidate there, keeping the first of each token sequence in rank order,
+    and ends the loop. Returns ``(pool, still_active)``.
 
-    The seeds must be one or more beams of one length, each scored at most
-    0, as every block's are (:func:`_expand`'s cut rests on the scores);
-    anything else raises ``ValueError`` before the first forward pass."""
+    The seeds must be one or more distinct beams of one length, each scored
+    at most 0, as every block's are (:func:`_expand`'s cut rests on the
+    scores, and its ranking key on distinct parents); anything else raises
+    ``ValueError`` before the first forward pass. The children of one step
+    are distinct, and so are the beams a halt returns, so the beams stay
+    distinct from block to block."""
     if len({len(seed.tokens) for seed in seeds}) != 1 or not all(s.score <= 0 for s in seeds):
         raise ValueError("a block needs one or more beams, all of one length and scored at most 0")
+    if len({seed.tokens for seed in seeds}) != len(seeds):
+        raise ValueError("a block's beams must not repeat a token sequence")
     pool: list[Hypothesis] = []
     active = list(seeds)
-    may_repeat = True  # the seeds may repeat; the children of one step never do
     while active and len(active[0].tokens) < max_total and width > 0:
-        ranked = _expand(active, session, width, may_repeat)
-        may_repeat = False
+        ranked = _expand(active, session, width)
         active = []
         for hyp in ranked:
             if not triggered(hyp):
                 active.append(hyp)
             elif halt:
-                return [on_trigger(h) for h in ranked], []
+                # The trim can make siblings equal: keep the first of each.
+                kept: dict[tuple[int, ...], Hypothesis] = {}
+                for beam in map(on_trigger, ranked):
+                    kept.setdefault(beam.tokens, beam)
+                return list(kept.values()), []
             else:
                 pool.append(on_trigger(hyp))
                 width -= 1
@@ -425,11 +422,12 @@ def bwbs_block(
 ) -> tuple[Hypothesis, ...]:
     """One block of the conservative blockwise search.
 
-    ``beams``, one or more of one length, all extend the committed prefix,
-    which is ``floor`` tokens long. All beams advance one token per step.
-    The first step at which *any* beam shows a repetition or EOS ends the
-    block: the last two tokens are removed from every beam (never below
-    ``floor``) and the beams wait for more source. No pruning to a single
+    ``beams``, one or more distinct beams of one length, all extend the
+    committed prefix, which is ``floor`` tokens long. All beams advance one
+    token per step. The first step at which *any* beam shows a repetition or
+    EOS ends the block: the last two tokens are removed from every beam
+    (never below ``floor``), the beams the trim made equal are kept once, in
+    rank order, and the beams wait for more source. No pruning to a single
     hypothesis happens here, so snapshots may revise across blocks
     (re-translation semantics). A block in which no beam has a finite
     continuation returns the incoming beams.

@@ -1,11 +1,13 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
-paths.
+paths, the commit policies and BLEU's statistics.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 ``old`` must occur exactly once in that file. For each mutant the script
 copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
-applies the edit, and runs the differential subset (``SUBSET``) there in one
-pytest process. A failing run kills the mutant.
+applies the edit, and runs the mutant's test subset there in one pytest
+process: the differential subset (``SUBSET``) for the beam step, and
+``POLICY_SUBSET`` for ``apply_policy`` and ``bleu_statistics``. A failing
+run kills the mutant.
 
 A mutant marked equivalent carries the reason no test can kill it. It is
 still run, and a kill fails the gate too, since it means the reason is wrong.
@@ -19,7 +21,8 @@ Run from the repository root::
 
 It prints one line per mutant and exits 0 when every mutant not marked
 equivalent is killed and every equivalent one survives. The unmutated copy
-must pass the subset first. pytest does not collect this file.
+must pass each subset the chosen mutants run first. pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -34,10 +37,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCH = "src/simulbeam/search.py"
+METRICS = "src/simulbeam/metrics.py"
 SUBSET = (
     "tests/test_kernel_differential.py",
     "tests/test_search.py",
     "tests/test_session_differential.py",
+)
+POLICY_SUBSET = (
+    "tests/test_search.py",
+    "tests/test_session_differential.py",
+    "tests/test_metrics.py",
 )
 # The same draws on every run, so a kill or a survival can be replayed.
 PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
@@ -57,6 +66,9 @@ PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 # is not enough: an ``@example`` of ``test_step_matches_reference`` at the
 # binade edge 2 kills that margin.
 SMALLER_MARGIN = "at least 3 ulp(|K|), enough by the proof above; 3 ulp(4|K|) is slack"
+# While LA-n waits for ``n`` outputs its candidate is the committed prefix,
+# and any candidate no longer than that prefix commits nothing.
+WAITING_CANDIDATE = "a candidate no longer than the committed prefix commits nothing"
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,7 @@ class Mutant:
     old: str
     new: str
     equivalent: str = ""  # why no test can kill it, if none can
+    subset: tuple[str, ...] = SUBSET
 
 
 MUTANTS = (
@@ -82,12 +95,11 @@ MUTANTS = (
     # _beam_loop: the seeds.
     Mutant("seed-score-check-dropped", SEARCH,
            " or not all(s.score <= 0 for s in seeds)", ""),
-    Mutant("repeat-check-never-asked", SEARCH,
-           "may_repeat = True  # the seeds", "may_repeat = False  # the seeds"),
-    # _expand: repeated parents.
-    Mutant("repeat-check-skipped", SEARCH, "    if may_repeat:\n", "    if False:\n"),
-    Mutant("repeated-row-kept", SEARCH,
-           "matrix[row * size : (row + 1) * size] = -np.inf", "pass"),
+    Mutant("distinct-seed-check-dropped", SEARCH,
+           "    if len({seed.tokens for seed in seeds}) != len(seeds):\n", "    if False:\n"),
+    # _beam_loop: the halt.
+    Mutant("halt-copies-kept", SEARCH,
+           "return list(kept.values()), []", "return list(map(on_trigger, ranked)), []"),
     # _expand: the cut.
     Mutant("cut-threshold-one-place-off", SEARCH,
            "np.sort(approx)[-width]", "np.sort(approx)[1 - width]"),
@@ -111,6 +123,39 @@ MUTANTS = (
     Mutant("one-fsum-per-row", SEARCH,
            "if row != last_row or lp != last_lp:", "if row != last_row:"),
     Mutant("stored-score-sign", SEARCH, '"_score", -key)', '"_score", key)'),
+    # apply_policy: the hold-n cut.
+    Mutant("hold-withholds-one-less", SEARCH,
+           "tokens[: max(len(tokens) - state.n, 0)]", "tokens[: max(len(tokens) - state.n + 1, 0)]",
+           subset=POLICY_SUBSET),
+    Mutant("hold-cut-unclamped", SEARCH,
+           "tokens[: max(len(tokens) - state.n, 0)]", "tokens[: len(tokens) - state.n]",
+           subset=POLICY_SUBSET),
+    # apply_policy: the LA-n window and its history.
+    Mutant("la-waits-one-output-less", SEARCH,
+           "if len(outputs) < state.n:", "if len(outputs) < state.n - 1:", subset=POLICY_SUBSET),
+    Mutant("la-waiting-candidate-empty", SEARCH,
+           "candidate = committed\n", "candidate = ()\n",
+           equivalent=WAITING_CANDIDATE, subset=POLICY_SUBSET),
+    Mutant("la-window-one-short", SEARCH,
+           "candidate = outputs[-state.n]", "candidate = outputs[-state.n + 1]",
+           subset=POLICY_SUBSET),
+    Mutant("la-window-skips-one", SEARCH,
+           "outputs[-state.n + 1 :]", "outputs[-state.n + 2 :]", subset=POLICY_SUBSET),
+    Mutant("la-history-one-long", SEARCH,
+           "history = outputs[-(state.n - 1) :]", "history = outputs[-state.n :]",
+           subset=POLICY_SUBSET),
+    Mutant("la-history-one-short", SEARCH,
+           "history = outputs[-(state.n - 1) :]", "history = outputs[-(state.n - 2) :]",
+           subset=POLICY_SUBSET),
+    # bleu_statistics: clipping and totals.
+    Mutant("bleu-unclipped", METRICS, "if left:\n", "if left is not None:\n",
+           subset=POLICY_SUBSET),
+    Mutant("bleu-reference-copy-kept", METRICS,
+           "unmatched[gram] = left - 1", "unmatched[gram] = left", subset=POLICY_SUBSET),
+    Mutant("bleu-totals-one-short", METRICS,
+           "max(len(hypothesis) - n + 1, 0)", "max(len(hypothesis) - n, 0)", subset=POLICY_SUBSET),
+    Mutant("bleu-totals-unclamped", METRICS,
+           "max(len(hypothesis) - n + 1, 0)", "len(hypothesis) - n + 1", subset=POLICY_SUBSET),
 )
 
 
@@ -135,9 +180,9 @@ def _env(tree: Path) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
 
-def _passes(tree: Path) -> bool:
+def _passes(tree: Path, subset: tuple[str, ...]) -> bool:
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", *PYTEST, *SUBSET],
+        [sys.executable, "-m", "pytest", *PYTEST, *subset],
         cwd=tree, env=_env(tree), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     return run.returncode == 0
@@ -159,15 +204,16 @@ def main(names: list[str]) -> int:
         ).stdout.strip()
         if not Path(where).resolve().is_relative_to(baseline.resolve()):
             raise SystemExit(f"simulbeam imports from {where}, not from the copy under test")
-        if not _passes(baseline):
-            print("baseline: the unmutated tree fails the subset", flush=True)
-            return 1
+        for subset in dict.fromkeys(mutant.subset for mutant in chosen):
+            if not _passes(baseline, subset):
+                print(f"baseline: the unmutated tree fails {' '.join(subset)}", flush=True)
+                return 1
         failures = 0
         for mutant in chosen:
             tree = Path(scratch) / mutant.name
             _copy_tree(tree)
             _apply(tree, mutant)
-            killed = not _passes(tree)
+            killed = not _passes(tree, mutant.subset)
             shutil.rmtree(tree)
             if mutant.equivalent:
                 ok = not killed

@@ -70,6 +70,11 @@ def _trim_stop(hyp: Hypothesis, floor: int) -> Hypothesis:
     return hyp.sliced(max(len(hyp.tokens) - 2, floor))
 
 
+def _require_distinct(beams: Sequence[Hypothesis]) -> None:
+    if len({h.tokens for h in beams}) < len(beams):
+        raise ValueError("a block's beams must not repeat a token sequence")
+
+
 def _run_to_completion(
     seeds: Sequence[Hypothesis],
     session,
@@ -124,6 +129,7 @@ def bwbs_block(
 ) -> tuple[Hypothesis, ...]:
     if not beams:
         raise ValueError("bwbs_block requires at least one active hypothesis")
+    _require_distinct(beams)
     if final:
         finished, leftover = _run_to_completion(beams, session, cfg, eos_id, max_total)
         pool = finished or leftover or list(beams)
@@ -132,7 +138,10 @@ def bwbs_block(
     while active and len(active[0].tokens) < max_total:
         active = _prune(_expand(active, session), cfg.beam_size)
         if any(detect_stop(h, cfg, eos_id) is not StopReason.NONE for h in active):
-            active = [_trim_stop(h, floor) for h in active]
+            trimmed = [_trim_stop(h, floor) for h in active]
+            # The trim can make two beams equal: keep the first of each.
+            active = [h for i, h in enumerate(trimmed)
+                      if all(h.tokens != g.tokens for g in trimmed[:i])]
             break
     # No beam with a finite continuation: keep the incoming beams.
     return tuple(active or beams)
@@ -149,6 +158,7 @@ def ibwbs_block(
 ) -> tuple[Hypothesis, ...]:
     if not beams:
         raise ValueError("ibwbs_block requires at least one active hypothesis")
+    _require_distinct(beams)
     if final:
         finished, leftover = _run_to_completion(beams, session, cfg, eos_id, max_total)
         pool = finished or leftover or list(beams)

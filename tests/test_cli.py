@@ -319,6 +319,17 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_repeated_value_is_config_error(self, workspace, capsys):
+        _, corpus, model = workspace
+        code = run(
+            ["sweep", "--corpus", corpus, "--model", model, "--sweep-param", "hold",
+             "--sweep-values", "2,2"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: sweep value 2 for policy_param is repeated\n"
+
 
 def test_output_files_are_utf8_whatever_the_locale(workspace):
     # Warnings for a locale-dependent default encoding are errors, and the C

@@ -26,6 +26,7 @@ from simulbeam import (
     run_utterance,
     sweep,
 )
+from simulbeam import harness
 from simulbeam.harness import blocks_for
 from simulbeam.harness import (
     CSV_HEADER,
@@ -349,6 +350,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(block_symbols=0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(block_symbols=2.0), "block_symbols must be an integer, at least 1, got 2.0"),
+            (dict(beam_size=2.5), "beam_size must be an integer, at least 1, got 2.5"),
+            (dict(policy=PolicyKind.HOLD, policy_param=True), "n must be an integer, got True"),
+            (dict(policy_param=1.0), "n must be an integer, got 1.0"),
+        ],
+        ids=["block-symbols-float", "beam-float", "hold-bool", "none-float"],
+    )
+    def test_non_integer_settings_rejected_with_name(self, fields, message):
+        # Not truncated, converted or carried into a report.
+        with pytest.raises(ConfigError, match=f"{message}$"):
+            RunConfig(**fields)
+
 
 class TestSweep:
     def test_hold_grid_latency_is_monotone(self, ladder_setup):
@@ -383,6 +399,19 @@ class TestSweep:
         _, vocab, factory, corpus = ladder_setup
         with pytest.raises(ConfigError):
             sweep(corpus, factory, RunConfig(), "beam_size", (0,), vocab.eos_id)
+
+    def test_repeated_value_rejected_before_any_decoding(self, ladder_setup, monkeypatch):
+        _, vocab, factory, corpus = ladder_setup
+        monkeypatch.setattr(harness, "run_corpus", lambda *args: pytest.fail("decoded"))
+        with pytest.raises(ConfigError, match="sweep value 2 for block_symbols is repeated"):
+            sweep(corpus, factory, RunConfig(), "block_symbols", (1, 2, 2), vocab.eos_id)
+
+    def test_bad_value_rejected_before_any_decoding(self, ladder_setup, monkeypatch):
+        # The bad value comes last, after two good ones.
+        _, vocab, factory, corpus = ladder_setup
+        monkeypatch.setattr(harness, "run_corpus", lambda *args: pytest.fail("decoded"))
+        with pytest.raises(ConfigError, match="beam_size must be an integer, at least 1, got 0"):
+            sweep(corpus, factory, RunConfig(), "beam_size", (1, 2, 0), vocab.eos_id)
 
     @pytest.mark.parametrize("value", [1.7, True, "2"], ids=["float", "bool", "string"])
     def test_non_integer_grid_value_rejected_with_name(self, ladder_setup, value):

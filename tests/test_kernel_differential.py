@@ -1,10 +1,10 @@
 """Differential tests: the shared beam step against the per-strategy loops
 it replaced (``reference_search``).
 
-Both sides decode the same blocks from the same seeds on twin sessions, and
-must agree exactly on every returned beam (tokens and log-probabilities),
-on any error raised, and on the forward passes spent. On the final block the
-complete-source search (``search._final_block``) must return the best of the
+Both sides decode the same blocks from the same distinct seeds on twin
+sessions, and must agree exactly on every returned beam (tokens and
+log-probabilities), on any error raised, and on the forward passes spent. On
+the final block the complete-source search (``search._final_block``) must return the best of the
 reference op's ``final=True`` beams. Each model strategy also gives the
 log-probabilities the seed beams draw from. A second test checks one beam
 step alone: ``search._expand`` against the reference's expand-then-prune.
@@ -112,23 +112,23 @@ def _outcome(fn, *args):
     detection=st.booleans(),
     data=st.data(),
 )
-# Repeated seeds, the second of them scored higher: each repeat costs its pass
-# and adds nothing, on a mid-source block (then the final block) and on a
-# lone final block. The draws are the committed prefix, the extra tokens per
-# seed, the seed count, each seed's extra tokens and log-probs, and headroom.
+# Repeated seeds, the second of them scored higher, are rejected by both sides
+# before any forward pass, on a mid-source block and on a lone final block.
+# The draws are the committed prefix, the extra tokens per seed, each seed's
+# extra tokens, each seed's log-probs, and headroom.
 @example(
     model=(partial(VectorSession, lambda level, prefix: [-0.5, -1.2, -2.3, -0.9] if len(prefix) % 2
                    else [-0.9, -2.3, -1.2, -0.5]),
            4, 3, [Block((), 100.0), Block((), 100.0, True)], SMALL_LOGPROBS),
     algo="ibwbs", beam=3, detection=True,
-    data=ScriptedData([0], 1, 3, [1], [-0.05, -0.7], [1], [-0.05, -0.05], [2], [-0.05, -0.7], 3),
+    data=ScriptedData([0], 1, [(1,), (1,), (2,)], [-0.05, -0.7], [-0.05, -0.05], [-0.05, -0.7], 3),
 )
 @example(
     model=(partial(VectorSession, lambda level, prefix: [-0.5, -1.2, -2.3, -0.9] if len(prefix) % 2
                    else [-0.9, -2.3, -1.2, -0.5]),
            4, 3, [Block((), 100.0, True)], SMALL_LOGPROBS),
     algo="bwbs", beam=3, detection=True,
-    data=ScriptedData([0], 1, 3, [1], [-0.05, -0.7], [1], [-0.05, -0.05], [2], [-0.05, -0.7], 3),
+    data=ScriptedData([0], 1, [(1,), (1,), (2,)], [-0.05, -0.7], [-0.05, -0.05], [-0.05, -0.7], 3),
 )
 def test_kernel_matches_reference(model, algo, beam, detection, data):
     factory, vocab_size, eos_id, blocks, logprob = model
@@ -136,9 +136,10 @@ def test_kernel_matches_reference(model, algo, beam, detection, data):
     token = st.integers(0, vocab_size - 1)
     committed = tuple(data.draw(st.lists(token, max_size=3), label="committed"))
     extra = data.draw(st.integers(0, 2), label="extra")
+    suffix = st.lists(token, min_size=extra, max_size=extra).map(tuple)
     seeds = []
-    for _ in range(data.draw(st.integers(1, 3), label="seeds")):
-        tokens = committed + tuple(data.draw(st.lists(token, min_size=extra, max_size=extra)))
+    for tail in data.draw(st.lists(suffix, min_size=1, max_size=3, unique=True), label="seeds"):
+        tokens = committed + tail
         logprobs = tuple(data.draw(st.lists(logprob, min_size=len(tokens), max_size=len(tokens))))
         seeds.append(Hypothesis(tokens, logprobs))
     max_total = len(seeds[0]) + data.draw(st.integers(0, 6), label="headroom")

@@ -94,6 +94,14 @@ class TestApplyPolicy:
         state, new = apply_policy(state, hyp(1, 2, 5))
         assert new == (1, 2)
 
+    def test_local_agreement_compares_every_context_in_the_window(self):
+        # The middle output disagrees earliest, so it decides the commit.
+        state = PolicyState(PolicyKind.LOCAL_AGREEMENT, 3)
+        state, _ = apply_policy(state, hyp(1, 2, 3))
+        state, _ = apply_policy(state, hyp(1, 9))
+        state, new = apply_policy(state, hyp(1, 2, 5))
+        assert new == (1,)
+
     def test_none_commits_everything_new(self):
         state, new = apply_policy(PolicyState(), hyp(1, 2))
         assert new == (1, 2)
@@ -483,9 +491,9 @@ class TestBeamStep:
             built.append(token)
             return extended(self, token, logprob)
 
-        def counted_step(active, session, width, may_repeat):
+        def counted_step(active, session, width):
             before = len(built)
-            pool = expand(active, session, width, may_repeat)
+            pool = expand(active, session, width)
             per_step.append(len(built) - before)
             return pool
 
@@ -533,9 +541,9 @@ class TestBeamStep:
             counts["scored"] += 1
             return fsum(values)
 
-        def checked_step(active, session, width, may_repeat):
+        def checked_step(active, session, width):
             counts.update(built=0, ranked=0, scored=0)
-            ranked = expand(active, session, width, may_repeat)
+            ranked = expand(active, session, width)
             assert len(ranked) <= width
             assert len({h.tokens for h in ranked}) == len(ranked)
             assert ranked == sorted(ranked, key=lambda h: (-h.score, h.tokens))
@@ -609,15 +617,23 @@ class TestBeamStep:
 
 
 class TestBeamsOfOneLength:
-    """A block starts from one or more beams of one length, each scored at
-    most 0. No beams, a beam beside a longer one, or a beam scored above 0
-    is one named error before any forward pass."""
+    """A block starts from one or more distinct beams of one length, each
+    scored at most 0. No beams, a beam beside a longer one, or a beam scored
+    above 0 is one named error before any forward pass, and a beam that
+    repeats another's tokens is a second."""
 
     OPS = {
         "bwbs": bwbs_block,
         "ibwbs": ibwbs_block,
         "final": lambda beams, floor, *args: search._final_block(beams, *args),
     }
+
+    def _rejected(self, op, beams, message):
+        session = RecordingSession(VectorSession(lambda level, prefix: [-0.7] * 6))
+        session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
+        with pytest.raises(ValueError, match=message):
+            self.OPS[op](beams, 0, session, SearchConfig(beam_size=2), 5, 4)
+        assert session.calls == ["ingest_block"]
 
     @pytest.mark.parametrize("op", sorted(OPS))
     @pytest.mark.parametrize(
@@ -629,12 +645,15 @@ class TestBeamsOfOneLength:
         ],
     )
     def test_rejected_before_any_forward_pass(self, op, beams):
-        session = RecordingSession(VectorSession(lambda level, prefix: [-0.7] * 6))
-        session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
         message = r"^a block needs one or more beams, all of one length and scored at most 0$"
-        with pytest.raises(ValueError, match=message):
-            self.OPS[op](beams, 0, session, SearchConfig(beam_size=2), 5, 4)
-        assert session.calls == ["ingest_block"]
+        self._rejected(op, beams, message)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_repeated_beams_rejected_before_any_forward_pass(self, op):
+        # The repeat is scored higher than the beam it repeats.
+        beams = (Hypothesis((0, 1), (-0.5, -0.5)), Hypothesis((1, 1), (-0.5, -0.5)),
+                 Hypothesis((0, 1), (-0.25, -0.25)))
+        self._rejected(op, beams, r"^a block's beams must not repeat a token sequence$")
 
 
 class TestBatchedGuard:
@@ -654,16 +673,6 @@ class TestBatchedGuard:
                            match=rf"NaN or positive log-probability after prefix \({named},\)$"):
             search._expand(active, session, 3)
         assert session.forward_pass_count() == 3
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
-    def test_duplicate_beams_answer(self, bad):
-        # The repeated beam's row joins no candidate, but its answer is checked.
-        answers = iter([[-0.5, -0.7, -2.0], [-0.5, -0.7, -2.0], [-0.1, bad, -2.0]])
-        session = VectorSession(lambda level, prefix: next(answers))
-        active = [Hypothesis((0,), (-0.1,)), Hypothesis((1,), (-0.2,)), Hypothesis((0,), (-0.3,))]
-        with pytest.raises(ValueError,
-                           match=r"NaN or positive log-probability after prefix \(0,\)$"):
-            search._expand(active, session, 3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     def test_later_position_of_the_re_scored_prefix(self, bad):
@@ -710,18 +719,18 @@ def test_block_ops_return_exact_scores(model, beam, detection, data):
     # final block return has the exact sum of its log-probs as its score.
     factory, vocab_size, eos_id, blocks, logprob = model
     cfg = SearchConfig(beam_size=beam, repetition_detection=detection)
-    length = data.draw(st.integers(0, 3), label="length")  # a block's beams share one length
-    seeds = []
-    for _ in range(data.draw(st.integers(1, 3), label="seeds")):
-        tokens = st.lists(st.integers(0, vocab_size - 1), min_size=length, max_size=length)
-        lps = st.lists(logprob, min_size=length, max_size=length)
-        seeds.append(Hypothesis(tuple(data.draw(tokens)), tuple(data.draw(lps))))
+    # A block's beams are distinct and share one length.
+    length = data.draw(st.integers(0, 3), label="length")
+    tokens = st.lists(st.integers(0, vocab_size - 1), min_size=length, max_size=length).map(tuple)
+    lps = st.lists(logprob, min_size=length, max_size=length).map(tuple)
+    seeds = [Hypothesis(prefix, data.draw(lps))
+             for prefix in data.draw(st.lists(tokens, min_size=1, max_size=3, unique=True))]
     max_total = length + data.draw(st.integers(0, 6), label="headroom")
     expand = search._expand
     seen: list[Hypothesis] = []
 
-    def recorded(active, session, width, may_repeat):
-        ranked = expand(active, session, width, may_repeat)
+    def recorded(active, session, width):
+        ranked = expand(active, session, width)
         seen.extend(ranked)
         return ranked
 
@@ -822,6 +831,27 @@ class TestDecodeSession:
         assert transcript.decisions == (BlockDecision(500.0, (0,), ()),
                                         BlockDecision(1000.0, (1, 2), ()))
         assert transcript.final_output == (1, 2)
+
+    def test_halt_keeps_one_beam_of_each_copy(self):
+        # Block one spends 3 passes and ranks (0, 0) and (1, 1), whose repeats
+        # halt it: the trim makes both (), which the final block starts from
+        # once. That block spends 1 + 2 passes before (0, 2) finishes and 19
+        # more on the lone beam up to the cap of 21 tokens: 25 in all, where a
+        # second copy of () would have cost a 26th for nothing.
+        script = {
+            1: {(): {0: 0.6, 1: 0.4}, (0,): {0: 0.9, 2: 0.1}, (1,): {1: 0.9, 2: 0.1}},
+            2: {(): {0: 0.6, 1: 0.4}, (0,): {2: 1.0}},
+        }
+        blocks = [Block(payload=(), duration_ms=50.0, is_final=False),
+                  Block(payload=(), duration_ms=50.0, is_final=True)]
+        new, reference = (
+            fn(lambda: ScriptedSession(script, vocab_size=3), blocks, eos_id=2,
+               algo=Algorithm.BWBS, retranslation=True, cfg=SearchConfig(beam_size=2))
+            for fn in (decode_session, reference_search.decode_session)
+        )
+        assert new.decisions == (BlockDecision(50.0, (), ()), BlockDecision(100.0, (0,), ()))
+        assert new.forward_passes == 25
+        assert new == reference
 
     def test_prefix_monotone_commits(self):
         rng = random.Random(41)

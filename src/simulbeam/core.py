@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+# A frozen dataclass's own ``__setattr__`` raises: copies and the stored
+# score are written through ``object``'s.
+_new = object.__new__
+_set = object.__setattr__
+
+
 class StopReason(enum.Enum):
     """Outcome of the per-step stop heuristic."""
 
@@ -52,6 +58,11 @@ class Hypothesis:
     # repr and ``dataclasses.replace`` ignore it, so every new instance sums
     # its own. The beam step stores the sum it ranked a hypothesis by. Two
     # threads that race to fill it store the same value.
+    #
+    # ``extended`` and ``sliced`` build their copy without the constructor:
+    # they set the two fields on a bare instance. Both tuples grow or shrink
+    # together, so the lengths stay equal without the check, and a copy
+    # starts without a stored score, as a constructed one does.
     _score = None
 
     def __post_init__(self) -> None:
@@ -68,16 +79,22 @@ class Hypothesis:
         score = self._score
         if score is None:
             score = math.fsum(self.token_logprobs)
-            object.__setattr__(self, "_score", score)
+            _set(self, "_score", score)
         return score
 
     def extended(self, token: int, logprob: float) -> Hypothesis:
         """Copy with one more scored token appended."""
-        return Hypothesis(self.tokens + (token,), self.token_logprobs + (logprob,))
+        hyp = _new(Hypothesis)
+        _set(hyp, "tokens", self.tokens + (token,))
+        _set(hyp, "token_logprobs", self.token_logprobs + (logprob,))
+        return hyp
 
     def sliced(self, length: int) -> Hypothesis:
         """Copy keeping only the first ``length`` tokens."""
-        return Hypothesis(self.tokens[:length], self.token_logprobs[:length])
+        hyp = _new(Hypothesis)
+        _set(hyp, "tokens", self.tokens[:length])
+        _set(hyp, "token_logprobs", self.token_logprobs[:length])
+        return hyp
 
 
 @dataclass(frozen=True)

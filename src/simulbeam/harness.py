@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -91,11 +92,20 @@ class RunConfig:
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
 
     def __post_init__(self) -> None:
+        for name, kind in (("algo", Algorithm), ("policy", PolicyKind), ("context", ContextMode)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(
+                    f"{name} must be a member of {kind.__name__}, got {getattr(self, name)!r}")
         if type(self.block_symbols) is not int or self.block_symbols < 1:
             raise ConfigError(
                 f"block_symbols must be an integer, at least 1, got {self.block_symbols!r}")
-        if self.block_ms is not None and not 0 < self.block_ms < math.inf:
-            raise ConfigError("block_ms must be positive and finite")
+        # As json_number does: a boolean or a string is not a duration, and an
+        # integer past the float range would overflow the clock.
+        if self.block_ms is not None:
+            if type(self.block_ms) not in (int, float):
+                raise ConfigError(f"block_ms must be a number, got {self.block_ms!r}")
+            if not 0 < self.block_ms <= sys.float_info.max:
+                raise ConfigError("block_ms must be positive and finite")
         if self.retranslation and self.policy is not PolicyKind.NONE:
             raise ConfigError("commit policies do not apply to re-translation output")
         try:

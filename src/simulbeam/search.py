@@ -108,6 +108,8 @@ class PolicyState:
     committed: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PolicyKind):
+            raise ValueError(f"the policy's kind must be a PolicyKind, got {self.kind!r}")
         if type(self.n) is not int:
             raise ValueError(f"the policy's n must be an integer, got {self.n!r}")
         if self.kind is PolicyKind.HOLD and self.n < 0:
@@ -239,21 +241,24 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
         return [active[i // size].extended(i % size, matrix.item(i))] if count else []
     cut = -math.inf
     if count > width:
-        scores = [beam.score for beam in active]
-        approx = (np.array(scores)[:, None] + matrix.reshape(-1, size)).ravel()
-        cut = float(np.sort(approx)[-width])
+        # Each parent's score against each of its row's entries, end to end.
+        approx = matrix + np.array([beam.score for beam in active]).repeat(size)
+        ordered = approx.copy()
+        ordered.sort()
+        cut = float(ordered[-width])
     if cut > -math.inf:
         flat = (approx >= cut - 3 * math.ulp(4 * cut)).nonzero()[0]  # 3 ulp(2 A), A = 2 |K|
     else:
         flat = finite.nonzero()[0]
     values = matrix[flat]
     if flat.size > width:
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         flat, values = flat[order], values[order]
         owner = flat // size
         tied = np.zeros(flat.size, bool)
         tied[width:] = (values[width:] == values[:-width]) & (owner[width:] == owner[:-width])
-        flat, values = flat[~tied], values[~tied]
+        kept = ~tied
+        flat, values = flat[kept], values[kept]
     # The key orders as the child's tokens would, since the parents share one
     # length. Keys are distinct (parents' tokens are, and so are the ids in a
     # row), so the sort never compares beams.
@@ -283,7 +288,10 @@ def _selection_rank(hyp: Hypothesis) -> tuple:
 
 def select_best(candidates: Sequence[Hypothesis]) -> Hypothesis:
     """Best hypothesis by length-normalized score; longer wins ties, then
-    token order. Non-empty candidates always outrank empty ones."""
+    token order. Non-empty candidates always outrank empty ones. A lone
+    candidate is returned without being ranked."""
+    if len(candidates) == 1:
+        return candidates[0]
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
     return min(candidates, key=_selection_rank)
@@ -317,9 +325,10 @@ def _beam_loop(
     ``ValueError`` before the first forward pass. The children of one step
     are distinct, and so are the beams a halt returns, so the beams stay
     distinct from block to block."""
-    if len({len(seed.tokens) for seed in seeds}) != 1 or not all(s.score <= 0 for s in seeds):
+    length = len(seeds[0].tokens) if seeds else -1
+    if length < 0 or any(len(s.tokens) != length or not s.score <= 0 for s in seeds):
         raise ValueError("a block needs one or more beams, all of one length and scored at most 0")
-    if len({seed.tokens for seed in seeds}) != len(seeds):
+    if len(seeds) > 1 and len({seed.tokens for seed in seeds}) != len(seeds):
         raise ValueError("a block's beams must not repeat a token sequence")
     pool: list[Hypothesis] = []
     active = list(seeds)

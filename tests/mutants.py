@@ -93,16 +93,16 @@ MUTANTS = (
     Mutant("check-first-answer-only", SEARCH,
            "np.maximum.reduce(stacked)", "np.maximum.reduce(answers[0])"),
     # _beam_loop: the seeds.
-    Mutant("seed-score-check-dropped", SEARCH,
-           " or not all(s.score <= 0 for s in seeds)", ""),
+    Mutant("seed-score-check-dropped", SEARCH, " or not s.score <= 0", ""),
     Mutant("distinct-seed-check-dropped", SEARCH,
-           "    if len({seed.tokens for seed in seeds}) != len(seeds):\n", "    if False:\n"),
+           "    if len(seeds) > 1 and len({seed.tokens for seed in seeds}) != len(seeds):\n",
+           "    if False:\n"),
     # _beam_loop: the halt.
     Mutant("halt-copies-kept", SEARCH,
            "return list(kept.values()), []", "return list(map(on_trigger, ranked)), []"),
     # _expand: the cut.
     Mutant("cut-threshold-one-place-off", SEARCH,
-           "np.sort(approx)[-width]", "np.sort(approx)[1 - width]"),
+           "ordered[-width]", "ordered[1 - width]"),
     Mutant("cut-guarded-by-count", SEARCH, "    if cut > -math.inf:\n", "    if count > width:\n"),
     Mutant("no-margin", SEARCH, "cut - 3 * math.ulp(4 * cut)", "cut"),
     Mutant("fixed-margin-3-ulp-of-1", SEARCH,
@@ -116,7 +116,7 @@ MUTANTS = (
            equivalent=SMALLER_MARGIN),
     # _expand: the tie cap.
     Mutant("tie-cap-unstable-sort", SEARCH,
-           'np.argsort(values, kind="stable")', "np.argsort(values)"),
+           'values.argsort(kind="stable")', "values.argsort()"),
     Mutant("tie-cap-ignores-row", SEARCH, " & (owner[width:] == owner[:-width])", ""),
     Mutant("no-tie-cap", SEARCH, "    if flat.size > width:\n", "    if False:\n"),
     # _expand: the exact ranking.

@@ -145,6 +145,33 @@ class TestValidation:
         assert [f.name for f in dataclasses.fields(Hypothesis)] == ["tokens", "token_logprobs"]
         assert isinstance(vars(Hypothesis)["score"], property)
 
+    @pytest.mark.parametrize(
+        "copy, built",
+        [
+            (lambda h: h.extended(4, -0.5), Hypothesis((1, 2, 3, 4), (-0.5, -0.25, -1.0, -0.5))),
+            (lambda h: h.sliced(2), Hypothesis((1, 2), (-0.5, -0.25))),
+            (lambda h: h.sliced(0), Hypothesis()),
+            (lambda h: Hypothesis().extended(7, -0.125), Hypothesis((7,), (-0.125,))),
+        ],
+        ids=["extended", "sliced", "sliced-to-empty", "extended-from-empty"],
+    )
+    def test_copies_equal_the_constructed_value(self, copy, built):
+        # Copies skip the constructor; they must still be the same value.
+        hyp = Hypothesis((1, 2, 3), (-0.5, -0.25, -1.0))
+        assert hyp.score == -1.75  # stored on the parent; no copy may carry it over
+        made = copy(hyp)
+        assert type(made) is Hypothesis
+        assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+        assert dataclasses.replace(made) == built
+        assert vars(made) == vars(built)  # the two fields and no stored score
+        assert made.score == built.score
+
+    def test_sliced_copy_sums_its_own_score(self):
+        hyp = Hypothesis((1, 2, 3), (-0.5, -0.25, -1.0))
+        object.__setattr__(hyp, "_score", -100.0)  # a stored score no copy may reuse
+        assert hyp.sliced(3).score == -1.75
+        assert hyp.sliced(1).score == -0.5
+
     def test_transcript_needs_a_decision(self):
         with pytest.raises(ValueError, match="at least one block decision"):
             SessionTranscript((), 0)

@@ -357,11 +357,32 @@ class TestRunConfig:
             (dict(beam_size=2.5), "beam_size must be an integer, at least 1, got 2.5"),
             (dict(policy=PolicyKind.HOLD, policy_param=True), "n must be an integer, got True"),
             (dict(policy_param=1.0), "n must be an integer, got 1.0"),
+            (dict(block_ms=True), "block_ms must be a number, got True"),
+            (dict(block_ms="500"), "block_ms must be a number, got '500'"),
         ],
-        ids=["block-symbols-float", "beam-float", "hold-bool", "none-float"],
+        ids=["block-symbols-float", "beam-float", "hold-bool", "none-float", "block-ms-bool",
+             "block-ms-string"],
     )
     def test_non_integer_settings_rejected_with_name(self, fields, message):
         # Not truncated, converted or carried into a report.
+        with pytest.raises(ConfigError, match=f"{message}$"):
+            RunConfig(**fields)
+
+    def test_block_ms_past_the_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="block_ms must be positive and finite$"):
+            RunConfig(block_ms=10**400)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(algo="bwbs"), "algo must be a member of Algorithm, got 'bwbs'"),
+            (dict(policy="hold", policy_param=1), "policy must be a member of PolicyKind, got 'hold'"),
+            (dict(context="full"), "context must be a member of ContextMode, got 'full'"),
+        ],
+        ids=["algo", "policy", "context"],
+    )
+    def test_enum_settings_must_be_members(self, fields, message):
+        # Not a KeyError at decode time, nor a string policy run as local agreement.
         with pytest.raises(ConfigError, match=f"{message}$"):
             RunConfig(**fields)
 

@@ -127,6 +127,12 @@ class TestApplyPolicy:
         with pytest.raises(ValueError):
             PolicyState(PolicyKind.LOCAL_AGREEMENT, 1)
 
+    @pytest.mark.parametrize("kind", ["hold", "la", None])
+    def test_kind_must_be_a_policy_kind(self, kind):
+        # A string is not read as local agreement with the given n.
+        with pytest.raises(ValueError, match="kind must be a PolicyKind"):
+            PolicyState(kind, 2)
+
 
 class TestSelectBest:
     def test_normalized_ranking(self):
@@ -152,6 +158,16 @@ class TestSelectBest:
     def test_empty_selectable_when_alone(self):
         empty = Hypothesis()
         assert select_best([empty]) == empty
+
+    @pytest.mark.parametrize("tokens", [(), (1, 2)])
+    def test_lone_candidate_returned_unranked(self, tokens, monkeypatch):
+        lone = Hypothesis(tokens, (-0.5,) * len(tokens))
+
+        def unranked(hyp):
+            raise AssertionError("a lone candidate was ranked")
+
+        monkeypatch.setattr(search, "_selection_rank", unranked)
+        assert select_best((lone,)) is lone
 
 
 def _script_seed(committed=()) -> tuple[tuple[Hypothesis, ...], int]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-# A frozen dataclass's own ``__setattr__`` raises: copies and the stored
-# score are written through ``object``'s.
+# A frozen dataclass's own ``__setattr__`` raises: copies, the stored score
+# and the terms are written through ``object``'s.
 _new = object.__new__
 _set = object.__setattr__
 
@@ -64,6 +64,14 @@ class Hypothesis:
     # together, so the lengths stay equal without the check, and a copy
     # starts without a stored score, as a constructed one does.
     _score = None
+    # A short exact form of the score, once filled (see ``_exact_terms``):
+    # a few floats whose exact sum is the exact sum of the log-probs.
+    # ``math.fsum`` rounds the exact sum of its inputs once, so
+    # ``fsum(terms + rest)`` equals ``fsum(log-probs + rest)`` for any
+    # ``rest``. The beam step scores a child as ``fsum(parent terms +
+    # (lp,))``, whatever the parent's length, and stores that tuple as the
+    # child's terms. Not a field either, and copies start without it.
+    _terms = None
 
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.token_logprobs):
@@ -95,6 +103,25 @@ class Hypothesis:
         _set(hyp, "tokens", self.tokens[:length])
         _set(hyp, "token_logprobs", self.token_logprobs[:length])
         return hyp
+
+
+def _exact_terms(hyp: Hypothesis) -> tuple[float, ...]:
+    """``hyp``'s terms, filled on first use: its score, then the rounded
+    remainders ``fsum(log-probs + negated terms)`` until one is 0. Only a
+    zero exact sum rounds to 0, so then the terms' exact sum is the
+    log-probs'. Each remainder is at most half an ulp of the term before
+    it, so a finite score needs at most 40 terms. A ``-inf`` score is its
+    own single term."""
+    terms = hyp._terms
+    if terms is None:
+        score = hyp.score
+        terms, negated = (score,), (-score,)
+        if score > -math.inf:
+            while remainder := math.fsum(hyp.token_logprobs + negated):
+                terms += (remainder,)
+                negated += (-remainder,)
+        _set(hyp, "_terms", terms)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -163,6 +190,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if type(self.beam_size) is not int or self.beam_size < 1:
             raise ValueError(f"beam_size must be an integer, at least 1, got {self.beam_size!r}")
+        if type(self.repetition_detection) is not bool:
+            raise ValueError(
+                f"repetition_detection must be a bool, got {self.repetition_detection!r}")
 
 
 def max_output_tokens(source_duration_ms: float) -> int:

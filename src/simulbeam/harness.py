@@ -106,6 +106,9 @@ class RunConfig:
                 raise ConfigError(f"block_ms must be a number, got {self.block_ms!r}")
             if not 0 < self.block_ms <= sys.float_info.max:
                 raise ConfigError("block_ms must be positive and finite")
+        # A truthy string such as "no" would otherwise turn re-translation on.
+        if type(self.retranslation) is not bool:
+            raise ConfigError(f"retranslation must be a bool, got {self.retranslation!r}")
         if self.retranslation and self.policy is not PolicyKind.NONE:
             raise ConfigError("commit policies do not apply to re-translation output")
         try:

@@ -95,6 +95,8 @@ class ToyTransducerSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise_epsilon < 1.0:
             raise ValueError("noise_epsilon must lie in [0, 1)")
+        if type(self.lookahead) is not int:
+            raise ValueError(f"lookahead must be an integer, got {self.lookahead!r}")
         if self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
         for symbol, targets in self.mapping.items():
@@ -333,9 +335,6 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
         }
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model mapping: {exc}") from exc
-    lookahead = doc.get("lookahead", 0)
-    if type(lookahead) is not int:
-        raise ValueError(f"lookahead must be an integer, got {lookahead!r}")
     modes = [m.value for m in InsufficientContextMode]
     mode = doc.get("mode", "repeat")
     if mode not in modes:
@@ -344,7 +343,7 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
         mapping=mapping,
         noise_epsilon=json_number(doc.get("epsilon", 0.0), "epsilon"),
         insufficient_context_mode=InsufficientContextMode(mode),
-        lookahead=lookahead,
+        lookahead=doc.get("lookahead", 0),
     )
     spec.validate_against(vocab)
     return spec, vocab

@@ -37,14 +37,16 @@ approximate cut across the stacked rows, whose threshold comes from one full
 sort (selection by partition stalls on the many tied log-probs of a row) and
 whose rounding margin from that threshold alone, and a cap on exact ties leave
 only the candidates that can place, and one exact sort, by the ``math.fsum``
-score and then by token order, ranks them. A block's beams are distinct and
-share one length, which :func:`_beam_loop` requires, so that token order is
-the parent's tokens and then the new token's id, and a candidate that does
-not place never gets a token tuple. Only the top ``width`` are built, each
-keeping the exact score it was ranked by, so no hypothesis is summed twice,
-and the Python work besides the model grows with the candidates that can
-place, not with the vocabulary. The children of distinct parents are
-distinct, so no step looks for repeats.
+score (summed over a few exact terms the parent carries, not over its
+history) and then by token order, ranks them. A block's beams are distinct
+and share one length, which :func:`_beam_loop` requires, so that token order
+is the parent's tokens and then the new token's id, and a candidate that
+does not place never gets a token tuple. Only the top ``width`` are built,
+each keeping the exact score it was ranked by and the terms it was summed
+from, so no hypothesis is summed twice, and the Python work besides the
+model grows with the candidates that can place, not with the vocabulary or
+the output. The children of distinct parents are distinct, so no step looks
+for repeats.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -68,6 +70,8 @@ from .core import (
     SearchConfig,
     SessionTranscript,
     StopReason,
+    _exact_terms,
+    _set,
     detect_stop,
     longest_common_prefix,
     max_output_tokens,
@@ -224,12 +228,19 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
        ``width`` places before it is of its group.
     3. The exact ranking: what is left is scored with ``math.fsum``, once
        per run of one ``(row, lp)`` group, and sorted by
-       ``(-score, parent tokens, token id)``. The parents are distinct and
-       share one length, so the key orders as the child's tokens would, a
-       tie within a row compares one parent tuple (by identity) and then one
-       int, and only the placed candidates ever get a token tuple. The first
-       ``width`` are built, each storing the exact score it was ranked by,
-       which the next step's parent scores and :func:`select_best` read.
+       ``(-score, parent tokens, token id)``. The sum is not over the
+       parent's history but over its terms (``Hypothesis._terms``): a few
+       floats with the same exact sum as its log-probs, its score and the
+       rounded remainders, filled once per seed. ``fsum`` rounds the exact
+       sum of its inputs once, so ``fsum(terms + (lp,))`` is the child's
+       exact score, at a cost that grows with the steps since the seeds,
+       not with the output. The parents are distinct and share one length,
+       so the key orders as the child's tokens would, a tie within a row
+       compares one parent tuple (by identity) and then one int, and only
+       the placed candidates ever get a token tuple. The first ``width``
+       are built, each storing the exact score it was ranked by, which the
+       next step's parent scores and :func:`select_best` read, and the
+       terms it was summed from, which the next step extends.
     """
     matrix = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
@@ -269,13 +280,15 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
         beam = active[row]
         if row != last_row or lp != last_lp:
             last_row, last_lp = row, lp
-            key = -math.fsum(beam.token_logprobs + (lp,))
-        ranked.append((key, beam.tokens, token, beam, lp))
+            terms = _exact_terms(beam) + (lp,)
+            key = -math.fsum(terms)
+        ranked.append((key, beam.tokens, token, beam, lp, terms))
     ranked.sort()
     built = []
-    for key, _, token, beam, lp in ranked[:width]:
+    for key, _, token, beam, lp, terms in ranked[:width]:
         hyp = beam.extended(token, lp)
-        object.__setattr__(hyp, "_score", -key)  # see Hypothesis.score
+        _set(hyp, "_score", -key)  # see Hypothesis.score
+        _set(hyp, "_terms", terms)
         built.append(hyp)
     return built
 

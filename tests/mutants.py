@@ -1,13 +1,16 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
-paths, the commit policies and BLEU's statistics.
+paths, the exact terms it sums, the commit policies, BLEU's statistics and
+the harness's block durations.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 ``old`` must occur exactly once in that file. For each mutant the script
-copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
-applies the edit, and runs the mutant's test subset there in one pytest
-process: the differential subset (``SUBSET``) for the beam step, and
-``POLICY_SUBSET`` for ``apply_policy`` and ``bleu_statistics``. A failing
-run kills the mutant.
+copies ``src/``, ``tests/``, ``demo/``, ``README.md`` and ``pyproject.toml``
+to a temporary directory, applies the edit, and runs the mutant's test
+subset there in one pytest process: the differential subset (``SUBSET``)
+for the beam step, with ``tests/test_core.py`` for the exact terms
+(``TERMS_SUBSET``), ``POLICY_SUBSET`` for ``apply_policy`` and
+``bleu_statistics``, and the harness's own tests for ``blocks_for``. A
+failing run kills the mutant.
 
 A mutant marked equivalent carries the reason no test can kill it. It is
 still run, and a kill fails the gate too, since it means the reason is wrong.
@@ -36,13 +39,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CORE = "src/simulbeam/core.py"
 SEARCH = "src/simulbeam/search.py"
 METRICS = "src/simulbeam/metrics.py"
+HARNESS = "src/simulbeam/harness.py"
 SUBSET = (
     "tests/test_kernel_differential.py",
     "tests/test_search.py",
     "tests/test_session_differential.py",
 )
+TERMS_SUBSET = ("tests/test_core.py",) + SUBSET
 POLICY_SUBSET = (
     "tests/test_search.py",
     "tests/test_session_differential.py",
@@ -69,6 +75,9 @@ SMALLER_MARGIN = "at least 3 ulp(|K|), enough by the proof above; 3 ulp(4|K|) is
 # While LA-n waits for ``n`` outputs its candidate is the committed prefix,
 # and any candidate no longer than that prefix commits nothing.
 WAITING_CANDIDATE = "a candidate no longer than the committed prefix commits nothing"
+# A child built without its terms fills them on first use from its own
+# log-probs: other floats, but the same exact sum, so the same scores.
+UNSTORED_TERMS = "a child without terms fills its own, with the same exact sum"
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,13 @@ MUTANTS = (
     Mutant("one-fsum-per-row", SEARCH,
            "if row != last_row or lp != last_lp:", "if row != last_row:"),
     Mutant("stored-score-sign", SEARCH, '"_score", -key)', '"_score", key)'),
+    Mutant("children-without-terms", SEARCH, '        _set(hyp, "_terms", terms)\n', "",
+           equivalent=UNSTORED_TERMS, subset=TERMS_SUBSET),
+    # core._exact_terms: the remainders.
+    Mutant("terms-without-remainders", CORE, "        if score > -math.inf:\n",
+           "        if False:\n", subset=TERMS_SUBSET),
+    Mutant("remainder-sign-flipped", CORE,
+           "terms += (remainder,)", "terms += (-remainder,)", subset=TERMS_SUBSET),
     # apply_policy: the hold-n cut.
     Mutant("hold-withholds-one-less", SEARCH,
            "tokens[: max(len(tokens) - state.n, 0)]", "tokens[: max(len(tokens) - state.n + 1, 0)]",
@@ -156,6 +172,10 @@ MUTANTS = (
            "max(len(hypothesis) - n + 1, 0)", "max(len(hypothesis) - n, 0)", subset=POLICY_SUBSET),
     Mutant("bleu-totals-unclamped", METRICS,
            "max(len(hypothesis) - n + 1, 0)", "len(hypothesis) - n + 1", subset=POLICY_SUBSET),
+    # blocks_for: a short final block's duration.
+    Mutant("short-block-charged-in-full", HARNESS,
+           "duration_ms=len(chunk) * symbol_ms", "duration_ms=cfg.block_symbols * symbol_ms",
+           subset=("tests/test_harness.py",)),
 )
 
 
@@ -164,7 +184,10 @@ def _copy_tree(destination: Path) -> None:
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     shutil.copytree(ROOT / "tests", destination / "tests",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy2(ROOT / "pyproject.toml", destination / "pyproject.toml")
+    # The golden and README tests read these.
+    shutil.copytree(ROOT / "demo", destination / "demo")
+    for name in ("README.md", "pyproject.toml"):
+        shutil.copy2(ROOT / name, destination / name)
 
 
 def _apply(tree: Path, mutant: Mutant) -> None:

@@ -16,6 +16,7 @@ from simulbeam.core import (
     SessionTranscript,
     StopReason,
     Vocabulary,
+    _exact_terms,
     detect_stop,
     longest_common_prefix,
     max_output_tokens,
@@ -23,6 +24,15 @@ from simulbeam.core import (
 )
 
 EOS = 9
+
+# The differential tests' palettes: one-ulp neighbours of 1e300 and 1e6,
+# subnormals, the binade edge at 2 and small log-probs, whose sums rounding
+# loses, and -inf.
+_EDGES = [-1e300, -1e6, -2.0, -0.05, -0.7]
+TERM_PALETTE = sorted(
+    {math.nextafter(x, to) for x in _EDGES for to in (0.0, -math.inf)} | set(_EDGES)
+    | {-5e-324, -2.5e-323, -2.2250738585072014e-308, -2**-51, -3 * 2**-52}
+)
 
 
 class TestLongestCommonPrefix:
@@ -172,6 +182,26 @@ class TestValidation:
         assert hyp.sliced(3).score == -1.75
         assert hyp.sliced(1).score == -0.5
 
+    @given(
+        logprobs=st.lists(st.sampled_from(TERM_PALETTE + [-math.inf]), max_size=150),
+        rest=st.lists(st.sampled_from(TERM_PALETTE).map(abs) | st.sampled_from(TERM_PALETTE),
+                      max_size=4),
+    )
+    def test_terms_sum_exactly_to_the_logprobs(self, logprobs, rest):
+        hyp = Hypothesis(tuple(range(len(logprobs))), tuple(logprobs))
+        terms = _exact_terms(hyp)
+        assert terms[0] == hyp.score and len(terms) <= 40
+        assert _exact_terms(hyp) is terms  # filled once
+        # Any floats added to both sides round alike; so does the score's
+        # negation, which leaves only what the score rounded away.
+        extras = [tuple(rest)]
+        if hyp.score > -math.inf:
+            extras.append(tuple(rest) + (-hyp.score,))
+        else:
+            assert terms == (-math.inf,)
+        for extra in extras:
+            assert math.fsum(terms + extra) == math.fsum(hyp.token_logprobs + extra)
+
     def test_transcript_needs_a_decision(self):
         with pytest.raises(ValueError, match="at least one block decision"):
             SessionTranscript((), 0)
@@ -198,6 +228,12 @@ class TestValidation:
         for source_ms in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="positive"):
                 SessionTranscript((BlockDecision(source_ms, (), ()),), 0)
+
+    @pytest.mark.parametrize("value", [0, 1, "off", None])
+    def test_search_config_repetition_detection_must_be_a_bool(self, value):
+        # A truthy "off" would otherwise turn detection on.
+        with pytest.raises(ValueError, match=f"repetition_detection must be a bool, got {value!r}$"):
+            SearchConfig(repetition_detection=value)
 
     def test_search_config_bounds(self):
         with pytest.raises(ValueError):

@@ -252,6 +252,15 @@ class TestRunUtterance:
         )
         assert transcript.source_duration_ms == 4 * 280.0
 
+    def test_short_final_block_is_charged_its_own_symbols(self, ladder_setup):
+        # 5 symbols in blocks of 2: the final block holds one symbol.
+        _, vocab, factory, _ = ladder_setup
+        record = ladder_record("u", 5)
+        cfg = RunConfig(block_symbols=2)
+        assert [b.duration_ms for b in blocks_for(record, cfg)] == [1000.0, 1000.0, 500.0]
+        transcript, _ = run_utterance(record, factory, cfg, vocab.eos_id)
+        assert transcript.source_duration_ms == len(record.source) * record.block_ms
+
     def test_uncovered_symbol_propagates(self, ladder_setup):
         _, vocab, factory, _ = ladder_setup
         record = CorpusRecord(id="bad", source=(99,), reference=(0,), block_ms=250.0)
@@ -365,6 +374,22 @@ class TestRunConfig:
     )
     def test_non_integer_settings_rejected_with_name(self, fields, message):
         # Not truncated, converted or carried into a report.
+        with pytest.raises(ConfigError, match=f"{message}$"):
+            RunConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(retranslation="no"), "retranslation must be a bool, got 'no'"),
+            (dict(retranslation=1), "retranslation must be a bool, got 1"),
+            (dict(repetition_detection="off"), "repetition_detection must be a bool, got 'off'"),
+            (dict(context=ContextMode.FULL_CONTEXT, repetition_detection=0),
+             "repetition_detection must be a bool, got 0"),
+        ],
+        ids=["retranslation-string", "retranslation-int", "detection-string", "detection-int"],
+    )
+    def test_boolean_settings_must_be_bools(self, fields, message):
+        # A truthy "no" or "off" would otherwise turn the setting on.
         with pytest.raises(ConfigError, match=f"{message}$"):
             RunConfig(**fields)
 

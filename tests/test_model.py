@@ -348,6 +348,11 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match="empty"):
             ToyTransducerSpec(mapping={0: ()})
 
+    @pytest.mark.parametrize("lookahead", [True, 1.5, "1"])
+    def test_lookahead_must_be_an_integer(self, lookahead):
+        with pytest.raises(ValueError, match=f"lookahead must be an integer, got {lookahead!r}$"):
+            ToyTransducerSpec(mapping={0: (1,)}, lookahead=lookahead)
+
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
             ToyTransducerSpec(mapping={0: (1,)}, noise_epsilon=1.0)

@@ -21,7 +21,7 @@ from simulbeam import (
     make_toy_model,
     search,
 )
-from simulbeam.core import BlockDecision, SearchConfig
+from simulbeam.core import BlockDecision, SearchConfig, _exact_terms
 from simulbeam.metrics import token_delays
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
 from simulbeam.search import (
@@ -766,7 +766,83 @@ def test_block_ops_return_exact_scores(model, beam, detection, data):
         assert hyp.score == math.fsum(hyp.token_logprobs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(step=beam_steps())
+def test_step_stores_terms_that_sum_to_each_score(step):
+    # A child's terms are its parent's plus its own log-prob: their exact sum
+    # is the child's, so they round to the score it was ranked by.
+    parents, rows, width = step
+    for hyp in search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]), width):
+        assert math.fsum(_exact_terms(hyp)) == hyp.score == math.fsum(hyp.token_logprobs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=st.one_of(toy_models(), scripted_models(), vector_models()),
+    beam=st.integers(1, 6),
+    detection=st.booleans(),
+    data=st.data(),
+)
+def test_block_ops_return_terms_that_sum_to_each_score(model, beam, detection, data):
+    # As test_block_ops_return_exact_scores, for the terms: every hypothesis a
+    # step builds and every one the block ops and the final block return.
+    factory, vocab_size, eos_id, blocks, logprob = model
+    cfg = SearchConfig(beam_size=beam, repetition_detection=detection)
+    length = data.draw(st.integers(0, 3), label="length")
+    tokens = st.lists(st.integers(0, vocab_size - 1), min_size=length, max_size=length).map(tuple)
+    lps = st.lists(logprob, min_size=length, max_size=length).map(tuple)
+    seeds = [Hypothesis(prefix, data.draw(lps))
+             for prefix in data.draw(st.lists(tokens, min_size=1, max_size=3, unique=True))]
+    max_total = length + data.draw(st.integers(0, 6), label="headroom")
+    expand = search._expand
+    seen: list[Hypothesis] = []
+
+    def recorded(active, session, width):
+        ranked = expand(active, session, width)
+        seen.extend(ranked)
+        return ranked
+
+    ops = (
+        lambda session: bwbs_block(seeds, 0, session, cfg, eos_id, max_total),
+        lambda session: ibwbs_block(seeds, 0, session, cfg, eos_id, max_total),
+        lambda session: (search._final_block(seeds, session, cfg, eos_id, max_total),),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_expand", recorded)
+        for op in ops:
+            session = factory()
+            for block in blocks:
+                session.ingest_block(block)
+            seen.extend(op(session))
+    for hyp in seen:
+        assert math.fsum(_exact_terms(hyp)) == hyp.score
+
+
 class TestDecodeSession:
+    def test_long_committed_prefix_matches_reference(self, monkeypatch):
+        # 112 symbols, one token each, with every correct token at log(0.9):
+        # ibwbs hold-1 commits over 100 tokens before the final block, and the
+        # prefix's float score is not its exact sum, so the seeds' terms carry
+        # remainders.
+        vocab = make_vocab(7)
+        spec = ToyTransducerSpec(mapping={s: (s,) for s in range(7)}, noise_epsilon=0.1)
+        factory = make_toy_model(spec, vocab)
+        blocks = as_blocks([i % 7 for i in range(112)], 2)
+        policy = PolicyState(PolicyKind.HOLD, 1)
+        expand = search._expand
+        parents: list[Hypothesis] = []
+
+        def recorded(active, session, width):
+            parents.extend(active)
+            return expand(active, session, width)
+
+        monkeypatch.setattr(search, "_expand", recorded)
+        transcript = decode_session(factory, blocks, vocab.eos_id, policy=policy)
+        assert transcript == reference_search.decode_session(
+            factory, blocks, vocab.eos_id, algo=Algorithm.IBWBS, policy=policy)
+        assert sum(len(d.committed) for d in transcript.decisions[:-1]) >= 100
+        assert any(len(_exact_terms(p)) > 1 for p in parents if len(p) >= 100)
+
     def test_incremental_commits_split_across_blocks(self):
         spec, vocab = ladder_spec(symbols=2, tokens_per_symbol=3)
         factory = make_toy_model(spec, vocab)

@@ -31,12 +31,16 @@ class StopReason(enum.Enum):
 @dataclass(frozen=True)
 class Vocabulary:
     """Closed token inventory with a designated end-of-sequence id; decoding
-    operates on ids throughout."""
+    operates on ids throughout. Both fields are ints (not bools)."""
 
     size: int
     eos_id: int
 
     def __post_init__(self) -> None:
+        for name in ("size", "eos_id"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"vocabulary {name} must be an integer, got {value!r}")
         if self.size < 1:
             raise ValueError(f"vocabulary size must be positive, got {self.size}")
         if not 0 <= self.eos_id < self.size:

@@ -119,7 +119,8 @@ class ModelSession(ABC):
     Contract: ``next_token_logprobs`` returns a log-distribution over the
     whole vocabulary (exponentials sum to 1) and increments the forward-pass
     counter by exactly one. The decoder checks that every entry is at most
-    0: NaN, ``+inf`` and positive entries are rejected. Ingesting after the final block is an error.
+    0: NaN, ``+inf`` and positive entries are rejected. Ingesting after the
+    final block is an error.
     Per-block work, such as encoding the source, belongs in ``ingest_block``:
     queries are decoder forward passes and should only read that state.
     The decoder only reads an answer, never writes to it, so a session may

@@ -31,7 +31,9 @@ vector that is not 1-D or not as long as the step's first as it arrives. It
 then checks all the step's answers against the contract at once
 (:func:`_answers`): every entry at most 0, so NaN, ``+inf`` and positive
 entries are rejected, and that error comes after the step's remaining beams
-were queried. Each error is a ``ValueError`` naming the prefix. The step then
+were queried. One ``argmax`` makes that check: it finds the first NaN, or
+else the maximum, and a step with one finite entry takes that entry from it.
+Each error is a ``ValueError`` naming the prefix. The step otherwise
 ranks the extensions of all the beams at once (:func:`_expand`): one
 approximate cut across the stacked rows, whose threshold comes from one full
 sort (selection by partition stalls on the many tied log-probs of a row) and
@@ -71,6 +73,7 @@ from .core import (
     SessionTranscript,
     StopReason,
     _exact_terms,
+    _new,
     _set,
     detect_stop,
     longest_common_prefix,
@@ -111,6 +114,12 @@ class PolicyState:
     history: tuple[tuple[int, ...], ...] = ()
     committed: tuple[int, ...] = ()
 
+    # The check reads ``kind`` and ``n`` only. :func:`apply_policy` runs once
+    # per block and builds its successor on a bare instance, as
+    # ``Hypothesis.extended`` does, without the check: it copies a ``kind``
+    # and ``n`` that this check passed and that stayed frozen since, and
+    # ``history`` and ``committed`` are tuples it builds itself, which the
+    # check never read.
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PolicyKind):
             raise ValueError(f"the policy's kind must be a PolicyKind, got {self.kind!r}")
@@ -129,6 +138,8 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
     Returns the updated state and the newly committed tokens (possibly
     empty). Commitment never retracts: the candidate prefix is compared
     against ``state.committed`` and only a proper extension is emitted.
+    The updated state skips the constructor's checks, which ``state``
+    passed (see :class:`PolicyState`).
     """
     tokens = best.tokens
     committed = state.committed
@@ -151,18 +162,29 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
     new: tuple[int, ...] = ()
     if len(candidate) > len(committed) and candidate[: len(committed)] == committed:
         new = tuple(candidate[len(committed) :])
-    return PolicyState(state.kind, state.n, history, committed + new), new
+    successor = _new(PolicyState)  # unchecked: see PolicyState
+    _set(successor, "kind", state.kind)
+    _set(successor, "n", state.n)
+    _set(successor, "history", history)
+    _set(successor, "committed", committed + new)
+    return successor, new
 
 
-def _answers(session: ModelSession, prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """One forward pass per prefix, in order: the answers end to end.
+def _answers(session: ModelSession,
+             prefixes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, int]:
+    """One forward pass per prefix, in order: the answers end to end, and
+    the index of their first NaN if there is one, else of their first
+    maximum.
 
     Each answer must be a non-empty 1-D vector as long as the first, which
     is checked as it arrives. Every entry must be at most 0, as the log of
     a probability is: NaN, ``+inf`` and positive entries are rejected (a NaN
-    would also vanish from every comparison). That is checked once over all
-    the answers, and the error names the first offending prefix in query
-    order. :func:`_expand`'s cut rests on it."""
+    would also vanish from every comparison). One ``argmax`` over all the
+    answers checks that: it returns the first NaN, else the first maximum,
+    so the entry it picks is at most 0 only if every entry is. The error
+    names the first offending prefix in query order. :func:`_expand`'s cut
+    rests on the check, and its lone-candidate path takes its entry from
+    the index."""
     answers = []
     for prefix in prefixes:
         logprobs = session.next_token_logprobs(prefix)
@@ -174,13 +196,13 @@ def _answers(session: ModelSession, prefixes: Sequence[tuple[int, ...]]) -> np.n
                              f"after prefix {prefix}")
         answers.append(logprobs)
     stacked = answers[0] if len(answers) == 1 else np.concatenate(answers)
-    # ndarray.max without its Python-level wrapper: this runs on every step.
-    if not np.maximum.reduce(stacked) <= 0:
+    top = int(stacked.argmax())
+    if not stacked.item(top) <= 0:
         for prefix, logprobs in zip(prefixes, answers):
             if not np.maximum.reduce(logprobs) <= 0:
                 raise ValueError(f"model returned a NaN or positive log-probability "
                                  f"after prefix {prefix}")
-    return stacked
+    return stacked, top
 
 
 def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
@@ -193,8 +215,9 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
     ``+inf`` and positive entries are rejected. Zero-probability tokens are
     skipped: they can never belong to a valid hypothesis and would break
     score finiteness. A step with at most one finite candidate returns that
-    one, if any. Otherwise three stages over the stacked rows leave only the
-    candidates that can place, and only the placed ones are built:
+    one, if any: it is the maximum that :func:`_answers` found. Otherwise
+    three stages over the stacked rows leave only the candidates that can
+    place, and only the placed ones are built:
 
     1. The cut, when the step has more than ``width`` finite entries. It
        rests on the checked contract: every ``lp`` is at most 0
@@ -242,14 +265,14 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
        next step's parent scores and :func:`select_best` read, and the
        terms it was summed from, which the next step extends.
     """
-    matrix = _answers(session, [hyp.tokens for hyp in active])
+    matrix, top = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
     # The rows end to end: entry ``i`` is token ``i % size`` of beam ``i // size``.
     finite = matrix > -np.inf
     count = np.count_nonzero(finite)
     if count <= 1:
-        i = int(finite.argmax())  # the finite entry, if there is one
-        return [active[i // size].extended(i % size, matrix.item(i))] if count else []
+        # A lone finite entry is the maximum, so it is ``top``.
+        return [active[top // size].extended(top % size, matrix.item(top))] if count else []
     cut = -math.inf
     if count > width:
         # Each parent's score against each of its row's entries, end to end.
@@ -427,7 +450,7 @@ def standard_beam_search(
     prefix = Hypothesis()
     if committed:
         tokens = tuple(int(token) for token in committed)
-        stacked = _answers(session, [tokens[:position] for position in range(len(tokens))])
+        stacked, _ = _answers(session, [tokens[:position] for position in range(len(tokens))])
         # Row ``position`` is the answer after ``tokens[:position]``.
         picked = stacked.reshape(len(tokens), -1)[np.arange(len(tokens)), tokens]
         prefix = Hypothesis(tokens, tuple(picked.astype(float).tolist()))

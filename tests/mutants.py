@@ -1,5 +1,6 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
-paths, the exact terms it sums, the commit policies, BLEU's statistics and
+paths, the exact terms it sums, the commit policies, the stop heuristic, the
+length cap and the transcript's checks, the latency and BLEU metrics, and
 the harness's block durations.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
@@ -9,8 +10,10 @@ to a temporary directory, applies the edit, and runs the mutant's test
 subset there in one pytest process: the differential subset (``SUBSET``)
 for the beam step, with ``tests/test_core.py`` for the exact terms
 (``TERMS_SUBSET``), ``POLICY_SUBSET`` for ``apply_policy`` and
-``bleu_statistics``, and the harness's own tests for ``blocks_for``. A
-failing run kills the mutant.
+``bleu_statistics``, one test class each for the lone-candidate path and
+the policy's successor, ``tests/test_core.py`` and ``tests/test_metrics.py``
+alone for the rest of ``core`` and ``metrics``, and the harness's own tests
+for ``blocks_for``. A failing run kills the mutant.
 
 A mutant marked equivalent carries the reason no test can kill it. It is
 still run, and a kill fails the gate too, since it means the reason is wrong.
@@ -54,6 +57,10 @@ POLICY_SUBSET = (
     "tests/test_session_differential.py",
     "tests/test_metrics.py",
 )
+LONE_SUBSET = ("tests/test_search.py::TestBatchedGuard",)
+SUCCESSOR_SUBSET = ("tests/test_search.py::TestPolicySuccessor",)
+CORE_SUBSET = ("tests/test_core.py",)
+METRICS_SUBSET = ("tests/test_metrics.py",)
 # The same draws on every run, so a kill or a survival can be replayed.
 PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 
@@ -93,14 +100,18 @@ class Mutant:
 MUTANTS = (
     # _answers: the contract check.
     Mutant("contract-reverted-to-finite", SEARCH,
-           "    if not np.maximum.reduce(stacked) <= 0:\n"
+           "    if not stacked.item(top) <= 0:\n"
            "        for prefix, logprobs in zip(prefixes, answers):\n"
            "            if not np.maximum.reduce(logprobs) <= 0:",
-           "    if not np.maximum.reduce(stacked) < np.inf:\n"
+           "    if not stacked.item(top) < np.inf:\n"
            "        for prefix, logprobs in zip(prefixes, answers):\n"
            "            if not np.maximum.reduce(logprobs) < np.inf:"),
     Mutant("check-first-answer-only", SEARCH,
-           "np.maximum.reduce(stacked)", "np.maximum.reduce(answers[0])"),
+           "if not stacked.item(top) <= 0:", "if not np.maximum.reduce(answers[0]) <= 0:"),
+    # _expand: the lone candidate.
+    Mutant("lone-path-ignores-top", SEARCH,
+           "[active[top // size].extended(top % size, matrix.item(top))]",
+           "[active[0].extended(0, matrix.item(0))]", subset=LONE_SUBSET),
     # _beam_loop: the seeds.
     Mutant("seed-score-check-dropped", SEARCH, " or not s.score <= 0", ""),
     Mutant("distinct-seed-check-dropped", SEARCH,
@@ -139,6 +150,9 @@ MUTANTS = (
            "        if False:\n", subset=TERMS_SUBSET),
     Mutant("remainder-sign-flipped", CORE,
            "terms += (remainder,)", "terms += (-remainder,)", subset=TERMS_SUBSET),
+    # apply_policy: the successor built without the constructor.
+    Mutant("successor-drops-history", SEARCH, '    _set(successor, "history", history)\n', "",
+           subset=SUCCESSOR_SUBSET),
     # apply_policy: the hold-n cut.
     Mutant("hold-withholds-one-less", SEARCH,
            "tokens[: max(len(tokens) - state.n, 0)]", "tokens[: max(len(tokens) - state.n + 1, 0)]",
@@ -172,6 +186,28 @@ MUTANTS = (
            "max(len(hypothesis) - n + 1, 0)", "max(len(hypothesis) - n, 0)", subset=POLICY_SUBSET),
     Mutant("bleu-totals-unclamped", METRICS,
            "max(len(hypothesis) - n + 1, 0)", "len(hypothesis) - n + 1", subset=POLICY_SUBSET),
+    # core: the stop heuristic, the length cap, the normalized score and
+    # the transcript's order check.
+    Mutant("repetition-needs-three", CORE,
+           "len(hyp.tokens) >= 2 and hyp.tokens[-1] == hyp.tokens[-2]",
+           "len(hyp.tokens) >= 3 and hyp.tokens[-1] == hyp.tokens[-2] == hyp.tokens[-3]",
+           subset=CORE_SUBSET),
+    Mutant("cap-offset-21", CORE, "MAX_TOKENS_OFFSET = 20", "MAX_TOKENS_OFFSET = 21",
+           subset=CORE_SUBSET),
+    Mutant("normalized-over-len-plus-one", CORE,
+           "hyp.score / len(hyp.tokens)", "hyp.score / (len(hyp.tokens) + 1)", subset=CORE_SUBSET),
+    Mutant("transcript-order-unchecked", CORE,
+           "            if not decision.source_ms >= last:\n", "            if False:\n",
+           subset=CORE_SUBSET),
+    # metrics: the lagging sums and BLEU's brevity penalty.
+    Mutant("tau-strict", METRICS, "if d >= total:", "if d > total:", subset=METRICS_SUBSET),
+    Mutant("lag-step-off-by-one", METRICS,
+           "delays[i] - i * step", "delays[i] - (i + 1) * step", subset=METRICS_SUBSET),
+    Mutant("laal-computed-as-al", METRICS,
+           "_lagging(inp, max(len(inp.delays_ms), inp.ref_len))", "_lagging(inp, inp.ref_len)",
+           subset=METRICS_SUBSET),
+    Mutant("brevity-inverted", METRICS,
+           "1.0 - ref_len / hyp_len", "1.0 - hyp_len / ref_len", subset=METRICS_SUBSET),
     # blocks_for: a short final block's duration.
     Mutant("short-block-charged-in-full", HARNESS,
            "duration_ms=len(chunk) * symbol_ms", "duration_ms=cfg.block_symbols * symbol_ms",

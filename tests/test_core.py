@@ -131,6 +131,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Vocabulary(size=0, eos_id=0)
 
+    @pytest.mark.parametrize(
+        "size, eos_id, named",
+        [(2.5, 0, "size"), ("3", 0, "size"), (3, True, "eos_id"), (3, 1.0, "eos_id")],
+    )
+    def test_vocabulary_fields_are_ints(self, size, eos_id, named):
+        # Neither is truncated or read as an int: each fails here, by name,
+        # not at the model's first query.
+        with pytest.raises(ValueError, match=rf"^vocabulary {named} must be an integer, got "):
+            Vocabulary(size=size, eos_id=eos_id)
+
     def test_hypothesis_length_mismatch(self):
         with pytest.raises(ValueError):
             Hypothesis((1, 2), (-0.1,))

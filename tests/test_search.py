@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +134,41 @@ class TestApplyPolicy:
         # A string is not read as local agreement with the given n.
         with pytest.raises(ValueError, match="kind must be a PolicyKind"):
             PolicyState(kind, 2)
+
+
+class TestPolicySuccessor:
+    """``apply_policy`` builds its successor without the constructor; the
+    result is still a complete ``PolicyState``, the one a constructor call
+    with the same fields gives."""
+
+    # Per policy: the outputs fed in, then the history and committed prefix
+    # after each.
+    RUNS = {
+        "none": (PolicyState(), [((1, 2), (), (1, 2)), ((1, 2, 3), (), (1, 2, 3))]),
+        "hold-1": (PolicyState(PolicyKind.HOLD, 1),
+                   [((1, 2), (), (1,)), ((1, 2, 3), (), (1, 2))]),
+        "la-2": (PolicyState(PolicyKind.LOCAL_AGREEMENT, 2),
+                 [((1, 2, 3), ((1, 2, 3),), ()), ((1, 2, 4), ((1, 2, 4),), (1, 2)),
+                  ((1, 2, 4, 5), ((1, 2, 4, 5),), (1, 2, 4))]),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(RUNS))
+    def test_successor_is_a_constructed_state(self, policy):
+        state, steps = self.RUNS[policy]
+        for tokens, history, committed in steps:
+            # Each step's input is the state the step before returned.
+            state, _ = apply_policy(state, hyp(*tokens))
+            expected = PolicyState(state.kind, state.n, history, committed)
+            assert type(state) is PolicyState
+            assert vars(state) == vars(expected)
+            assert state == expected and hash(state) == hash(expected)
+            assert repr(state) == repr(expected)
+            assert dataclasses.replace(state) == expected
+
+    def test_replace_still_checks(self):
+        state, _ = apply_policy(PolicyState(PolicyKind.HOLD, 1), hyp(1, 2))
+        with pytest.raises(ValueError, match="hold-n requires n >= 0"):
+            dataclasses.replace(state, n=-1)
 
 
 class TestSelectBest:
@@ -690,6 +727,46 @@ class TestBatchedGuard:
             search._expand(active, session, 3)
         assert session.forward_pass_count() == 3
 
+    @pytest.mark.parametrize("row", [[-0.1, math.nan, -2.0], [math.nan, -0.1, -2.0]],
+                             ids=["nan-after-max", "nan-before-max"])
+    @pytest.mark.parametrize("beams, offending, named",
+                             [(1, {0}, 0), (3, {1}, 1), (3, {1, 2}, 1), (3, {2}, 2)])
+    def test_nan_before_or_after_the_maximum(self, row, beams, offending, named):
+        # The clean rows hold the step's maximum, before and after a NaN row.
+        def logprobs(level, prefix):
+            return row if prefix[0] in offending else [-0.5, -0.05, -2.0]
+
+        session = VectorSession(logprobs)
+        active = [Hypothesis((token,), (-0.1,)) for token in range(beams)]
+        with pytest.raises(ValueError,
+                           match=rf"NaN or positive log-probability after prefix \({named},\)$"):
+            search._expand(active, session, 3)
+        assert session.forward_pass_count() == beams
+
+    def test_lone_positive_entry(self):
+        session = VectorSession(lambda level, prefix: [-math.inf, 0.5, -math.inf])
+        with pytest.raises(ValueError,
+                           match=r"NaN or positive log-probability after prefix \(1,\)$"):
+            search._expand([Hypothesis((1,), (-0.1,))], session, 3)
+        assert session.forward_pass_count() == 1
+
+    def test_no_finite_entry_builds_no_child(self):
+        session = VectorSession(lambda level, prefix: [-math.inf] * 3)
+        assert search._expand([Hypothesis((1,), (-0.1,))], session, 3) == []
+        assert session.forward_pass_count() == 1
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 2), (2, 1)])
+    def test_lone_finite_entry_is_the_child(self, where):
+        row, token = where
+
+        def logprobs(level, prefix):
+            return [-0.3 if (prefix[0], i) == where else -math.inf for i in range(3)]
+
+        session = VectorSession(logprobs)
+        active = [Hypothesis((beam,), (-0.1,)) for beam in range(3)]
+        assert search._expand(active, session, 3) == [Hypothesis((row, token), (-0.1, -0.3))]
+        assert session.forward_pass_count() == 3
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     def test_later_position_of_the_re_scored_prefix(self, bad):
         def logprobs(level, prefix):
@@ -713,6 +790,32 @@ class TestBatchedGuard:
                                     max_total=3)
         assert best == Hypothesis((0, 1, 1), (-0.5, -0.25, -0.25))
         assert built == []
+
+
+class TestArgmaxContract:
+    """The step's check is one ``argmax`` (``search._answers``), which rests
+    on NumPy returning the first NaN if there is one, else the first of
+    equal maxima, at every length its vectorized loops handle."""
+
+    @staticmethod
+    def _expected(values):
+        nans = [i for i, value in enumerate(values) if value != value]
+        return nans[0] if nans else values.index(max(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-math.inf, -2.0, -0.5, 0.0, 0.5, math.inf, math.nan]),
+                    min_size=1, max_size=200))
+    def test_first_nan_else_first_maximum(self, values):
+        assert np.array(values).argmax() == self._expected(values)
+
+    @pytest.mark.parametrize("size", [2, 17, 126, 1001, 6006])
+    def test_at_the_workloads_lengths(self, size):
+        for first, second in [(0, size - 1), (size // 3, size // 2), (size - 2, size - 1)]:
+            for a, b in [(math.nan, math.nan), (-0.5, math.nan), (math.nan, -0.5),
+                         (-0.5, -0.5), (math.inf, math.nan), (0.5, 0.5)]:
+                values = [-2.0] * size
+                values[first], values[second] = a, b
+                assert np.array(values).argmax() == self._expected(values)
 
 
 @settings(max_examples=300, deadline=None)

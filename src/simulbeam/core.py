@@ -4,6 +4,11 @@ Tokens are integer ids into a :class:`Vocabulary`; one reserved id marks the
 end of an output sequence. Scores are natural-log probabilities summed per
 token; length normalization divides by token count. Everything in this module
 is an immutable value type, safe to share between concurrent sessions.
+
+:func:`check_types` is the one type rule for the settings types (here
+:class:`Vocabulary` and :class:`SearchConfig`; in the other modules
+``PolicyState``, ``RunConfig``, ``ToyTransducerSpec`` and ``CorpusRecord``):
+each constructor names its fields' kinds once, and a wrong type fails by name.
 """
 
 from __future__ import annotations
@@ -19,6 +24,27 @@ from typing import Sequence
 _new = object.__new__
 _set = object.__setattr__
 
+# The kind of a float setting: an int is a number too, a bool is not.
+NUMBER = (int, float)
+_KIND_NAMES = {int: "an integer", bool: "a bool", str: "a string", tuple: "a tuple",
+               NUMBER: "a number"}
+
+
+def check_types(obj, error=ValueError, /, **kinds) -> None:
+    """Check the named fields of ``obj`` by exact type: ``type(value)`` must
+    be the field's kind, or one of :data:`NUMBER`'s. So a bool never passes
+    as an int, and an enum field takes only its members. ``None`` passes only
+    in a field whose default is ``None``. Otherwise raise ``error("{field}
+    must be {kind}, got {value!r}")``."""
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if type(value) is kind or kind is NUMBER and type(value) in NUMBER:
+            continue
+        if value is None and getattr(type(obj), name, ...) is None:
+            continue
+        what = _KIND_NAMES.get(kind) or f"a member of {kind.__name__}"
+        raise error(f"{name} must be {what}, got {value!r}")
+
 
 class StopReason(enum.Enum):
     """Outcome of the per-step stop heuristic."""
@@ -31,16 +57,13 @@ class StopReason(enum.Enum):
 @dataclass(frozen=True)
 class Vocabulary:
     """Closed token inventory with a designated end-of-sequence id; decoding
-    operates on ids throughout. Both fields are ints (not bools)."""
+    operates on ids throughout."""
 
     size: int
     eos_id: int
 
     def __post_init__(self) -> None:
-        for name in ("size", "eos_id"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"vocabulary {name} must be an integer, got {value!r}")
+        check_types(self, size=int, eos_id=int)
         if self.size < 1:
             raise ValueError(f"vocabulary size must be positive, got {self.size}")
         if not 0 <= self.eos_id < self.size:
@@ -192,11 +215,9 @@ class SearchConfig:
     repetition_detection: bool = True
 
     def __post_init__(self) -> None:
-        if type(self.beam_size) is not int or self.beam_size < 1:
+        check_types(self, beam_size=int, repetition_detection=bool)
+        if self.beam_size < 1:
             raise ValueError(f"beam_size must be an integer, at least 1, got {self.beam_size!r}")
-        if type(self.repetition_detection) is not bool:
-            raise ValueError(
-                f"repetition_detection must be a bool, got {self.repetition_detection!r}")
 
 
 def max_output_tokens(source_duration_ms: float) -> int:

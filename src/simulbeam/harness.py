@@ -24,13 +24,12 @@ given configuration, since nothing in the decoding is random.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import SearchConfig, SessionTranscript
+from .core import NUMBER, SearchConfig, SessionTranscript, check_types
 from .metrics import (
     EvalReport,
     LatencyInput,
@@ -64,6 +63,7 @@ class CorpusRecord:
     block_ms: float
 
     def __post_init__(self) -> None:
+        check_types(self, CorpusError, id=str, source=tuple, reference=tuple, block_ms=NUMBER)
         if not self.id:
             raise CorpusError("record id must be non-empty")
         if any(c in self.id for c in '",\n\r') or self.id == "corpus":
@@ -73,7 +73,8 @@ class CorpusRecord:
             raise CorpusError(f"record {self.id!r}: source must be non-empty")
         if not self.reference:
             raise CorpusError(f"record {self.id!r}: reference must be non-empty")
-        if not 0 < self.block_ms < math.inf:
+        # An integer past the float range would overflow the clock.
+        if not 0 < self.block_ms <= sys.float_info.max:
             raise CorpusError(f"record {self.id!r}: block_ms must be positive and finite")
 
 
@@ -92,23 +93,14 @@ class RunConfig:
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
 
     def __post_init__(self) -> None:
-        for name, kind in (("algo", Algorithm), ("policy", PolicyKind), ("context", ContextMode)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(
-                    f"{name} must be a member of {kind.__name__}, got {getattr(self, name)!r}")
-        if type(self.block_symbols) is not int or self.block_symbols < 1:
+        check_types(self, ConfigError, algo=Algorithm, policy=PolicyKind, context=ContextMode,
+                    block_symbols=int, block_ms=NUMBER, retranslation=bool)
+        if self.block_symbols < 1:
             raise ConfigError(
                 f"block_symbols must be an integer, at least 1, got {self.block_symbols!r}")
-        # As json_number does: a boolean or a string is not a duration, and an
-        # integer past the float range would overflow the clock.
-        if self.block_ms is not None:
-            if type(self.block_ms) not in (int, float):
-                raise ConfigError(f"block_ms must be a number, got {self.block_ms!r}")
-            if not 0 < self.block_ms <= sys.float_info.max:
-                raise ConfigError("block_ms must be positive and finite")
-        # A truthy string such as "no" would otherwise turn re-translation on.
-        if type(self.retranslation) is not bool:
-            raise ConfigError(f"retranslation must be a bool, got {self.retranslation!r}")
+        # An integer past the float range would overflow the clock.
+        if self.block_ms is not None and not 0 < self.block_ms <= sys.float_info.max:
+            raise ConfigError("block_ms must be positive and finite")
         if self.retranslation and self.policy is not PolicyKind.NONE:
             raise ConfigError("commit policies do not apply to re-translation output")
         try:

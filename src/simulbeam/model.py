@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Vocabulary
+from .core import NUMBER, Vocabulary, check_types
 
 EOS_SURFACE = "<eos>"
 
@@ -93,15 +93,20 @@ class ToyTransducerSpec:
     lookahead: int = 0
 
     def __post_init__(self) -> None:
+        check_types(self, noise_epsilon=NUMBER, insufficient_context_mode=InsufficientContextMode,
+                    lookahead=int)
         if not 0.0 <= self.noise_epsilon < 1.0:
             raise ValueError("noise_epsilon must lie in [0, 1)")
-        if type(self.lookahead) is not int:
-            raise ValueError(f"lookahead must be an integer, got {self.lookahead!r}")
         if self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
         for symbol, targets in self.mapping.items():
             if not targets:
                 raise ValueError(f"mapped target sequence for symbol {symbol} is empty")
+            for token in targets:
+                # As for source symbols: a Python or NumPy integer, not a bool.
+                if isinstance(token, bool) or not isinstance(token, numbers.Integral):
+                    raise ValueError(f"mapping for symbol {symbol} must hold integer token ids, "
+                                     f"got {token!r}")
 
     def validate_against(self, vocab: Vocabulary) -> None:
         for symbol, targets in self.mapping.items():

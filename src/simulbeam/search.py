@@ -75,6 +75,7 @@ from .core import (
     _exact_terms,
     _new,
     _set,
+    check_types,
     detect_stop,
     longest_common_prefix,
     max_output_tokens,
@@ -114,17 +115,13 @@ class PolicyState:
     history: tuple[tuple[int, ...], ...] = ()
     committed: tuple[int, ...] = ()
 
-    # The check reads ``kind`` and ``n`` only. :func:`apply_policy` runs once
-    # per block and builds its successor on a bare instance, as
-    # ``Hypothesis.extended`` does, without the check: it copies a ``kind``
-    # and ``n`` that this check passed and that stayed frozen since, and
-    # ``history`` and ``committed`` are tuples it builds itself, which the
-    # check never read.
+    # :func:`apply_policy` runs once per block and builds its successor on a
+    # bare instance, as ``Hypothesis.extended`` does, without the check: it
+    # copies a ``kind`` and ``n`` that this check passed and that stayed
+    # frozen since, and ``history`` and ``committed`` are tuples it builds
+    # itself.
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, PolicyKind):
-            raise ValueError(f"the policy's kind must be a PolicyKind, got {self.kind!r}")
-        if type(self.n) is not int:
-            raise ValueError(f"the policy's n must be an integer, got {self.n!r}")
+        check_types(self, kind=PolicyKind, n=int, history=tuple, committed=tuple)
         if self.kind is PolicyKind.HOLD and self.n < 0:
             raise ValueError("hold-n requires n >= 0")
         if self.kind is PolicyKind.LOCAL_AGREEMENT and self.n < 2:

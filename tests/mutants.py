@@ -1,7 +1,7 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
 paths, the exact terms it sums, the commit policies, the stop heuristic, the
-length cap and the transcript's checks, the latency and BLEU metrics, and
-the harness's block durations.
+length cap and the transcript's checks, the latency and BLEU metrics, the
+harness's block durations and the settings types' type rule.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 ``old`` must occur exactly once in that file. For each mutant the script
@@ -12,8 +12,9 @@ for the beam step, with ``tests/test_core.py`` for the exact terms
 (``TERMS_SUBSET``), ``POLICY_SUBSET`` for ``apply_policy`` and
 ``bleu_statistics``, one test class each for the lone-candidate path and
 the policy's successor, ``tests/test_core.py`` and ``tests/test_metrics.py``
-alone for the rest of ``core`` and ``metrics``, and the harness's own tests
-for ``blocks_for``. A failing run kills the mutant.
+alone for the rest of ``core`` and ``metrics``, the harness's own tests
+for ``blocks_for``, and ``tests/test_types.py`` for ``core.check_types``.
+A failing run kills the mutant.
 
 A mutant marked equivalent carries the reason no test can kill it. It is
 still run, and a kill fails the gate too, since it means the reason is wrong.
@@ -61,6 +62,7 @@ LONE_SUBSET = ("tests/test_search.py::TestBatchedGuard",)
 SUCCESSOR_SUBSET = ("tests/test_search.py::TestPolicySuccessor",)
 CORE_SUBSET = ("tests/test_core.py",)
 METRICS_SUBSET = ("tests/test_metrics.py",)
+TYPES_SUBSET = ("tests/test_types.py",)
 # The same draws on every run, so a kill or a survival can be replayed.
 PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 
@@ -212,6 +214,13 @@ MUTANTS = (
     Mutant("short-block-charged-in-full", HARNESS,
            "duration_ms=len(chunk) * symbol_ms", "duration_ms=cfg.block_symbols * symbol_ms",
            subset=("tests/test_harness.py",)),
+    # check_types: exact types, and None only where it is the default.
+    Mutant("exact-type-as-isinstance", CORE,
+           "type(value) is kind or kind is NUMBER and type(value) in NUMBER",
+           "isinstance(value, kind)", subset=TYPES_SUBSET),
+    Mutant("none-passes-any-field", CORE,
+           "value is None and getattr(type(obj), name, ...) is None", "value is None",
+           subset=TYPES_SUBSET),
 )
 
 

@@ -119,6 +119,21 @@ class TestEval:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["hold", "la:", "la:x"])
+    def test_policy_without_its_number_is_a_usage_error(self, workspace, capsys, policy):
+        _, corpus, model = workspace
+        with pytest.raises(SystemExit) as exited:
+            run(["eval", "--corpus", corpus, "--model", model, "--policy", policy])
+        assert exited.value.code == 2
+        assert f"expected none, hold:N, or la:N, got {policy!r}" in capsys.readouterr().err
+
+    def test_explicit_policy_none_is_the_default(self, workspace, capsys):
+        _, corpus, model = workspace
+        assert run(["eval", "--corpus", corpus, "--model", model]) == 0
+        default = capsys.readouterr().out
+        assert run(["eval", "--corpus", corpus, "--model", model, "--policy", "none"]) == 0
+        assert capsys.readouterr().out == default
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_block_ms_flag_is_config_error(self, workspace, capsys, value):
         _, corpus, model = workspace
@@ -318,6 +333,17 @@ class TestSweep:
              "--sweep-values", "a,b"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("values", [",", " , "])
+    def test_no_values_is_config_error(self, workspace, capsys, values):
+        _, corpus, model = workspace
+        code = run(
+            ["sweep", "--corpus", corpus, "--model", model, "--sweep-param", "hold",
+             "--sweep-values", values]
+        )
+        assert code == 2
+        message = "configuration error: sweep requires at least one value\n"
+        assert capsys.readouterr().err == message
 
     def test_repeated_value_is_config_error(self, workspace, capsys):
         _, corpus, model = workspace

@@ -138,7 +138,7 @@ class TestValidation:
     def test_vocabulary_fields_are_ints(self, size, eos_id, named):
         # Neither is truncated or read as an int: each fails here, by name,
         # not at the model's first query.
-        with pytest.raises(ValueError, match=rf"^vocabulary {named} must be an integer, got "):
+        with pytest.raises(ValueError, match=rf"^{named} must be an integer, got "):
             Vocabulary(size=size, eos_id=eos_id)
 
     def test_hypothesis_length_mismatch(self):
@@ -238,6 +238,10 @@ class TestValidation:
         for source_ms in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="positive"):
                 SessionTranscript((BlockDecision(source_ms, (), ()),), 0)
+
+    def test_transcript_pass_count_non_negative(self):
+        with pytest.raises(ValueError, match="^forward_passes must be non-negative$"):
+            SessionTranscript((BlockDecision(1.0, (), ()),), -1)
 
     @pytest.mark.parametrize("value", [0, 1, "off", None])
     def test_search_config_repetition_detection_must_be_a_bool(self, value):

@@ -185,6 +185,23 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=":2: record id .* must not contain"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "", "source": [0], "reference": [0], "block_ms": 250}',
+             "record id must be non-empty"),
+            ('{"id": "b", "source": [], "reference": [0], "block_ms": 250}',
+             "record 'b': source must be non-empty"),
+        ],
+        ids=["empty-id", "empty-source"],
+    )
+    def test_empty_id_or_source_reports_line_number(self, tmp_path, line, message):
+        path = self._write(
+            tmp_path, ['{"id": "a", "source": [0], "reference": [0], "block_ms": 250}', line]
+        )
+        with pytest.raises(CorpusError, match=f":2: {re.escape(message)}$"):
+            load_corpus(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = self._write(tmp_path, [""])
         with pytest.raises(CorpusError, match="empty"):
@@ -362,8 +379,8 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            (dict(block_symbols=2.0), "block_symbols must be an integer, at least 1, got 2.0"),
-            (dict(beam_size=2.5), "beam_size must be an integer, at least 1, got 2.5"),
+            (dict(block_symbols=2.0), "block_symbols must be an integer, got 2.0"),
+            (dict(beam_size=2.5), "beam_size must be an integer, got 2.5"),
             (dict(policy=PolicyKind.HOLD, policy_param=True), "n must be an integer, got True"),
             (dict(policy_param=1.0), "n must be an integer, got 1.0"),
             (dict(block_ms=True), "block_ms must be a number, got True"),

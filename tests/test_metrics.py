@@ -88,6 +88,13 @@ class TestLaal:
             LatencyInput((4000.0,), 3000.0, 2)
 
 
+    def test_duration_and_reference_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="^source_duration_ms must be positive$"):
+            LatencyInput((), 0.0, 2)
+        with pytest.raises(ValueError, match="^ref_len must be positive$"):
+            LatencyInput((), 3000.0, 0)
+
+
 class TestCorpusBleu:
     def test_perfect_match_is_100(self):
         pairs = [((1, 2, 3, 4), (1, 2, 3, 4)), ((4, 5), (4, 5))]

@@ -353,6 +353,29 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match=f"lookahead must be an integer, got {lookahead!r}$"):
             ToyTransducerSpec(mapping={0: (1,)}, lookahead=lookahead)
 
+    def test_negative_lookahead_rejected(self):
+        with pytest.raises(ValueError, match="^lookahead must be non-negative$"):
+            ToyTransducerSpec(mapping={0: (1,)}, lookahead=-1)
+
+    @pytest.mark.parametrize("token", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_mapping_targets_must_be_integers(self, token):
+        # Not NumPy's IndexError at the toy's first query.
+        message = f"mapping for symbol 0 must hold integer token ids, got {token!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ToyTransducerSpec(mapping={0: (0, token)})
+
+    def test_numpy_integer_targets_decode_as_ints(self):
+        # The rule toy source symbols follow: a Python or NumPy integer.
+        vocab = make_vocab(3)
+        blocks = as_blocks((0, 1), 1)
+        transcripts = [
+            decode_session(make_toy_model(ToyTransducerSpec(mapping=mapping), vocab), blocks,
+                           vocab.eos_id)
+            for mapping in ({0: (0, 1), 1: (2,)},
+                            {0: (np.int64(0), np.int32(1)), 1: (np.uint8(2),)})
+        ]
+        assert transcripts[0] == transcripts[1]
+
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
             ToyTransducerSpec(mapping={0: (1,)}, noise_epsilon=1.0)
@@ -369,6 +392,10 @@ class TestSpecValidationAndJson:
         loaded_spec, loaded_vocab = spec_from_json(doc)
         assert loaded_spec == spec
         assert loaded_vocab.size == vocab.size and loaded_vocab.eos_id == vocab.eos_id
+
+    def test_json_requires_vocab(self):
+        with pytest.raises(ValueError, match="^model spec missing required field: 'vocab'$"):
+            spec_from_json({"mapping": {"0": [0]}})
 
     def test_json_requires_single_eos_surface(self):
         with pytest.raises(ValueError, match="<eos>"):

@@ -132,7 +132,7 @@ class TestApplyPolicy:
     @pytest.mark.parametrize("kind", ["hold", "la", None])
     def test_kind_must_be_a_policy_kind(self, kind):
         # A string is not read as local agreement with the given n.
-        with pytest.raises(ValueError, match="kind must be a PolicyKind"):
+        with pytest.raises(ValueError, match="kind must be a member of PolicyKind"):
             PolicyState(kind, 2)
 
 
@@ -195,6 +195,10 @@ class TestSelectBest:
     def test_empty_selectable_when_alone(self):
         empty = Hypothesis()
         assert select_best([empty]) == empty
+
+    def test_empty_candidate_set_rejected(self):
+        with pytest.raises(ValueError, match="^cannot select from an empty candidate set$"):
+            select_best([])
 
     @pytest.mark.parametrize("tokens", [(), (1, 2)])
     def test_lone_candidate_returned_unranked(self, tokens, monkeypatch):

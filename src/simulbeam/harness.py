@@ -93,8 +93,9 @@ class RunConfig:
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
 
     def __post_init__(self) -> None:
-        check_types(self, ConfigError, algo=Algorithm, policy=PolicyKind, context=ContextMode,
-                    block_symbols=int, block_ms=NUMBER, retranslation=bool)
+        check_types(self, ConfigError, algo=Algorithm, policy=PolicyKind, policy_param=int,
+                    beam_size=int, block_symbols=int, block_ms=NUMBER, context=ContextMode,
+                    retranslation=bool, repetition_detection=bool)
         if self.block_symbols < 1:
             raise ConfigError(
                 f"block_symbols must be an integer, at least 1, got {self.block_symbols!r}")

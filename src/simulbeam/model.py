@@ -6,22 +6,22 @@ given output prefix. Every query counts as one decoder forward pass, which is
 the compute measure reported by the evaluation harness.
 
 The toy transducer turns a source-symbol-to-target-tokens mapping into a
-session whose behavior under insufficient context is configurable. It scores
-by monotone alignment:
+session whose behavior under insufficient context is configurable.
+Concatenating the target sequences of the ingested source symbols yields the
+visible reference, aligned monotonically to the source. Each query for
+position ``j`` makes one three-way decision:
 
-1. Concatenating the target sequences of the ingested source symbols yields
-   the visible reference; the j-th reference token is aligned to the source
-   symbol that produced it.
-2. A position is *confident* once ``aligned_symbol + lookahead`` symbols have
-   been read; the correct token then receives mass ``1 - epsilon`` and the
+1. The reference token at ``j`` is known and trusted (*confident*): it was
+   produced by a symbol followed by at least ``lookahead`` more read symbols,
+   or the final block has been read. It receives mass ``1 - epsilon`` and the
    remainder is spread uniformly over the other tokens.
-3. Past the visible reference with the final block seen, EOS receives the
-   confident mass.
-4. Otherwise the context is insufficient and the confident mass goes to the
+2. Otherwise, with the final block read, the source is complete and EOS
+   receives the confident mass.
+3. Otherwise context is missing, and the confident mass goes to the
    configured fallback: repeat the previous output token, end the sequence,
    or spread over all non-EOS tokens.
 
-Rule 4 is what makes the toy reproduce the failure modes that the stop
+Rule 3 is what makes the toy reproduce the failure modes that the stop
 heuristic in the search module exploits: repeated tokens and premature ends.
 """
 
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +65,13 @@ class InsufficientContextMode(enum.Enum):
     HALLUCINATE = "hallucinate"
 
 
+def _is_id(value) -> bool:
+    """Whether ``value`` is a symbol or token id: a Python or NumPy integer,
+    never a bool."""
+    # ``type`` first: the ``Integral`` check is an order of magnitude slower.
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Block:
     """A fixed-duration segment of source input.
@@ -79,7 +86,9 @@ class Block:
     is_final: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration_ms < math.inf:
+        check_types(self, payload=tuple, duration_ms=NUMBER, is_final=bool)
+        # An integer past the float range would overflow the clock.
+        if not 0 < self.duration_ms <= sys.float_info.max:
             raise ValueError("block duration_ms must be positive and finite")
 
 
@@ -100,11 +109,14 @@ class ToyTransducerSpec:
         if self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
         for symbol, targets in self.mapping.items():
+            if not _is_id(symbol):
+                raise ValueError(f"mapping keys must be integer symbol ids, got {symbol!r}")
+            if type(targets) is not tuple:
+                raise ValueError(f"mapping for symbol {symbol} must be a tuple, got {targets!r}")
             if not targets:
                 raise ValueError(f"mapped target sequence for symbol {symbol} is empty")
             for token in targets:
-                # As for source symbols: a Python or NumPy integer, not a bool.
-                if isinstance(token, bool) or not isinstance(token, numbers.Integral):
+                if not _is_id(token):
                     raise ValueError(f"mapping for symbol {symbol} must hold integer token ids, "
                                      f"got {token!r}")
 
@@ -168,54 +180,48 @@ class _ToySession(ModelSession):
         self._vocab = vocab
         self._context = context
         self._vectors = vectors  # shared by the factory's sessions; see make_toy_model
-        self._block_symbols: list[list[int]] = []  # each block's source symbols
         self._final_seen = False
         self._forward_passes = 0
-        # Conditioning that queries read, rebuilt or extended per ingested block.
+        # Conditioning that queries read, rebuilt or extended per ingested block:
+        # the source read so far, its targets end to end (None before the first
+        # block), and how many of those targets the model is sure of.
         self._symbols: list[int] = []
-        self._reference: list[int] = []
-        self._alignment: list[int] = []  # 1-based source position per reference token
+        self._reference: list[int] | None = None
+        self._confident = 0
 
     def ingest_block(self, block: Block) -> None:
         if self._final_seen:
             raise RuntimeError("cannot ingest: session already received its final block")
-        # ``type`` first: the ``Integral`` check is an order of magnitude slower.
-        symbols = [
-            int(s) for s in block.payload
-            if type(s) is int or isinstance(s, numbers.Integral) and not isinstance(s, bool)
-        ]
+        symbols = [int(s) for s in block.payload if _is_id(s)]
+        mapping, lookahead = self._spec.mapping, self._spec.lookahead
         for symbol in symbols:
-            if symbol not in self._spec.mapping:
+            if symbol not in mapping:
                 raise ValueError(f"source symbol {symbol} not covered by the model mapping")
-        self._block_symbols.append(symbols)
-        if self._context is ContextMode.FULL_CONTEXT:
-            # Re-encode all source read so far, as an offline model does per block.
-            self._symbols, self._reference, self._alignment = [], [], []
-            for earlier in self._block_symbols:
-                self._append_symbols(earlier)
+        self._symbols += symbols
+        if self._context is ContextMode.FULL_CONTEXT or self._reference is None:
+            # Re-encode all source read so far, as an offline model does per
+            # block; on a session's first block that is the block itself.
+            self._reference = [t for s in self._symbols for t in mapping[s]]
         else:
-            self._append_symbols(symbols)
+            self._reference += [t for s in symbols for t in mapping[s]]
+        self._confident = len(self._reference)
+        if lookahead and not block.is_final:
+            # Alignment is monotone: only the last ``lookahead`` symbols'
+            # targets wait for context, and none once the final block is read.
+            self._confident -= sum(len(mapping[s]) for s in self._symbols[-lookahead:])
         self._final_seen = block.is_final
 
-    def _append_symbols(self, symbols: Sequence[int]) -> None:
-        for symbol in symbols:
-            self._symbols.append(symbol)
-            position = len(self._symbols)
-            for token in self._spec.mapping[symbol]:
-                self._reference.append(token)
-                self._alignment.append(position)
-
     def next_token_logprobs(self, prefix: Sequence[int]) -> np.ndarray:
-        if not self._block_symbols:
+        reference = self._reference
+        if reference is None:
             raise RuntimeError("cannot score: no block ingested yet")
         self._forward_passes += 1
-        reference, alignment = self._reference, self._alignment
         eos = self._vocab.eos_id
         j = len(prefix)
         # The favored token, or None for every non-EOS token.
-        if j < len(reference) and alignment[j] + self._spec.lookahead <= len(self._symbols):
+        if j < self._confident:
             key: int | None = reference[j]
-        elif j >= len(reference) and self._final_seen:
+        elif self._final_seen:
             key = eos
         else:
             mode = self._spec.insufficient_context_mode

@@ -1,7 +1,8 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
 paths, the exact terms it sums, the commit policies, the stop heuristic, the
 length cap and the transcript's checks, the latency and BLEU metrics, the
-harness's block durations and the settings types' type rule.
+harness's block durations, the settings types' type rule and the toy
+model's confidence and noise.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 ``old`` must occur exactly once in that file. For each mutant the script
@@ -13,7 +14,8 @@ for the beam step, with ``tests/test_core.py`` for the exact terms
 ``bleu_statistics``, one test class each for the lone-candidate path and
 the policy's successor, ``tests/test_core.py`` and ``tests/test_metrics.py``
 alone for the rest of ``core`` and ``metrics``, the harness's own tests
-for ``blocks_for``, and ``tests/test_types.py`` for ``core.check_types``.
+for ``blocks_for``, ``tests/test_types.py`` for ``core.check_types``, and
+``tests/test_model.py`` for the toy model.
 A failing run kills the mutant.
 
 A mutant marked equivalent carries the reason no test can kill it. It is
@@ -47,6 +49,7 @@ CORE = "src/simulbeam/core.py"
 SEARCH = "src/simulbeam/search.py"
 METRICS = "src/simulbeam/metrics.py"
 HARNESS = "src/simulbeam/harness.py"
+MODEL = "src/simulbeam/model.py"
 SUBSET = (
     "tests/test_kernel_differential.py",
     "tests/test_search.py",
@@ -63,6 +66,7 @@ SUCCESSOR_SUBSET = ("tests/test_search.py::TestPolicySuccessor",)
 CORE_SUBSET = ("tests/test_core.py",)
 METRICS_SUBSET = ("tests/test_metrics.py",)
 TYPES_SUBSET = ("tests/test_types.py",)
+MODEL_SUBSET = ("tests/test_model.py",)
 # The same draws on every run, so a kill or a survival can be replayed.
 PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 
@@ -221,6 +225,13 @@ MUTANTS = (
     Mutant("none-passes-any-field", CORE,
            "value is None and getattr(type(obj), name, ...) is None", "value is None",
            subset=TYPES_SUBSET),
+    # The toy: which reference tokens are confident, and the noise's spread.
+    Mutant("toy-confident-one-symbol-early", MODEL,
+           "self._symbols[-lookahead:])", "self._symbols[-lookahead:][1:])", subset=MODEL_SUBSET),
+    Mutant("toy-final-block-still-waits", MODEL,
+           "if lookahead and not block.is_final:", "if lookahead:", subset=MODEL_SUBSET),
+    Mutant("toy-noise-unnormalized", MODEL,
+           "(epsilon / rest) if rest else 0.0", "epsilon if rest else 0.0", subset=MODEL_SUBSET),
 )
 
 

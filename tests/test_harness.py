@@ -381,8 +381,9 @@ class TestRunConfig:
         [
             (dict(block_symbols=2.0), "block_symbols must be an integer, got 2.0"),
             (dict(beam_size=2.5), "beam_size must be an integer, got 2.5"),
-            (dict(policy=PolicyKind.HOLD, policy_param=True), "n must be an integer, got True"),
-            (dict(policy_param=1.0), "n must be an integer, got 1.0"),
+            (dict(policy=PolicyKind.HOLD, policy_param=True),
+             "policy_param must be an integer, got True"),
+            (dict(policy_param=1.0), "policy_param must be an integer, got 1.0"),
             (dict(block_ms=True), "block_ms must be a number, got True"),
             (dict(block_ms="500"), "block_ms must be a number, got '500'"),
         ],

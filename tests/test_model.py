@@ -12,7 +12,7 @@ import pytest
 
 from simulbeam import Block, ContextMode, load_model_file, make_toy_model
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec, spec_from_json
-from simulbeam.search import decode_session
+from simulbeam.search import Algorithm, decode_session
 
 from conftest import as_blocks, make_vocab, random_toy, spec_to_json
 
@@ -72,6 +72,24 @@ class TestToyScoring:
         session.ingest_block(Block(payload=(1,), duration_ms=100.0, is_final=False))
         assert int(np.argmax(session.next_token_logprobs(()))) == 1
 
+    @pytest.mark.parametrize(
+        "mode, algos",
+        [(InsufficientContextMode.EOS, list(Algorithm)),
+         (InsufficientContextMode.REPEAT, [Algorithm.BWBS, Algorithm.IBWBS])],
+    )
+    def test_lookahead_needs_no_context_after_the_final_block(self, mode, algos):
+        # The last symbol once waited forever for a symbol that cannot come:
+        # EOS gave (0,) in 3 passes, REPEAT gave (0, 0).
+        vocab = make_vocab(2)
+        spec = ToyTransducerSpec({0: (0,), 1: (1,)}, insufficient_context_mode=mode, lookahead=1)
+        factory = make_toy_model(spec, vocab)
+        blocks = [Block((0,), 250.0), Block((1,), 250.0, is_final=True)]
+        for algo in algos:
+            transcript = decode_session(factory, blocks, vocab.eos_id, algo)
+            assert transcript.final_output == (0, 1)
+            if mode is InsufficientContextMode.EOS:
+                assert transcript.forward_passes == 4
+
     def test_hallucinate_mode_spreads_over_non_eos(self):
         vocab = make_vocab(3)
         spec = ToyTransducerSpec(
@@ -114,7 +132,8 @@ class TestToyScoring:
 
 
 class TestSessionContract:
-    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    # An integer past the float range once passed and overflowed the clock.
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, 10**400])
     def test_block_duration_must_be_positive_and_finite(self, duration):
         with pytest.raises(ValueError, match="positive and finite"):
             Block(payload=(0,), duration_ms=duration)
@@ -224,24 +243,23 @@ class TestSessionContract:
         assert decoded(integer) == decoded(int) == (0, 1)
 
     @pytest.mark.parametrize("context", list(ContextMode))
-    def test_queries_read_the_encoding_of_the_last_ingest(self, context, monkeypatch):
+    def test_queries_read_the_encoding_of_the_last_ingest(self, context):
         """Only ``ingest_block`` encodes source: a full-context session
         re-encodes every block read so far, a blockwise one only the new
         block, and no query encodes anything."""
-        spec, vocab = ToyTransducerSpec(mapping={s: (s,) for s in range(3)}), make_vocab(4)
-        session = make_toy_model(spec, vocab, context)()
         encoded = []
-        original = type(session)._append_symbols
 
-        def recording(self, symbols):
-            encoded.append(list(symbols))
-            original(self, symbols)
+        class Recording(dict):
+            def __getitem__(self, symbol):
+                encoded.append(symbol)
+                return super().__getitem__(symbol)
 
-        monkeypatch.setattr(type(session), "_append_symbols", recording)
+        spec = ToyTransducerSpec(mapping=Recording({s: (s,) for s in range(3)}))
+        session = make_toy_model(spec, make_vocab(4), context)()
         for k, block in enumerate(as_blocks((0, 1, 2), 1)):
             encoded.clear()
             session.ingest_block(block)
-            expected = [[s] for s in range(k + 1)] if context is ContextMode.FULL_CONTEXT else [[k]]
+            expected = list(range(k + 1)) if context is ContextMode.FULL_CONTEXT else [k]
             assert encoded == expected
             for length in range(20):
                 session.next_token_logprobs((0,) * length)
@@ -254,7 +272,7 @@ def per_pass_logprobs(spec, vocab, symbols, final_seen, prefix):
     reference = [t for s in symbols for t in spec.mapping[s]]
     alignment = [k + 1 for k, s in enumerate(symbols) for _ in spec.mapping[s]]
     eos, j = vocab.eos_id, len(prefix)
-    if j < len(reference) and alignment[j] + spec.lookahead <= len(symbols):
+    if j < len(reference) and (final_seen or alignment[j] + spec.lookahead <= len(symbols)):
         favored = (reference[j],)
     elif j >= len(reference) and final_seen:
         favored = (eos,)
@@ -274,7 +292,7 @@ def per_pass_logprobs(spec, vocab, symbols, final_seen, prefix):
 class TestSharedVectors:
     """The factory builds each distribution once and its sessions share it."""
 
-    @pytest.mark.parametrize("lookahead", [0, 1])
+    @pytest.mark.parametrize("lookahead", [0, 1, 3])
     @pytest.mark.parametrize("context", list(ContextMode))
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     @pytest.mark.parametrize("mode", list(InsufficientContextMode))

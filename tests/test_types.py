@@ -1,8 +1,8 @@
 """The settings types' one type rule (``core.check_types``): each field of
 ``Vocabulary``, ``SearchConfig``, ``PolicyState``, ``RunConfig``,
-``ToyTransducerSpec`` and ``CorpusRecord`` takes only values of its
-annotated type, and a wrong type raises the class's own error, naming the
-field."""
+``ToyTransducerSpec``, ``CorpusRecord`` and ``Block`` takes only values of
+its annotated type, and a wrong type raises the class's own error, naming
+the field."""
 
 from __future__ import annotations
 
@@ -27,9 +27,8 @@ SETTINGS = {
     RunConfig: (ConfigError, {}),
     ToyTransducerSpec: (ValueError, dict(mapping={0: (1,)})),
     CorpusRecord: (CorpusError, dict(id="a", source=(1,), reference=(1,), block_ms=250.0)),
+    Block: (ValueError, dict(payload=(0,), duration_ms=250.0)),
 }
-# ``RunConfig`` checks ``policy_param`` as the policy state's ``n``.
-SHOWN_AS = {(RunConfig, "policy_param"): "n"}
 # The one field no type rule covers: the spec checks the mapping's entries.
 UNCHECKED = {(ToyTransducerSpec, "mapping")}
 
@@ -95,8 +94,7 @@ def test_only_the_mapping_has_no_type_rule():
 @pytest.mark.parametrize("cls, field, value, what", CASES)
 def test_wrong_type_raises_the_class_error_naming_the_field(cls, field, value, what):
     error, _ = SETTINGS[cls]
-    shown = SHOWN_AS.get((cls, field), field)
-    message = f"^{shown} must be {what}, got {re.escape(repr(value))}$"
+    message = f"^{field} must be {what}, got {re.escape(repr(value))}$"
     with pytest.raises(error, match=message) as caught:
         _build(cls, **{field: value})
     assert type(caught.value) is error
@@ -162,3 +160,22 @@ class TestNamedHoles:
     def test_toy_epsilon(self, value):
         with pytest.raises(ValueError, match=f"^noise_epsilon must be a number, got {value!r}$"):
             ToyTransducerSpec({0: (1,)}, noise_epsilon=value)
+
+    def test_block_is_final(self):
+        # The string "no" was read as a final block.
+        with pytest.raises(ValueError, match="^is_final must be a bool, got 'no'$"):
+            Block((1,), 250.0, is_final="no")
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [({0: 5}, "mapping for symbol 0 must be a tuple, got 5"),
+         ({0: [1]}, r"mapping for symbol 0 must be a tuple, got \[1\]"),
+         ({"0": (1,)}, "mapping keys must be integer symbol ids, got '0'"),
+         ({True: (1,)}, "mapping keys must be integer symbol ids, got True")],
+        ids=["target-int", "target-list", "key-string", "key-bool"],
+    )
+    def test_toy_mapping(self, mapping, message):
+        # An int target raised Python's TypeError; a string key was accepted
+        # and then covered no symbol; a true key served symbol 1.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ToyTransducerSpec(mapping)

@@ -40,7 +40,7 @@ from .metrics import (
     laal,
     token_delays,
 )
-from .model import Block, ContextMode, ModelFactory, json_ids, json_number
+from .model import Block, ContextMode, ModelFactory, _is_id, json_ids, json_number
 from .search import Algorithm, PolicyKind, PolicyState, decode_session
 
 
@@ -69,10 +69,15 @@ class CorpusRecord:
         if any(c in self.id for c in '",\n\r') or self.id == "corpus":
             raise CorpusError(f"record id {self.id!r} must not contain '\"', ',', '\\n' or '\\r', "
                               "nor be 'corpus', the aggregate row's id")
-        if not self.source:
-            raise CorpusError(f"record {self.id!r}: source must be non-empty")
-        if not self.reference:
-            raise CorpusError(f"record {self.id!r}: reference must be non-empty")
+        # The toy skips a source entry that is not an id, and BLEU would
+        # count a reference ``True`` as token 1.
+        for field, ids in (("source", self.source), ("reference", self.reference)):
+            if not ids:
+                raise CorpusError(f"record {self.id!r}: {field} must be non-empty")
+            for value in ids:
+                if not _is_id(value):
+                    raise CorpusError(f"record {self.id!r}: {field} must hold integer ids, "
+                                      f"got {value!r}")
         # An integer past the float range would overflow the clock.
         if not 0 < self.block_ms <= sys.float_info.max:
             raise CorpusError(f"record {self.id!r}: block_ms must be positive and finite")

@@ -108,6 +108,8 @@ class ToyTransducerSpec:
             raise ValueError("noise_epsilon must lie in [0, 1)")
         if self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
+        if not isinstance(self.mapping, Mapping):
+            raise ValueError(f"mapping must be a mapping, got {self.mapping!r}")
         for symbol, targets in self.mapping.items():
             if not _is_id(symbol):
                 raise ValueError(f"mapping keys must be integer symbol ids, got {symbol!r}")

@@ -15,16 +15,19 @@ Three decoding strategies drive a :class:`~simulbeam.model.ModelSession`:
   the sole survivor, which typically yields a longer reliable prefix from the
   same amount of source.
 
-All three run one beam loop (:func:`_beam_loop`: rank the extensions, classify
-each as continuing or triggered) and differ only in the trigger and in
-what a triggered beam does. While source remains the trigger is the stop
-heuristic: ``bwbs`` then trims every beam, keeps one of each copy the trim
-makes and ends the block, ``ibwbs`` trims the one beam into the stopped pool
-and shrinks the width. The block ops handle mid-source blocks only. On the
-final block the source is complete, and :func:`decode_session` runs the same
-search for every strategy (:func:`_final_block`): the trigger is a trailing
-EOS, and the finished beam moves to the pool and shrinks the width. The full
-re-decode is a re-scored prefix plus that search, on every block.
+All three run one beam loop (:func:`_beam_loop`: rank the extensions,
+report each as continuing or stopped) and differ only in what stops a beam
+and in what their op does with the stopped ones afterwards; the loop itself
+trims nothing. While source remains a beam stops by the stop heuristic: the
+``bwbs`` loop halts at the first stop, and ``bwbs`` then trims every beam
+the step ranked and keeps one of each copy the trim makes; the ``ibwbs``
+loop moves each stopped beam to the pool and shrinks the width, and
+``ibwbs`` then trims the pool's beams. The block ops handle mid-source
+blocks only. On the final block the source is complete, and
+:func:`decode_session` runs the same search for every strategy
+(:func:`_final_block`): a trailing EOS stops a beam, which moves to the pool
+untrimmed and shrinks the width. The full re-decode is a re-scored prefix
+plus that search, on every block.
 
 A step queries the model once per active beam, in order, and rejects a
 vector that is not 1-D or not as long as the step's first as it arrives. It
@@ -331,8 +334,8 @@ def select_best(candidates: Sequence[Hypothesis]) -> Hypothesis:
 
 
 def _trim_stop(hyp: Hypothesis, floor: int) -> Hypothesis:
-    """Remove the last two tokens of a triggered beam, never cutting into
-    the committed prefix."""
+    """Remove the last two tokens of a beam that stopped mid-source, never
+    cutting into the committed prefix."""
     return hyp.sliced(max(len(hyp.tokens) - 2, floor))
 
 
@@ -341,23 +344,23 @@ def _beam_loop(
     session: ModelSession,
     width: int,
     max_total: int,
-    triggered: Callable[[Hypothesis], bool],
-    on_trigger: Callable[[Hypothesis], Hypothesis],
+    stops: Callable[[Hypothesis], bool],
     halt: bool = False,
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """Rank the top ``width`` extensions and classify each until no
-    beam or slot is left or the length cap is reached. A triggered candidate
-    goes through ``on_trigger`` into the pool and vacates its slot (no
-    refill); with ``halt`` the first trigger instead sends every ranked
-    candidate there, keeping the first of each token sequence in rank order,
-    and ends the loop. Returns ``(pool, still_active)``.
+    beam or slot is left or the length cap is reached. A candidate for which
+    ``stops`` holds goes into the pool as it is and vacates its slot (no
+    refill); with ``halt`` the first stop instead returns the step's ranked
+    candidates as the pool and ends the loop. Nothing is trimmed here: each
+    block op trims its own pool (:func:`_trim_stop`). Returns
+    ``(pool, still_active)``.
 
     The seeds must be one or more distinct beams of one length, each scored
     at most 0, as every block's are (:func:`_expand`'s cut rests on the
     scores, and its ranking key on distinct parents); anything else raises
     ``ValueError`` before the first forward pass. The children of one step
-    are distinct, and so are the beams a halt returns, so the beams stay
-    distinct from block to block."""
+    are distinct, so the beams stay distinct within a block, and each op
+    keeps them distinct from block to block."""
     length = len(seeds[0].tokens) if seeds else -1
     if length < 0 or any(len(s.tokens) != length or not s.score <= 0 for s in seeds):
         raise ValueError("a block needs one or more beams, all of one length and scored at most 0")
@@ -369,16 +372,12 @@ def _beam_loop(
         ranked = _expand(active, session, width)
         active = []
         for hyp in ranked:
-            if not triggered(hyp):
+            if not stops(hyp):
                 active.append(hyp)
             elif halt:
-                # The trim can make siblings equal: keep the first of each.
-                kept: dict[tuple[int, ...], Hypothesis] = {}
-                for beam in map(on_trigger, ranked):
-                    kept.setdefault(beam.tokens, beam)
-                return list(kept.values()), []
+                return ranked, []
             else:
-                pool.append(on_trigger(hyp))
+                pool.append(hyp)
                 width -= 1
     return pool, active
 
@@ -391,40 +390,13 @@ def _final_block(
     max_total: int,
 ) -> Hypothesis:
     """Decode to completion on the complete source: EOS finishes a beam,
-    repetitions are ignored. Returns the best finished beam, else the best
-    still active at the length cap, else the best seed."""
+    repetitions are ignored, and nothing is trimmed. Returns the best
+    finished beam, else the best still active at the length cap, else the
+    best seed."""
     finished, leftover = _beam_loop(
-        seeds,
-        session,
-        cfg.beam_size,
-        max_total,
-        triggered=lambda h: h.tokens[-1] == eos_id,
-        on_trigger=lambda h: h,
+        seeds, session, cfg.beam_size, max_total, lambda h: h.tokens[-1] == eos_id
     )
     return select_best(finished or leftover or seeds)
-
-
-def _mid_source_block(
-    beams: Sequence[Hypothesis],
-    floor: int,
-    session: ModelSession,
-    cfg: SearchConfig,
-    eos_id: int,
-    max_total: int,
-    halt: bool = False,
-) -> tuple[list[Hypothesis], list[Hypothesis]]:
-    """One block while source remains: a beam that shows a repetition or EOS
-    is trimmed, never below ``floor`` tokens (see :func:`_trim_stop`).
-    Returns ``(pool, still_active)``."""
-    return _beam_loop(
-        beams,
-        session,
-        cfg.beam_size,
-        max_total,
-        triggered=lambda h: detect_stop(h, cfg, eos_id) is not StopReason.NONE,
-        on_trigger=lambda h: _trim_stop(h, floor),
-        halt=halt,
-    )
 
 
 def standard_beam_search(
@@ -467,18 +439,26 @@ def bwbs_block(
     ``beams``, one or more distinct beams of one length, all extend the
     committed prefix, which is ``floor`` tokens long. All beams advance one
     token per step. The first step at which *any* beam shows a repetition or
-    EOS ends the block: the last two tokens are removed from every beam
-    (never below ``floor``), the beams the trim made equal are kept once, in
-    rank order, and the beams wait for more source. No pruning to a single
-    hypothesis happens here, so snapshots may revise across blocks
+    EOS ends the block: :func:`_beam_loop` returns that step's beams
+    untrimmed, and this op removes the last two tokens from every one of
+    them (never below ``floor``), keeps the beams the trim made equal once,
+    in rank order, and the beams wait for more source. No pruning to a
+    single hypothesis happens here, so snapshots may revise across blocks
     (re-translation semantics). A block in which no beam has a finite
     continuation returns the incoming beams.
 
     Source remains after the block: :func:`decode_session` runs the final
     block itself (:func:`_final_block`).
     """
-    halted, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total, halt=True)
-    return tuple(halted or active or beams)
+    halted, active = _beam_loop(beams, session, cfg.beam_size, max_total,
+                                lambda h: detect_stop(h, cfg, eos_id) is not StopReason.NONE,
+                                halt=True)
+    # The trim can make siblings equal: keep the first of each.
+    kept: dict[tuple[int, ...], Hypothesis] = {}
+    for beam in halted:
+        beam = _trim_stop(beam, floor)
+        kept.setdefault(beam.tokens, beam)
+    return tuple(kept.values() or active or beams)
 
 
 def ibwbs_block(
@@ -492,18 +472,22 @@ def ibwbs_block(
     """One block of the incremental blockwise search; returns one beam.
 
     ``beams`` and ``floor`` are as for :func:`bwbs_block`. Beams stop
-    individually: a beam showing a repetition or EOS loses its last two
-    tokens (never below ``floor``), joins the stopped pool, and leaves the
-    search for the rest of the block (the active width shrinks; no refill).
-    When no active beams remain, or the length cap is reached (remaining
-    beams then join the pool unmodified), the best stopped hypothesis under
-    length-normalized score is the one beam returned. If no beam had a
-    finite continuation, the best incoming beam takes that place.
+    individually: a beam showing a repetition or EOS joins the stopped pool
+    and leaves the search for the rest of the block (the active width
+    shrinks; no refill). When no active beams remain, or the length cap is
+    reached, this op removes the last two tokens of each stopped beam
+    (never below ``floor``), in place, and the beams left at the cap join
+    the pool unmodified. The best of the pool under length-normalized score
+    is the one beam returned. If no beam had a finite continuation, the
+    best incoming beam takes that place.
 
     Source remains after the block: :func:`decode_session` runs the final
     block itself (:func:`_final_block`).
     """
-    stopped, active = _mid_source_block(beams, floor, session, cfg, eos_id, max_total)
+    stopped, active = _beam_loop(beams, session, cfg.beam_size, max_total,
+                                 lambda h: detect_stop(h, cfg, eos_id) is not StopReason.NONE)
+    for i, hyp in enumerate(stopped):
+        stopped[i] = _trim_stop(hyp, floor)
     stopped.extend(active)  # length cap reached: survivors join unmodified
     return (select_best(stopped or beams),)
 

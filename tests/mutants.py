@@ -1,20 +1,24 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
-paths, the exact terms it sums, the commit policies, the stop heuristic, the
-length cap and the transcript's checks, the latency and BLEU metrics, the
-harness's block durations, the settings types' type rule and the toy
-model's confidence and noise.
+paths, the exact terms it sums, the block ops' trims, the selection and the
+final block, the commit policies, the stop heuristic, the length cap and the
+transcript's checks, the latency and BLEU metrics, the harness's block
+durations, the settings types' type rule and the toy model's confidence and
+noise.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 ``old`` must occur exactly once in that file. For each mutant the script
 copies ``src/``, ``tests/``, ``demo/``, ``README.md`` and ``pyproject.toml``
 to a temporary directory, applies the edit, and runs the mutant's test
 subset there in one pytest process: the differential subset (``SUBSET``)
-for the beam step, with ``tests/test_core.py`` for the exact terms
-(``TERMS_SUBSET``), ``POLICY_SUBSET`` for ``apply_policy`` and
-``bleu_statistics``, one test class each for the lone-candidate path and
-the policy's successor, ``tests/test_core.py`` and ``tests/test_metrics.py``
-alone for the rest of ``core`` and ``metrics``, the harness's own tests
-for ``blocks_for``, ``tests/test_types.py`` for ``core.check_types``, and
+for the beam step and the ``bwbs`` halt, with ``tests/test_core.py`` for
+the exact terms (``TERMS_SUBSET``), ``POLICY_SUBSET`` for ``apply_policy``
+and ``bleu_statistics``, one test class each for the lone-candidate path
+and the policy's successor, the block ops' test classes for their trims,
+one class of ``tests/test_search.py`` each for the selection, the final
+block and EOS, ``tests/test_causality.py`` for the cap's causality,
+``tests/test_core.py`` and ``tests/test_metrics.py`` alone for the rest of
+``core`` and ``metrics``, the harness's own tests for ``blocks_for``,
+``tests/test_types.py`` for ``core.check_types``, and
 ``tests/test_model.py`` for the toy model.
 A failing run kills the mutant.
 
@@ -123,9 +127,33 @@ MUTANTS = (
     Mutant("distinct-seed-check-dropped", SEARCH,
            "    if len(seeds) > 1 and len({seed.tokens for seed in seeds}) != len(seeds):\n",
            "    if False:\n"),
-    # _beam_loop: the halt.
+    # bwbs_block: the halt keeps one beam of each copy its trim makes.
     Mutant("halt-copies-kept", SEARCH,
-           "return list(kept.values()), []", "return list(map(on_trigger, ranked)), []"),
+           "kept.setdefault(beam.tokens, beam)", "kept[id(beam)] = beam"),
+    # The block ops' trim, and what ibwbs does with the beams at the cap.
+    Mutant("trim-by-one", SEARCH,
+           "max(len(hyp.tokens) - 2, floor)", "max(len(hyp.tokens) - 1, floor)",
+           subset=("tests/test_search.py::TestBwbsBlock", "tests/test_search.py::TestIbwbsBlock")),
+    Mutant("ibwbs-cap-survivors-dropped", SEARCH,
+           "    stopped.extend(active)  # length cap reached: survivors join unmodified\n", "",
+           subset=("tests/test_search.py::TestIbwbsBlock",)),
+    # select_best: longer wins ties.
+    Mutant("shorter-wins-ties", SEARCH,
+           "-normalized_score(hyp), -len(hyp.tokens)", "-normalized_score(hyp), len(hyp.tokens)",
+           subset=("tests/test_search.py::TestSelectBest",)),
+    # _final_block: a finished beam beats one left at the cap.
+    Mutant("final-prefers-unfinished", SEARCH,
+           "select_best(finished or leftover or seeds)",
+           "select_best(leftover or finished or seeds)",
+           subset=("tests/test_search.py::TestStandardBeamSearch",)),
+    # decode_session: EOS never shown, and a cap from the source read so far.
+    Mutant("eos-not-stripped", SEARCH,
+           "    if hyp.tokens and hyp.tokens[-1] == eos_id:\n", "    if False:\n",
+           subset=("tests/test_search.py::TestDecodeSession",)),
+    Mutant("cap-reads-next-block", SEARCH,
+           "max_output_tokens(elapsed)\n",
+           "max_output_tokens(sum(b.duration_ms for b in blocks[: len(decisions) + 2]))\n",
+           subset=("tests/test_causality.py",)),
     # _expand: the cut.
     Mutant("cut-threshold-one-place-off", SEARCH,
            "ordered[-width]", "ordered[1 - width]"),
@@ -200,6 +228,8 @@ MUTANTS = (
            subset=CORE_SUBSET),
     Mutant("cap-offset-21", CORE, "MAX_TOKENS_OFFSET = 20", "MAX_TOKENS_OFFSET = 21",
            subset=CORE_SUBSET),
+    Mutant("cap-floored", CORE, "return math.ceil(MAX_TOKENS_PER_SECOND",
+           "return math.floor(MAX_TOKENS_PER_SECOND", subset=CORE_SUBSET),
     Mutant("normalized-over-len-plus-one", CORE,
            "hyp.score / len(hyp.tokens)", "hyp.score / (len(hyp.tokens) + 1)", subset=CORE_SUBSET),
     Mutant("transcript-order-unchecked", CORE,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import POLICIES, as_blocks, random_toy
@@ -22,6 +22,10 @@ from simulbeam.search import PolicyState, decode_session
 
 
 @settings(max_examples=150, deadline=None)
+# A cap that also counted the next block's duration would change the fourth
+# decision of this run, whatever the draws.
+@example(seed=2, extension=1, context=ContextMode.BLOCKWISE, block_symbols=2, algo=Algorithm.BS,
+         retranslation=False, policy=PolicyState(), beam=1, detection=False)
 @given(
     seed=st.integers(0, 2**32 - 1),
     extension=st.integers(1, 12),

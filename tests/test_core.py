@@ -123,6 +123,11 @@ class TestMaxOutputTokens:
     def test_defaults_match_documentation(self):
         assert max_output_tokens(1000.0) == 30
 
+    def test_a_partial_token_rounds_up(self):
+        # 30.5 tokens' worth of source allows 31, and 1 ms allows one.
+        assert max_output_tokens(3050.0) == 51
+        assert max_output_tokens(1.0) == 21
+
 
 class TestValidation:
     def test_vocabulary_bounds(self):

@@ -8,6 +8,7 @@ import random
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +213,25 @@ class TestLoadCorpus:
         path = tmp_path / "out.jsonl"
         dump_corpus(records, path)
         assert load_corpus(path) == records
+
+
+class TestCorpusRecord:
+    @pytest.mark.parametrize("field", ["source", "reference"])
+    @pytest.mark.parametrize("entry", [1.5, "1", True], ids=["float", "string", "bool"])
+    def test_entries_that_are_not_ids_are_rejected(self, field, entry):
+        # The toy skipped a source entry 1.5 or "1", and decoded the source
+        # (0,); a reference True scored as token 1.
+        ids = {"source": (0, 1), "reference": (0, 1), field: (0, entry)}
+        message = f"^record 'a': {field} must hold integer ids, got {re.escape(repr(entry))}$"
+        with pytest.raises(CorpusError, match=message):
+            CorpusRecord("a", block_ms=100.0, **ids)
+
+    def test_numpy_integers_are_ids(self):
+        spec, vocab = ladder_spec(2, tokens_per_symbol=1)
+        record = CorpusRecord("a", (np.int64(0), 1), (0, np.int32(1)), 100.0)
+        transcript, _ = run_utterance(record, make_toy_model(spec, vocab), RunConfig(),
+                                      vocab.eos_id)
+        assert transcript.final_output == (0, 1)
 
 
 class TestRunUtterance:

@@ -29,7 +29,8 @@ SETTINGS = {
     CorpusRecord: (CorpusError, dict(id="a", source=(1,), reference=(1,), block_ms=250.0)),
     Block: (ValueError, dict(payload=(0,), duration_ms=250.0)),
 }
-# The one field no type rule covers: the spec checks the mapping's entries.
+# The one field no type rule covers: the spec takes any Mapping (a dict
+# subclass too) and checks its entries.
 UNCHECKED = {(ToyTransducerSpec, "mapping")}
 
 
@@ -171,11 +172,15 @@ class TestNamedHoles:
         [({0: 5}, "mapping for symbol 0 must be a tuple, got 5"),
          ({0: [1]}, r"mapping for symbol 0 must be a tuple, got \[1\]"),
          ({"0": (1,)}, "mapping keys must be integer symbol ids, got '0'"),
-         ({True: (1,)}, "mapping keys must be integer symbol ids, got True")],
-        ids=["target-int", "target-list", "key-string", "key-bool"],
+         ({True: (1,)}, "mapping keys must be integer symbol ids, got True"),
+         (5, "mapping must be a mapping, got 5"),
+         ([(0, (1,))], r"mapping must be a mapping, got \[\(0, \(1,\)\)\]"),
+         (None, "mapping must be a mapping, got None")],
+        ids=["target-int", "target-list", "key-string", "key-bool", "int", "pairs", "none"],
     )
     def test_toy_mapping(self, mapping, message):
         # An int target raised Python's TypeError; a string key was accepted
-        # and then covered no symbol; a true key served symbol 1.
+        # and then covered no symbol; a true key served symbol 1. A mapping
+        # that is not one raised Python's AttributeError.
         with pytest.raises(ValueError, match=f"^{message}$"):
             ToyTransducerSpec(mapping)

@@ -124,8 +124,11 @@ def _load(
 ) -> tuple[list[CorpusRecord], ModelFactory, int]:
     """The corpus, a model factory in the run's context mode, and the EOS id."""
     spec, vocab = load_model_file(args.model)
-    corpus = load_corpus(args.corpus)
-    return corpus, make_toy_model(spec, vocab, cfg.context), vocab.eos_id
+    try:
+        factory = make_toy_model(spec, vocab, cfg.context)
+    except ValueError as exc:
+        raise CorpusError(f"{args.model}: {exc}") from exc
+    return load_corpus(args.corpus), factory, vocab.eos_id
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:

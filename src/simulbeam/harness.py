@@ -159,8 +159,6 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
             doc = json.loads(line)
             if type(doc) is not dict:
                 raise CorpusError("record must be a JSON object")
-            if type(doc["id"]) is not str:
-                raise CorpusError(f"id must be a JSON string, got {json.dumps(doc['id'])}")
             record = CorpusRecord(
                 id=doc["id"],
                 source=json_ids(doc["source"], "source"),

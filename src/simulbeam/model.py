@@ -122,15 +122,6 @@ class ToyTransducerSpec:
                     raise ValueError(f"mapping for symbol {symbol} must hold integer token ids, "
                                      f"got {token!r}")
 
-    def validate_against(self, vocab: Vocabulary) -> None:
-        for symbol, targets in self.mapping.items():
-            for token in targets:
-                if not 0 <= token < vocab.size:
-                    raise ValueError(
-                        f"mapping for symbol {symbol} references token {token} "
-                        f"outside the vocabulary of size {vocab.size}"
-                    )
-
 
 class ModelSession(ABC):
     """Stateful scorer: block ingestion plus next-token distributions.
@@ -251,8 +242,8 @@ class _ToySession(ModelSession):
         else:
             favored = (key,)
         epsilon = self._spec.noise_epsilon
-        rest = vocab_size - len(favored)
-        probs = np.full(vocab_size, (epsilon / rest) if rest else 0.0)
+        rest = vocab_size - len(favored)  # at least 1: make_toy_model requires V >= 2
+        probs = np.full(vocab_size, epsilon / rest)
         probs[list(favored)] = (1.0 - epsilon) / len(favored)
         with np.errstate(divide="ignore"):
             vector = np.log(probs)
@@ -278,8 +269,18 @@ def make_toy_model(
     conditioning and pass count. For prefixes of vocabulary ids the cache
     holds at most ``V + 1`` vectors of ``V`` floats, with ``V`` the
     vocabulary size (8 MB at ``V = 1001``), and lives as long as the factory.
+
+    This is where a spec meets its vocabulary: a target outside it, and a
+    vocabulary with no token besides EOS (the noise and the HALLUCINATE
+    fallback spread over the other tokens), raise ``ValueError``.
     """
-    spec.validate_against(vocab)
+    if vocab.size < 2:
+        raise ValueError("the toy's vocabulary needs a token besides EOS")
+    for symbol, targets in spec.mapping.items():
+        for token in targets:
+            if not 0 <= token < vocab.size:
+                raise ValueError(f"mapping for symbol {symbol} references token {token} "
+                                 f"outside the vocabulary of size {vocab.size}")
     vectors: dict[int | None, np.ndarray] = {}
 
     def factory() -> ModelSession:
@@ -289,16 +290,14 @@ def make_toy_model(
 
 
 def json_ids(values, field: str) -> tuple[int, ...]:
-    """The entries of a JSON id array as a tuple. Anything but an array, and
-    any entry but a JSON integer (a float, a numeric string or a boolean),
-    raises ``TypeError`` instead of being iterated, truncated or converted."""
+    """The entries of a JSON id array as a tuple. Anything but an array raises
+    ``TypeError`` instead of being iterated (a string or an object would be).
+    The entries are not checked here: the value type the tuple goes to
+    (``CorpusRecord`` or ``ToyTransducerSpec``) rejects any entry that is not
+    an id, whoever builds it."""
     if type(values) is not list:
         raise TypeError(f"{field} must be a JSON array of integer ids, got {json.dumps(values)}")
-    ids = tuple(values)
-    for value in ids:
-        if type(value) is not int:
-            raise TypeError(f"{field} must hold integer ids, got {value!r}")
-    return ids
+    return tuple(values)
 
 
 def json_number(value, field: str) -> float:
@@ -321,7 +320,9 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
     entry may repeat. The mapping is a JSON object whose keys are canonical
     integer strings (``"7"``, not ``"07"``); targets and ``lookahead`` are
     JSON integers, ``epsilon`` is a JSON number, and ``mode`` is one of the
-    lowercase mode names (default ``"repeat"``).
+    lowercase mode names (default ``"repeat"``). The spec's own type rules
+    check the targets and ``lookahead``, and :func:`make_toy_model` checks
+    the targets against the vocabulary.
     """
     if not isinstance(doc, Mapping):
         raise ValueError("model spec must be a JSON object")
@@ -359,7 +360,6 @@ def spec_from_json(doc: Mapping) -> tuple[ToyTransducerSpec, Vocabulary]:
         insufficient_context_mode=InsufficientContextMode(mode),
         lookahead=doc.get("lookahead", 0),
     )
-    spec.validate_against(vocab)
     return spec, vocab
 
 

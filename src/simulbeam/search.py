@@ -544,10 +544,10 @@ def decode_session(
     prefix via :func:`standard_beam_search`.
 
     The emitted token stream never includes EOS. A block stream that does
-    not end in exactly one final block, or whose total duration is not
-    finite, and a policy state already in progress (with a ``history`` or
-    a ``committed`` prefix) raise ``ValueError`` before the session is
-    opened.
+    not end in exactly one final block, or whose total duration or its
+    length cap is not finite, and a policy state already in progress (with
+    a ``history`` or a ``committed`` prefix) raise ``ValueError`` before the
+    session is opened.
     """
     blocks = list(blocks)
     if not blocks or not blocks[-1].is_final or any(b.is_final for b in blocks[:-1]):
@@ -556,8 +556,14 @@ def decode_session(
         raise ValueError("a session starts from a fresh policy: no history, nothing committed")
     if retranslation and policy.kind is not PolicyKind.NONE:
         raise ValueError("commit policies apply to incremental mode only")
-    if not sum(b.duration_ms for b in blocks) < math.inf:
-        raise ValueError("the blocks' total duration must be finite")
+    total = 0.0
+    for block in blocks:
+        total += block.duration_ms  # summed as the loop below sums ``elapsed``
+    try:
+        max_output_tokens(total)
+    except OverflowError:
+        raise ValueError("the blocks' total duration must be finite, and short enough for a "
+                         f"finite length cap, got {total!r} ms") from None
     session = model_factory()
     beams: tuple[Hypothesis, ...] = (Hypothesis(),)
     decisions: list[BlockDecision] = []

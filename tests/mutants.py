@@ -1,9 +1,9 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
 paths, the exact terms it sums, the block ops' trims, the selection and the
-final block, the commit policies, the stop heuristic, the length cap and the
-transcript's checks, the latency and BLEU metrics, the harness's block
-durations, the settings types' type rule and the toy model's confidence and
-noise.
+final block, the commit policies, the stop heuristic, the length cap, its
+overflow check and the transcript's checks, the latency and BLEU metrics,
+the harness's block durations and record ids, the settings types' type rule
+and the toy model's confidence, noise, target ids and vocabulary.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 ``old`` must occur exactly once in that file. For each mutant the script
@@ -15,9 +15,11 @@ the exact terms (``TERMS_SUBSET``), ``POLICY_SUBSET`` for ``apply_policy``
 and ``bleu_statistics``, one test class each for the lone-candidate path
 and the policy's successor, the block ops' test classes for their trims,
 one class of ``tests/test_search.py`` each for the selection, the final
-block and EOS, ``tests/test_causality.py`` for the cap's causality,
+block, and the session's EOS and cap-overflow checks,
+``tests/test_causality.py`` for the cap's causality,
 ``tests/test_core.py`` and ``tests/test_metrics.py`` alone for the rest of
-``core`` and ``metrics``, the harness's own tests for ``blocks_for``,
+``core`` and ``metrics``, the harness's own tests for ``blocks_for`` and
+``CorpusRecord``'s ids,
 ``tests/test_types.py`` for ``core.check_types``, and
 ``tests/test_model.py`` for the toy model.
 A failing run kills the mutant.
@@ -150,6 +152,9 @@ MUTANTS = (
     Mutant("eos-not-stripped", SEARCH,
            "    if hyp.tokens and hyp.tokens[-1] == eos_id:\n", "    if False:\n",
            subset=("tests/test_search.py::TestDecodeSession",)),
+    Mutant("cap-overflow-unchecked", SEARCH,
+           "        max_output_tokens(total)\n", "        pass\n",
+           subset=("tests/test_search.py::TestDecodeSession",)),
     Mutant("cap-reads-next-block", SEARCH,
            "max_output_tokens(elapsed)\n",
            "max_output_tokens(sum(b.duration_ms for b in blocks[: len(decisions) + 2]))\n",
@@ -248,6 +253,10 @@ MUTANTS = (
     Mutant("short-block-charged-in-full", HARNESS,
            "duration_ms=len(chunk) * symbol_ms", "duration_ms=cfg.block_symbols * symbol_ms",
            subset=("tests/test_harness.py",)),
+    # CorpusRecord: every source and reference entry is an id, JSON or not.
+    Mutant("record-ids-unchecked", HARNESS,
+           "                if not _is_id(value):\n", "                if False:\n",
+           subset=("tests/test_harness.py",)),
     # check_types: exact types, and None only where it is the default.
     Mutant("exact-type-as-isinstance", CORE,
            "type(value) is kind or kind is NUMBER and type(value) in NUMBER",
@@ -255,13 +264,20 @@ MUTANTS = (
     Mutant("none-passes-any-field", CORE,
            "value is None and getattr(type(obj), name, ...) is None", "value is None",
            subset=TYPES_SUBSET),
-    # The toy: which reference tokens are confident, and the noise's spread.
+    # The toy: which reference tokens are confident, the noise's spread, its
+    # target ids, and a token besides EOS to spread over.
     Mutant("toy-confident-one-symbol-early", MODEL,
            "self._symbols[-lookahead:])", "self._symbols[-lookahead:][1:])", subset=MODEL_SUBSET),
     Mutant("toy-final-block-still-waits", MODEL,
            "if lookahead and not block.is_final:", "if lookahead:", subset=MODEL_SUBSET),
     Mutant("toy-noise-unnormalized", MODEL,
-           "(epsilon / rest) if rest else 0.0", "epsilon if rest else 0.0", subset=MODEL_SUBSET),
+           "np.full(vocab_size, epsilon / rest)", "np.full(vocab_size, epsilon)",
+           subset=MODEL_SUBSET),
+    Mutant("toy-target-ids-unchecked", MODEL,
+           "                if not _is_id(token):\n", "                if False:\n",
+           subset=MODEL_SUBSET),
+    Mutant("toy-lone-eos-vocab-accepted", MODEL,
+           "    if vocab.size < 2:\n", "    if False:\n", subset=MODEL_SUBSET),
 )
 
 

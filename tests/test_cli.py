@@ -187,9 +187,9 @@ class TestEval:
     @pytest.mark.parametrize(
         "value, message",
         [
-            ("null", "id must be a JSON string, got null"),
-            ("true", "id must be a JSON string, got true"),
-            ("[1, 2]", "id must be a JSON string, got [1, 2]"),
+            ("null", "id must be a string, got None"),
+            ("true", "id must be a string, got True"),
+            ("[1, 2]", "id must be a string, got [1, 2]"),
             ('"a,b"', "record id 'a,b' must not contain"),
             ('"a\\nb"', "record id 'a\\nb' must not contain"),
             ('"a\\rb"', "record id 'a\\rb' must not contain"),
@@ -274,6 +274,35 @@ class TestEval:
         code = run(["eval", "--corpus", str(corpus), "--model", model])
         assert code == 1
         assert "input error: the blocks' total duration must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block_ms, flags",
+        [(1e308, []), (250, ["--block-ms", "5e307"])],
+        ids=["corpus", "flag"],
+    )
+    def test_overflowing_length_cap_is_input_error(self, workspace, capsys, block_ms, flags):
+        # One symbol: its duration is finite, and its length cap is not.
+        tmp_path, _, model = workspace
+        corpus = tmp_path / "long.jsonl"
+        corpus.write_text(
+            '{"id": "u", "source": [0], "reference": [0], "block_ms": %r}\n' % block_ms,
+            encoding="utf-8",
+        )
+        code = run(["eval", "--corpus", str(corpus), "--model", model, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: the blocks' total duration must be finite, and short "
+                              "enough for a finite length cap") and err.count("\n") == 1
+
+    def test_eos_only_vocabulary_is_input_error(self, workspace, capsys):
+        tmp_path, corpus, _ = workspace
+        model = tmp_path / "eos_only.json"
+        model.write_text(json.dumps({"vocab": ["<eos>"], "mapping": {"0": [0]},
+                                     "mode": "hallucinate", "lookahead": 1}), encoding="utf-8")
+        code = run(["eval", "--corpus", corpus, "--model", str(model)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: {model}: the toy's vocabulary needs a token besides EOS\n"
 
     def test_retranslation_runs_without_policy(self, workspace, capsys):
         _, corpus, model = workspace

@@ -133,7 +133,8 @@ class TestLoadCorpus:
             tmp_path,
             ['{"id": "a", "source": [0], "reference": [0], "block_ms": 250}', json.dumps(doc)],
         )
-        with pytest.raises(CorpusError, match=f":2: {field} must hold integer ids"):
+        message = f":2: record 'b': {field} must hold integer ids, got {re.escape(repr(entry))}$"
+        with pytest.raises(CorpusError, match=message):
             load_corpus(path)
 
     @pytest.mark.parametrize("value", ["null", "true", "7", "[1, 2]"])
@@ -145,7 +146,7 @@ class TestLoadCorpus:
                 '{"id": %s, "source": [0], "reference": [0], "block_ms": 250}' % value,
             ],
         )
-        message = f":2: id must be a JSON string, got {re.escape(value)}$"
+        message = f":2: id must be a string, got {re.escape(repr(json.loads(value)))}$"
         with pytest.raises(CorpusError, match=message):
             load_corpus(path)
 

@@ -362,6 +362,15 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match="outside"):
             make_toy_model(spec, vocab)
 
+    @pytest.mark.parametrize("mode", list(InsufficientContextMode))
+    def test_vocabulary_needs_a_token_besides_eos(self, mode):
+        # The noise and the fallbacks spread mass over the tokens besides the
+        # favored one: with EOS alone, HALLUCINATE, or REPEAT with nothing to
+        # repeat, divided by zero at the first query.
+        spec = ToyTransducerSpec(mapping={0: (0,)}, insufficient_context_mode=mode, lookahead=1)
+        with pytest.raises(ValueError, match="^the toy's vocabulary needs a token besides EOS$"):
+            make_toy_model(spec, make_vocab(0))
+
     def test_empty_target_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ToyTransducerSpec(mapping={0: ()})

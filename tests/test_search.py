@@ -1137,6 +1137,41 @@ class TestDecodeSession:
             decode_session(factory, blocks, eos_id=0)
         assert not opened
 
+    def test_rejects_an_overflowing_length_cap_before_opening(self):
+        # One finite symbol: the sum is finite, but the cap's 10 * 1e308 is not.
+        def factory():
+            raise AssertionError("the session must not be opened")
+
+        blocks = [Block(payload=(0,), duration_ms=1e308, is_final=True)]
+        with pytest.raises(ValueError, match="total duration must be finite, and short enough"):
+            decode_session(factory, blocks, eos_id=0)
+
+    def test_cap_check_follows_the_running_sum(self, monkeypatch):
+        # Python 3.12's sum() of floats is compensated, so it can round a
+        # total below the running sum the loop's clock reaches; math.fsum
+        # stands in for it here. The clock starts 2 ulps below the longest
+        # total whose cap is finite, and each of four 0.6-ulp steps rounds
+        # up to a whole ulp: it ends 2 ulps above, past the cap's range,
+        # while the exact total, 0.4 ulp above that longest one, rounds to it.
+        monkeypatch.setattr(search, "sum", math.fsum, raising=False)
+        top = 1.7976931348623158e307
+        step = math.ulp(top)
+        durations = [top - 2 * step] + [0.6 * step] * 4
+        running = 0.0
+        for duration in durations:
+            running += duration
+        assert search.max_output_tokens(math.fsum(durations)) > 0
+        with pytest.raises(OverflowError):
+            search.max_output_tokens(running)
+
+        def factory():
+            raise AssertionError("the session must not be opened")
+
+        blocks = [Block(payload=(0,), duration_ms=d, is_final=i == len(durations) - 1)
+                  for i, d in enumerate(durations)]
+        with pytest.raises(ValueError, match="total duration must be finite"):
+            decode_session(factory, blocks, eos_id=0)
+
     @pytest.mark.parametrize(
         "policy",
         [

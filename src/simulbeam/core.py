@@ -184,14 +184,15 @@ class SessionTranscript:
             raise ValueError("forward_passes must be non-negative")
         if not self.decisions[0].source_ms > 0:
             raise ValueError("source_ms must be positive")
-        joined: tuple[int, ...] = ()
+        # A list grows in place: joining tuples would copy the prefix per block.
+        joined: list[int] = []
         last = 0.0
         for decision in self.decisions:
             if not decision.source_ms >= last:
                 raise ValueError("decision timestamps must be non-decreasing")
             joined += decision.committed
             last = decision.source_ms
-        if joined and joined != self.final_output:
+        if joined and tuple(joined) != self.final_output:
             raise ValueError("committed tokens must concatenate to the last best")
 
     @property

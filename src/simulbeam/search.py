@@ -37,7 +37,7 @@ entries are rejected, and that error comes after the step's remaining beams
 were queried. One ``argmax`` makes that check: it finds the first NaN, or
 else the maximum, and a step with one finite entry takes that entry from it.
 Each error is a ``ValueError`` naming the prefix. The step otherwise
-ranks the extensions of all the beams at once (:func:`_expand`): one
+ranks the extensions of all the beams at once (:func:`_step`): one
 approximate cut across the stacked rows, whose threshold comes from one full
 sort (selection by partition stalls on the many tied log-probs of a row) and
 whose rounding margin from that threshold alone, and a cap on exact ties leave
@@ -45,13 +45,15 @@ only the candidates that can place, and one exact sort, by the ``math.fsum``
 score (summed over a few exact terms the parent carries, not over its
 history) and then by token order, ranks them. A block's beams are distinct
 and share one length, which :func:`_beam_loop` requires, so that token order
-is the parent's tokens and then the new token's id, and a candidate that
-does not place never gets a token tuple. Only the top ``width`` are built,
-each keeping the exact score it was ranked by and the terms it was summed
-from, so no hypothesis is summed twice, and the Python work besides the
-model grows with the candidates that can place, not with the vocabulary or
-the output. The children of distinct parents are distinct, so no step looks
-for repeats.
+is the parent's and then the new token's id. The loop ranks a block's seeds
+by their tokens once, and each step hands its children their ranks in token
+order, so a score tie compares two ranks, never two token tuples, and a
+candidate that does not place never gets a token tuple. Only the top
+``width`` are built, each keeping the exact score it was ranked by and the
+terms it was summed from, so no hypothesis is summed twice, and the Python
+work besides the model grows with the candidates that can place, not with
+the vocabulary or the output. The children of distinct parents are
+distinct, so no step looks for repeats.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -182,7 +184,7 @@ def _answers(session: ModelSession,
     would also vanish from every comparison). One ``argmax`` over all the
     answers checks that: it returns the first NaN, else the first maximum,
     so the entry it picks is at most 0 only if every entry is. The error
-    names the first offending prefix in query order. :func:`_expand`'s cut
+    names the first offending prefix in query order. :func:`_step`'s cut
     rests on the check, and its lone-candidate path takes its entry from
     the index."""
     answers = []
@@ -205,10 +207,38 @@ def _answers(session: ModelSession,
     return stacked, top
 
 
+def _token_ranks(beams: Sequence[Hypothesis]) -> list[int]:
+    """Each beam's place in token order, by one sort of their token tuples.
+    The beams are of one length, so two that repeat a token sequence are
+    adjacent in that order, and that repeat raises ``ValueError``."""
+    order = sorted(range(len(beams)), key=lambda i: beams[i].tokens)
+    ranks = [0] * len(beams)
+    for place, i in enumerate(order):
+        if place and beams[i].tokens == beams[order[place - 1]].tokens:
+            raise ValueError("a block's beams must not repeat a token sequence")
+        ranks[i] = place
+    return ranks
+
+
 def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
+    """:func:`_step` for beams given without their ranks: ranks them by
+    their tokens (:func:`_token_ranks`) first."""
+    return _step(active, _token_ranks(active), session, width)
+
+
+def _step(active: Sequence[Hypothesis], ranks: list[int], session: ModelSession,
+          width: int) -> list[Hypothesis]:
     """The top ``width`` single-token extensions of the active beams, which
     are distinct and of one length (:func:`_beam_loop` requires it), ranked
     by ``(-score, tokens)``, so replay is deterministic.
+
+    ``ranks`` orders the active beams as their tokens do: entry ``i`` is
+    beam ``i``'s rank, and ranks need not be dense. A lone beam needs none,
+    and may pass an empty list. The step overwrites ``ranks`` in place with
+    the children's ranks, dense, or empties it when it builds fewer than
+    two children. So a step at width 1 and a step with a lone candidate do
+    no rank work, and every step returns a bare list: a ``(children,
+    ranks)`` pair would cost each lone-candidate step a few percent.
 
     Each active beam costs one forward pass, in order, and the answers are
     checked together (:func:`_answers`): every entry at most 0, so NaN,
@@ -251,19 +281,22 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
        ``width`` places before it is of its group.
     3. The exact ranking: what is left is scored with ``math.fsum``, once
        per run of one ``(row, lp)`` group, and sorted by
-       ``(-score, parent tokens, token id)``. The sum is not over the
+       ``(-score, parent rank, token id)``. The sum is not over the
        parent's history but over its terms (``Hypothesis._terms``): a few
        floats with the same exact sum as its log-probs, its score and the
        rounded remainders, filled once per seed. ``fsum`` rounds the exact
        sum of its inputs once, so ``fsum(terms + (lp,))`` is the child's
        exact score, at a cost that grows with the steps since the seeds,
        not with the output. The parents are distinct and share one length,
-       so the key orders as the child's tokens would, a tie within a row
-       compares one parent tuple (by identity) and then one int, and only
-       the placed candidates ever get a token tuple. The first ``width``
-       are built, each storing the exact score it was ranked by, which the
-       next step's parent scores and :func:`select_best` read, and the
-       terms it was summed from, which the next step extends.
+       so a child's tokens order first by its parent's tokens, which the
+       parent's rank orders, and then by its token id: the key orders as
+       the child's tokens would, yet a score tie across parents compares
+       two ints, not two token tuples that share all but their last few
+       tokens. The first ``width`` are built, each storing the exact score
+       it was ranked by, which the next step's parent scores and
+       :func:`select_best` read, and the terms it was summed from, which
+       the next step extends. Each child's rank is its place among them in
+       ``(parent rank, token id)`` order, which is its tokens' order.
     """
     matrix, top = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
@@ -272,6 +305,8 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
     count = np.count_nonzero(finite)
     if count <= 1:
         # A lone finite entry is the maximum, so it is ``top``.
+        if ranks:
+            ranks.clear()
         return [active[top // size].extended(top % size, matrix.item(top))] if count else []
     cut = -math.inf
     if count > width:
@@ -294,8 +329,9 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
         kept = ~tied
         flat, values = flat[kept], values[kept]
     # The key orders as the child's tokens would, since the parents share one
-    # length. Keys are distinct (parents' tokens are, and so are the ids in a
+    # length. Keys are distinct (parents' ranks are, and so are the ids in a
     # row), so the sort never compares beams.
+    parent_ranks = ranks or (0,)
     ranked = []
     last_row, last_lp = -1, 0.0
     for i, lp in zip(flat.tolist(), values.tolist()):
@@ -305,14 +341,25 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
             last_row, last_lp = row, lp
             terms = _exact_terms(beam) + (lp,)
             key = -math.fsum(terms)
-        ranked.append((key, beam.tokens, token, beam, lp, terms))
+        ranked.append((key, parent_ranks[row], token, beam, lp, terms))
     ranked.sort()
+    placed = ranked[:width]
     built = []
-    for key, _, token, beam, lp, terms in ranked[:width]:
+    codes = []  # ``rank * size + token`` orders as ``(rank, token)``: every token is below ``size``
+    for key, rank, token, beam, lp, terms in placed:
         hyp = beam.extended(token, lp)
         _set(hyp, "_score", -key)  # see Hypothesis.score
         _set(hyp, "_terms", terms)
         built.append(hyp)
+        codes.append(rank * size + token)
+    if len(built) < 2:
+        ranks.clear()
+        return built
+    # Each child's place in that order: ``width`` lookups in ``width`` sorted
+    # ints, cheaper at beam widths than a dict. No comprehension here reads a
+    # local of this function: that would make it a cell, which every call,
+    # the lone-candidate one too, would pay to create.
+    ranks[:] = map(sorted(codes).index, codes)
     return built
 
 
@@ -356,20 +403,26 @@ def _beam_loop(
     ``(pool, still_active)``.
 
     The seeds must be one or more distinct beams of one length, each scored
-    at most 0, as every block's are (:func:`_expand`'s cut rests on the
+    at most 0, as every block's are (:func:`_step`'s cut rests on the
     scores, and its ranking key on distinct parents); anything else raises
     ``ValueError`` before the first forward pass. The children of one step
     are distinct, so the beams stay distinct within a block, and each op
-    keeps them distinct from block to block."""
+    keeps them distinct from block to block.
+
+    The seeds are ranked by their tokens once per block
+    (:func:`_token_ranks`), and that one sort is also the check that no
+    seed repeats another. From then on each beam carries its rank in one
+    list the loop owns: a step turns its parents' ranks into its children's,
+    and a beam that stops leaves the others' ranks as they were, so no step
+    compares token tuples. A lone beam carries none: the list is empty."""
     length = len(seeds[0].tokens) if seeds else -1
     if length < 0 or any(len(s.tokens) != length or not s.score <= 0 for s in seeds):
         raise ValueError("a block needs one or more beams, all of one length and scored at most 0")
-    if len(seeds) > 1 and len({seed.tokens for seed in seeds}) != len(seeds):
-        raise ValueError("a block's beams must not repeat a token sequence")
+    ranks = _token_ranks(seeds) if len(seeds) > 1 else []
     pool: list[Hypothesis] = []
     active = list(seeds)
     while active and len(active[0].tokens) < max_total and width > 0:
-        ranked = _expand(active, session, width)
+        ranked = _step(active, ranks, session, width)
         active = []
         for hyp in ranked:
             if not stops(hyp):
@@ -379,6 +432,9 @@ def _beam_loop(
             else:
                 pool.append(hyp)
                 width -= 1
+                if ranks:
+                    # Its rank leaves with it: the ranks before it are the kept beams'.
+                    del ranks[len(active)]
     return pool, active
 
 

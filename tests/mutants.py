@@ -1,5 +1,6 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
-paths, the exact terms it sums, the block ops' trims, the selection and the
+paths, the exact terms it sums, the token-order ranks it carries, the block
+ops' trims, the selection and the
 final block, the commit policies, the stop heuristic, the length cap, its
 overflow check and the transcript's checks, the latency and BLEU metrics,
 the harness's block durations and record ids, the settings types' type rule
@@ -35,7 +36,9 @@ Run from the repository root::
     python3 tests/mutants.py NAME ...   # the named ones
 
 It prints one line per mutant and exits 0 when every mutant not marked
-equivalent is killed and every equivalent one survives. The unmutated copy
+equivalent is killed and every equivalent one survives. Stopped by
+``SIGTERM``, it kills its running pytest, removes its temporary directory
+and exits with status 143. The unmutated copy
 must pass each subset the chosen mutants run first. pytest does not collect
 this file.
 """
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -76,7 +80,7 @@ MODEL_SUBSET = ("tests/test_model.py",)
 # The same draws on every run, so a kill or a survival can be replayed.
 PYTEST = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 
-# The margin's proof (stage 1 of ``search._expand``'s docstring) bounds a
+# The margin's proof (stage 1 of ``search._step``'s docstring) bounds a
 # child's exact score ``t`` by ``a - ulp(a) <= t <= a + ulp(a)``, since every
 # log-prob and parent score is at most 0. So the ``width`` candidates at or
 # above the cut ``K`` score at least ``K - ulp(K)``, and any candidate with
@@ -124,11 +128,22 @@ MUTANTS = (
     Mutant("lone-path-ignores-top", SEARCH,
            "[active[top // size].extended(top % size, matrix.item(top))]",
            "[active[0].extended(0, matrix.item(0))]", subset=LONE_SUBSET),
-    # _beam_loop: the seeds.
+    # _beam_loop and _token_ranks: the seeds.
     Mutant("seed-score-check-dropped", SEARCH, " or not s.score <= 0", ""),
     Mutant("distinct-seed-check-dropped", SEARCH,
-           "    if len(seeds) > 1 and len({seed.tokens for seed in seeds}) != len(seeds):\n",
-           "    if False:\n"),
+           "        if place and beams[i].tokens == beams[order[place - 1]].tokens:\n",
+           "        if False:\n"),
+    # _token_ranks, _step and _beam_loop: the token-order rank each beam carries.
+    Mutant("seeds-unranked", SEARCH, "        ranks[i] = place\n", "        ranks[i] = i\n"),
+    Mutant("parent-rank-is-row-index", SEARCH,
+           "(key, parent_ranks[row], token, beam, lp, terms)",
+           "(key, row, token, beam, lp, terms)"),
+    Mutant("child-ranks-in-ranked-order", SEARCH,
+           "ranks[:] = map(sorted(codes).index, codes)", "ranks[:] = range(len(codes))"),
+    Mutant("lone-step-keeps-ranks", SEARCH,
+           "        if ranks:\n            ranks.clear()\n", ""),
+    Mutant("stopped-beams-keep-ranks", SEARCH, "                    del ranks[len(active)]\n",
+           "                    pass\n"),
     # bwbs_block: the halt keeps one beam of each copy its trim makes.
     Mutant("halt-copies-kept", SEARCH,
            "kept.setdefault(beam.tokens, beam)", "kept[id(beam)] = beam"),
@@ -313,7 +328,14 @@ def _passes(tree: Path, subset: tuple[str, ...]) -> bool:
     return run.returncode == 0
 
 
+def _stopped(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(names: list[str]) -> int:
+    # A ``SIGTERM`` becomes an exception, so ``subprocess.run`` kills the
+    # running pytest and ``TemporaryDirectory`` removes the copies.
+    signal.signal(signal.SIGTERM, _stopped)
     known = {mutant.name: mutant for mutant in MUTANTS}
     unknown = [name for name in names if name not in known]
     if unknown:

@@ -540,7 +540,7 @@ class TestBeamStep:
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_builds_at_most_twice_beam_size_candidates_per_step(self, algo, toy, monkeypatch):
         extended = Hypothesis.extended
-        expand = search._expand
+        step = search._step
         built = []
         per_step = []
 
@@ -548,14 +548,14 @@ class TestBeamStep:
             built.append(token)
             return extended(self, token, logprob)
 
-        def counted_step(active, session, width):
+        def counted_step(active, ranks, session, width):
             before = len(built)
-            pool = expand(active, session, width)
+            children = step(active, ranks, session, width)
             per_step.append(len(built) - before)
-            return pool
+            return children
 
         monkeypatch.setattr(Hypothesis, "extended", counted)
-        monkeypatch.setattr(search, "_expand", counted_step)
+        monkeypatch.setattr(search, "_step", counted_step)
         if toy == "wide":
             spec, vocab = _wide_toy()
             source = (3, 141, 59, 26, 5, 358)
@@ -576,12 +576,13 @@ class TestBeamStep:
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_step_ranks_and_builds_at_most_width_candidates(self, algo, toy, monkeypatch):
         # Each step returns at most ``width`` distinct hypotheses, ranked by
-        # ``(-score, tokens)``, and builds only those. On these toys it ranks
-        # at most ``2 x width`` candidates, and scores at most as many exactly:
-        # the tie cap keeps a row's tied noise tokens (1000 of them on the
-        # wide toy) out of the ranking.
+        # ``(-score, tokens)``, and builds only those; the ranks it leaves,
+        # if it built two or more, order them as their tokens do. On these toys it ranks at most
+        # ``2 x width`` candidates, and scores at most as many exactly: the
+        # tie cap keeps a row's tied noise tokens (1000 of them on the wide
+        # toy) out of the ranking.
         extended = Hypothesis.extended
-        expand = search._expand
+        step = search._step
         fsum = math.fsum
         counts = {"built": 0, "ranked": 0, "scored": 0}
         steps = []
@@ -598,15 +599,21 @@ class TestBeamStep:
             counts["scored"] += 1
             return fsum(values)
 
-        def checked_step(active, session, width):
+        def checked_step(active, ranks, session, width):
             counts.update(built=0, ranked=0, scored=0)
-            ranked = expand(active, session, width)
+            ranked = step(active, ranks, session, width)
             assert len(ranked) <= width
             assert len({h.tokens for h in ranked}) == len(ranked)
             assert ranked == sorted(ranked, key=lambda h: (-h.score, h.tokens))
             assert counts["built"] == len(ranked)
             assert counts["ranked"] <= 2 * width
             assert counts["scored"] <= 2 * width
+            if len(ranked) < 2:
+                assert ranks == []
+            else:
+                assert sorted(ranks) == list(range(len(ranked)))
+                by_rank = sorted(range(len(ranked)), key=ranks.__getitem__)
+                assert by_rank == sorted(range(len(ranked)), key=lambda i: ranked[i].tokens)
             steps.append(width)
             return ranked
 
@@ -616,7 +623,7 @@ class TestBeamStep:
         # module.
         monkeypatch.setattr(search, "divmod", counted_divmod, raising=False)
         monkeypatch.setattr(search, "math", SimpleNamespace(**{**vars(math), "fsum": counted_fsum}))
-        monkeypatch.setattr(search, "_expand", checked_step)
+        monkeypatch.setattr(search, "_step", checked_step)
         if toy == "wide":
             spec, vocab = _wide_toy()
             source = (3, 141, 59, 26, 5, 358)
@@ -671,6 +678,91 @@ class TestBeamStep:
                 eos_id=2,
                 algo=algo,
             )
+
+
+class TestCarriedRank:
+    """The beam loop ranks a block's seeds by their tokens once and carries
+    each beam's rank from step to step. Here every step ties children of
+    different parents exactly, so each step's order rests on the carried
+    ranks: the seeds, of one score, come out of token order; the first step
+    keeps a child whose score ranks it after a child it precedes in token
+    order; and in ``ibwbs`` and the final block a beam that ends in EOS at
+    the third step leaves the others with ranks that are not dense."""
+
+    EOS = 7
+    SEEDS = (Hypothesis((4, 2), (-0.5, -0.5)), Hypothesis((0, 4), (-0.5, -0.5)),
+             Hypothesis((2, 0), (-0.5, -0.5)))
+    OPS = {
+        "bwbs": (
+            lambda seeds, *args: bwbs_block(seeds, 2, *args),
+            lambda seeds, *args: reference_search.bwbs_block(seeds, 2, *args),
+        ),
+        "ibwbs": (
+            lambda seeds, *args: ibwbs_block(seeds, 2, *args),
+            lambda seeds, *args: reference_search.ibwbs_block(seeds, 2, *args),
+        ),
+        "final": (
+            lambda seeds, *args: (search._final_block(seeds, *args),),
+            lambda seeds, *args: (select_best(reference_search.bwbs_block(seeds, 2, *args,
+                                                                          final=True)),),
+        ),
+    }
+    # The ranks each step is given: the seeds', then the kept children's.
+    RANKS = {
+        "bwbs": [[2, 0, 1], [0, 2, 3, 1], [0, 1, 2, 3]],
+        "ibwbs": [[2, 0, 1], [0, 2, 3, 1], [0, 1, 2, 3], [0, 2, 3], [0, 1, 2]],
+    }
+    RANKS["final"] = RANKS["ibwbs"]
+
+    @classmethod
+    def _session(cls):
+        # A row offers the two tokens after its last one (mod 6), and EOS
+        # after a 2 at length 4. Each log-prob is -1, plus the last token's
+        # potential, less the new token's (0.5 for an odd token besides EOS,
+        # else 0). Every seed ends in an even token, so a child's exact score
+        # is its seed's, less one per step and less its last token's
+        # potential, whatever its parent.
+        def potential(token):
+            return 0.5 if token % 2 and token != cls.EOS else 0.0
+
+        def logprobs(level, prefix):
+            last = prefix[-1]
+            row = [-math.inf] * 8
+            offered = [(last + 1) % 6, (last + 2) % 6]
+            if len(prefix) == 4 and last == 2:
+                offered.append(cls.EOS)
+            for token in offered:
+                row[token] = -1.0 + potential(last) - potential(token)
+            return row
+
+        session = VectorSession(logprobs)
+        session.ingest_block(Block(payload=(), duration_ms=100.0, is_final=False))
+        return session
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_each_step_matches_the_reference(self, op, monkeypatch):
+        step = search._step
+        steps = []
+
+        def recorded(active, ranks, session, width):
+            given = list(ranks)  # the step overwrites them with its children's
+            built = step(active, ranks, session, width)
+            steps.append((list(active), given, width, built))
+            return built
+
+        monkeypatch.setattr(search, "_step", recorded)
+        new, reference = (fn(self.SEEDS, self._session(), SearchConfig(beam_size=4), self.EOS, 7)
+                          for fn in self.OPS[op])
+        assert new == reference
+        assert [ranks for _, ranks, _, _ in steps] == self.RANKS[op]
+        for active, _, width, built in steps:
+            twin = self._session()
+            assert built == reference_search._prune(reference_search._expand(active, twin), width)
+            # Children of different parents tie exactly on every step.
+            parents: dict[float, set] = {}
+            for child in built:
+                parents.setdefault(child.score, set()).add(child.tokens[:-1])
+            assert any(len(tied) > 1 for tied in parents.values())
 
 
 class TestBeamsOfOneLength:
@@ -770,6 +862,10 @@ class TestBatchedGuard:
         active = [Hypothesis((beam,), (-0.1,)) for beam in range(3)]
         assert search._expand(active, session, 3) == [Hypothesis((row, token), (-0.1, -0.3))]
         assert session.forward_pass_count() == 3
+        # The lone child needs no rank, and its parents' ranks are gone.
+        ranks = [2, 0, 1]
+        assert search._step(active, ranks, session, 3) == [Hypothesis((row, token), (-0.1, -0.3))]
+        assert ranks == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     def test_later_position_of_the_re_scored_prefix(self, bad):
@@ -849,13 +945,15 @@ def test_block_ops_return_exact_scores(model, beam, detection, data):
     seeds = [Hypothesis(prefix, data.draw(lps))
              for prefix in data.draw(st.lists(tokens, min_size=1, max_size=3, unique=True))]
     max_total = length + data.draw(st.integers(0, 6), label="headroom")
-    expand = search._expand
+    step = search._step
     seen: list[Hypothesis] = []
+    steps = []
 
-    def recorded(active, session, width):
-        ranked = expand(active, session, width)
-        seen.extend(ranked)
-        return ranked
+    def recorded(active, ranks, session, width):
+        children = step(active, ranks, session, width)
+        seen.extend(children)
+        steps.append(width)
+        return children
 
     ops = (
         lambda session: bwbs_block(seeds, 0, session, cfg, eos_id, max_total),
@@ -863,12 +961,14 @@ def test_block_ops_return_exact_scores(model, beam, detection, data):
         lambda session: (search._final_block(seeds, session, cfg, eos_id, max_total),),
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_expand", recorded)
+        patch.setattr(search, "_step", recorded)
         for op in ops:
             session = factory()
             for block in blocks:
                 session.ingest_block(block)
             seen.extend(op(session))
+    # Each op runs a step unless the cap leaves no headroom.
+    assert steps or max_total == length
     for hyp in seen:
         assert hyp.score == math.fsum(hyp.token_logprobs)
 
@@ -901,13 +1001,15 @@ def test_block_ops_return_terms_that_sum_to_each_score(model, beam, detection, d
     seeds = [Hypothesis(prefix, data.draw(lps))
              for prefix in data.draw(st.lists(tokens, min_size=1, max_size=3, unique=True))]
     max_total = length + data.draw(st.integers(0, 6), label="headroom")
-    expand = search._expand
+    step = search._step
     seen: list[Hypothesis] = []
+    steps = []
 
-    def recorded(active, session, width):
-        ranked = expand(active, session, width)
-        seen.extend(ranked)
-        return ranked
+    def recorded(active, ranks, session, width):
+        children = step(active, ranks, session, width)
+        seen.extend(children)
+        steps.append(width)
+        return children
 
     ops = (
         lambda session: bwbs_block(seeds, 0, session, cfg, eos_id, max_total),
@@ -915,12 +1017,14 @@ def test_block_ops_return_terms_that_sum_to_each_score(model, beam, detection, d
         lambda session: (search._final_block(seeds, session, cfg, eos_id, max_total),),
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_expand", recorded)
+        patch.setattr(search, "_step", recorded)
         for op in ops:
             session = factory()
             for block in blocks:
                 session.ingest_block(block)
             seen.extend(op(session))
+    # Each op runs a step unless the cap leaves no headroom.
+    assert steps or max_total == length
     for hyp in seen:
         assert math.fsum(_exact_terms(hyp)) == hyp.score
 
@@ -936,14 +1040,14 @@ class TestDecodeSession:
         factory = make_toy_model(spec, vocab)
         blocks = as_blocks([i % 7 for i in range(112)], 2)
         policy = PolicyState(PolicyKind.HOLD, 1)
-        expand = search._expand
+        step = search._step
         parents: list[Hypothesis] = []
 
-        def recorded(active, session, width):
+        def recorded(active, ranks, session, width):
             parents.extend(active)
-            return expand(active, session, width)
+            return step(active, ranks, session, width)
 
-        monkeypatch.setattr(search, "_expand", recorded)
+        monkeypatch.setattr(search, "_step", recorded)
         transcript = decode_session(factory, blocks, vocab.eos_id, policy=policy)
         assert transcript == reference_search.decode_session(
             factory, blocks, vocab.eos_id, algo=Algorithm.IBWBS, policy=policy)

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 input error (corpus/model files), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -42,11 +43,22 @@ _SWEEP_FIELDS = {
 }
 
 
+# An integer flag has one spelling, as a model file's mapping key has:
+# ``int()`` alone would also read ``1_0`` as 10, and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_policy(text: str) -> tuple[PolicyKind, int]:
     if text == "none":
         return PolicyKind.NONE, 0
     kind, sep, param = text.partition(":")
-    if kind in ("hold", "la") and sep and param.lstrip("-").isdigit():
+    if kind in ("hold", "la") and sep and _INTEGER.fullmatch(param):
         return PolicyKind(kind), int(param)
     raise argparse.ArgumentTypeError(f"expected none, hold:N, or la:N, got {text!r}")
 
@@ -63,8 +75,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         default=(PolicyKind.NONE, 0),
         help="commit policy: none, hold:N, or la:N",
     )
-    parser.add_argument("--beam", type=int, default=6, help="beam size")
-    parser.add_argument("--block-symbols", type=int, default=1, help="source symbols per block")
+    parser.add_argument("--beam", type=_int, default=6, help="beam size")
+    parser.add_argument("--block-symbols", type=_int, default=1, help="source symbols per block")
     parser.add_argument(
         "--block-ms", type=float, default=None, help="override per-symbol duration (ms)"
     )
@@ -158,8 +170,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        values = [int(v) for v in args.sweep_values.split(",") if v.strip()]
-    except ValueError as exc:
+        values = [_int(v.strip()) for v in args.sweep_values.split(",") if v.strip()]
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad sweep values {args.sweep_values!r}: {exc}") from exc
     if not values:
         raise ConfigError("sweep requires at least one value")

@@ -15,45 +15,51 @@ Three decoding strategies drive a :class:`~simulbeam.model.ModelSession`:
   the sole survivor, which typically yields a longer reliable prefix from the
   same amount of source.
 
-All three run one beam loop (:func:`_beam_loop`: rank the extensions,
+All three run one beam loop (:func:`_beam_loop`: take the top extensions,
 report each as continuing or stopped) and differ only in what stops a beam
 and in what their op does with the stopped ones afterwards; the loop itself
 trims nothing. While source remains a beam stops by the stop heuristic: the
-``bwbs`` loop halts at the first stop, and ``bwbs`` then trims every beam
-the step ranked and keeps one of each copy the trim makes; the ``ibwbs``
-loop moves each stopped beam to the pool and shrinks the width, and
-``ibwbs`` then trims the pool's beams. The block ops handle mid-source
+``bwbs`` loop halts at the first stop, and ``bwbs`` then ranks every beam
+the step built, trims them and keeps one of each copy the trim makes; the
+``ibwbs`` loop moves each stopped beam to the pool and shrinks the width,
+and ``ibwbs`` then trims the pool's beams. The block ops handle mid-source
 blocks only. On the final block the source is complete, and
 :func:`decode_session` runs the same search for every strategy
 (:func:`_final_block`): a trailing EOS stops a beam, which moves to the pool
 untrimmed and shrinks the width. The full re-decode is a re-scored prefix
 plus that search, on every block.
 
-A step queries the model once per active beam, in order, and rejects a
-vector that is not 1-D or not as long as the step's first as it arrives. It
-then checks all the step's answers against the contract at once
+A block's beams are kept in token order: :func:`_beam_loop` sorts a
+block's seeds by their tokens once, each step returns its children in token
+order, and a beam that stops leaves the others in the order they were. The
+order of the active list is the only carrier of that order, and the ops
+that return ranked beams rank them by a stable sort by score alone.
+
+A step queries the model once per active beam, in token order, and rejects
+a vector that is not 1-D or not as long as the step's first as it arrives.
+It then checks all the step's answers against the contract at once
 (:func:`_answers`): every entry at most 0, so NaN, ``+inf`` and positive
 entries are rejected, and that error comes after the step's remaining beams
-were queried. One ``argmax`` makes that check: it finds the first NaN, or
-else the maximum, and a step with one finite entry takes that entry from it.
-Each error is a ``ValueError`` naming the prefix. The step otherwise
-ranks the extensions of all the beams at once (:func:`_step`): one
-approximate cut across the stacked rows, whose threshold comes from one full
-sort (selection by partition stalls on the many tied log-probs of a row) and
-whose rounding margin from that threshold alone, and a cap on exact ties leave
-only the candidates that can place, and one exact sort, by the ``math.fsum``
-score (summed over a few exact terms the parent carries, not over its
-history) and then by token order, ranks them. A block's beams are distinct
-and share one length, which :func:`_beam_loop` requires, so that token order
-is the parent's and then the new token's id. The loop ranks a block's seeds
-by their tokens once, and each step hands its children their ranks in token
-order, so a score tie compares two ranks, never two token tuples, and a
-candidate that does not place never gets a token tuple. Only the top
-``width`` are built, each keeping the exact score it was ranked by and the
-terms it was summed from, so no hypothesis is summed twice, and the Python
-work besides the model grows with the candidates that can place, not with
-the vocabulary or the output. The children of distinct parents are
-distinct, so no step looks for repeats.
+were queried, naming the first offender in token order. One ``argmax``
+makes that check: it finds the first NaN, or else the maximum, and a step
+with one finite entry takes that entry from it. Each error is a
+``ValueError`` naming the prefix. The step otherwise ranks the extensions
+of all the beams at once (:func:`_step`): one approximate cut across the
+stacked rows, whose threshold comes from one full sort (selection by
+partition stalls on the many tied log-probs of a row) and whose rounding
+margin from that threshold alone, and a cap on exact ties leave only the
+candidates that can place, and one exact sort, by the ``math.fsum`` score
+(summed over a few exact terms the parent carries, not over its history)
+and then by token order, ranks them. A block's beams are distinct, share
+one length (which :func:`_beam_loop` requires) and are in token order, so
+a candidate's index in the stacked rows orders as its tokens would: a score
+tie compares two ints, never two token tuples, and a candidate that does
+not place never gets a token tuple. Only the top ``width`` are built, in
+token order, each keeping the exact score it was ranked by and the terms it
+was summed from, so no hypothesis is summed twice, and the Python work
+besides the model grows with the candidates that can place, not with the
+vocabulary or the output. The children of distinct parents are distinct,
+so no step looks for repeats.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -67,6 +73,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -207,38 +214,31 @@ def _answers(session: ModelSession,
     return stacked, top
 
 
-def _token_ranks(beams: Sequence[Hypothesis]) -> list[int]:
-    """Each beam's place in token order, by one sort of their token tuples.
-    The beams are of one length, so two that repeat a token sequence are
-    adjacent in that order, and that repeat raises ``ValueError``."""
-    order = sorted(range(len(beams)), key=lambda i: beams[i].tokens)
-    ranks = [0] * len(beams)
-    for place, i in enumerate(order):
-        if place and beams[i].tokens == beams[order[place - 1]].tokens:
-            raise ValueError("a block's beams must not repeat a token sequence")
-        ranks[i] = place
-    return ranks
+def _token_order(beams: Sequence[Hypothesis]) -> list[Hypothesis]:
+    """The beams sorted by their tokens. They are of one length, so two that
+    repeat a token sequence are adjacent in that order, and that repeat
+    raises ``ValueError``."""
+    ordered = sorted(beams, key=attrgetter("tokens"))
+    if any(before.tokens == after.tokens for before, after in zip(ordered, ordered[1:])):
+        raise ValueError("a block's beams must not repeat a token sequence")
+    return ordered
 
 
 def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
-    """:func:`_step` for beams given without their ranks: ranks them by
-    their tokens (:func:`_token_ranks`) first."""
-    return _step(active, _token_ranks(active), session, width)
+    """:func:`_step` for beams in any order, its children ranked by
+    ``(-score, tokens)``. The beams are put in token order first
+    (:func:`_token_order`), and queried in that order. The children come
+    back in token order, so a stable sort by score alone ranks them, and no
+    token tuple is compared."""
+    children = _step(_token_order(active), session, width)
+    return sorted(children, key=attrgetter("score"), reverse=True)
 
 
-def _step(active: Sequence[Hypothesis], ranks: list[int], session: ModelSession,
-          width: int) -> list[Hypothesis]:
+def _step(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
     """The top ``width`` single-token extensions of the active beams, which
-    are distinct and of one length (:func:`_beam_loop` requires it), ranked
-    by ``(-score, tokens)``, so replay is deterministic.
-
-    ``ranks`` orders the active beams as their tokens do: entry ``i`` is
-    beam ``i``'s rank, and ranks need not be dense. A lone beam needs none,
-    and may pass an empty list. The step overwrites ``ranks`` in place with
-    the children's ranks, dense, or empties it when it builds fewer than
-    two children. So a step at width 1 and a step with a lone candidate do
-    no rank work, and every step returns a bare list: a ``(children,
-    ranks)`` pair would cost each lone-candidate step a few percent.
+    are distinct, of one length and in token order (:func:`_beam_loop`
+    keeps them so), chosen by ``(-score, tokens)`` so that replay is
+    deterministic, and returned in token order.
 
     Each active beam costs one forward pass, in order, and the answers are
     checked together (:func:`_answers`): every entry at most 0, so NaN,
@@ -280,23 +280,22 @@ def _step(active: Sequence[Hypothesis], ranks: list[int], session: ModelSession,
        group together in id order, and a candidate is dropped if the one
        ``width`` places before it is of its group.
     3. The exact ranking: what is left is scored with ``math.fsum``, once
-       per run of one ``(row, lp)`` group, and sorted by
-       ``(-score, parent rank, token id)``. The sum is not over the
-       parent's history but over its terms (``Hypothesis._terms``): a few
-       floats with the same exact sum as its log-probs, its score and the
-       rounded remainders, filled once per seed. ``fsum`` rounds the exact
-       sum of its inputs once, so ``fsum(terms + (lp,))`` is the child's
-       exact score, at a cost that grows with the steps since the seeds,
-       not with the output. The parents are distinct and share one length,
-       so a child's tokens order first by its parent's tokens, which the
-       parent's rank orders, and then by its token id: the key orders as
-       the child's tokens would, yet a score tie across parents compares
-       two ints, not two token tuples that share all but their last few
-       tokens. The first ``width`` are built, each storing the exact score
-       it was ranked by, which the next step's parent scores and
-       :func:`select_best` read, and the terms it was summed from, which
-       the next step extends. Each child's rank is its place among them in
-       ``(parent rank, token id)`` order, which is its tokens' order.
+       per run of one ``(row, lp)`` group, and sorted by ``(-score, i)``,
+       where ``i = row * size + token`` is the candidate's index in the
+       stacked rows. The sum is not over the parent's history but over its
+       terms (``Hypothesis._terms``): a few floats with the same exact sum
+       as its log-probs, its score and the rounded remainders, filled once
+       per seed. ``fsum`` rounds the exact sum of its inputs once, so
+       ``fsum(terms + (lp,))`` is the child's exact score, at a cost that
+       grows with the steps since the seeds, not with the output. The
+       parents are distinct, of one length and in token order, and every
+       token id is below ``size``, so ``i`` orders as the child's tokens
+       would: a score tie compares two ints, never two token tuples that
+       share all but their last few tokens. The first ``width`` are sorted
+       again by ``i`` alone and built in that order, the token order the
+       next step needs; each stores the exact score it was ranked by, which
+       the next step's parent scores and :func:`select_best` read, and the
+       terms it was summed from, which the next step extends.
     """
     matrix, top = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
@@ -305,8 +304,6 @@ def _step(active: Sequence[Hypothesis], ranks: list[int], session: ModelSession,
     count = np.count_nonzero(finite)
     if count <= 1:
         # A lone finite entry is the maximum, so it is ``top``.
-        if ranks:
-            ranks.clear()
         return [active[top // size].extended(top % size, matrix.item(top))] if count else []
     cut = -math.inf
     if count > width:
@@ -328,10 +325,8 @@ def _step(active: Sequence[Hypothesis], ranks: list[int], session: ModelSession,
         tied[width:] = (values[width:] == values[:-width]) & (owner[width:] == owner[:-width])
         kept = ~tied
         flat, values = flat[kept], values[kept]
-    # The key orders as the child's tokens would, since the parents share one
-    # length. Keys are distinct (parents' ranks are, and so are the ids in a
-    # row), so the sort never compares beams.
-    parent_ranks = ranks or (0,)
+    # ``i`` orders as the child's tokens would (see stage 3), and the keys are
+    # distinct, so the sort never compares beams.
     ranked = []
     last_row, last_lp = -1, 0.0
     for i, lp in zip(flat.tolist(), values.tolist()):
@@ -341,25 +336,15 @@ def _step(active: Sequence[Hypothesis], ranks: list[int], session: ModelSession,
             last_row, last_lp = row, lp
             terms = _exact_terms(beam) + (lp,)
             key = -math.fsum(terms)
-        ranked.append((key, parent_ranks[row], token, beam, lp, terms))
+        ranked.append((key, i, token, beam, lp, terms))
     ranked.sort()
-    placed = ranked[:width]
     built = []
-    codes = []  # ``rank * size + token`` orders as ``(rank, token)``: every token is below ``size``
-    for key, rank, token, beam, lp, terms in placed:
+    # The placed ones are built by ``i``: the next step needs its parents in token order.
+    for key, _, token, beam, lp, terms in sorted(ranked[:width], key=itemgetter(1)):
         hyp = beam.extended(token, lp)
         _set(hyp, "_score", -key)  # see Hypothesis.score
         _set(hyp, "_terms", terms)
         built.append(hyp)
-        codes.append(rank * size + token)
-    if len(built) < 2:
-        ranks.clear()
-        return built
-    # Each child's place in that order: ``width`` lookups in ``width`` sorted
-    # ints, cheaper at beam widths than a dict. No comprehension here reads a
-    # local of this function: that would make it a cell, which every call,
-    # the lone-candidate one too, would pay to create.
-    ranks[:] = map(sorted(codes).index, codes)
     return built
 
 
@@ -394,10 +379,10 @@ def _beam_loop(
     stops: Callable[[Hypothesis], bool],
     halt: bool = False,
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
-    """Rank the top ``width`` extensions and classify each until no
+    """Take the top ``width`` extensions and classify each until no
     beam or slot is left or the length cap is reached. A candidate for which
     ``stops`` holds goes into the pool as it is and vacates its slot (no
-    refill); with ``halt`` the first stop instead returns the step's ranked
+    refill); with ``halt`` the first stop instead returns all of the step's
     candidates as the pool and ends the loop. Nothing is trimmed here: each
     block op trims its own pool (:func:`_trim_stop`). Returns
     ``(pool, still_active)``.
@@ -409,32 +394,30 @@ def _beam_loop(
     are distinct, so the beams stay distinct within a block, and each op
     keeps them distinct from block to block.
 
-    The seeds are ranked by their tokens once per block
-    (:func:`_token_ranks`), and that one sort is also the check that no
-    seed repeats another. From then on each beam carries its rank in one
-    list the loop owns: a step turns its parents' ranks into its children's,
-    and a beam that stops leaves the others' ranks as they were, so no step
-    compares token tuples. A lone beam carries none: the list is empty."""
+    The seeds are put in token order once per block (:func:`_token_order`),
+    and that one sort is also the check that no seed repeats another. From
+    then on the order of the active list is the token order, with no other
+    carrier: each step returns its children in token order, and a beam that
+    stops leaves the others in the order they were. So a parent's index is
+    its place in token order, which is all :func:`_step` needs to break a
+    score tie, and the returned lists are in token order too. A lone seed
+    is not sorted."""
     length = len(seeds[0].tokens) if seeds else -1
     if length < 0 or any(len(s.tokens) != length or not s.score <= 0 for s in seeds):
         raise ValueError("a block needs one or more beams, all of one length and scored at most 0")
-    ranks = _token_ranks(seeds) if len(seeds) > 1 else []
+    active = _token_order(seeds) if len(seeds) > 1 else list(seeds)
     pool: list[Hypothesis] = []
-    active = list(seeds)
     while active and len(active[0].tokens) < max_total and width > 0:
-        ranked = _step(active, ranks, session, width)
+        children = _step(active, session, width)
         active = []
-        for hyp in ranked:
+        for hyp in children:
             if not stops(hyp):
                 active.append(hyp)
             elif halt:
-                return ranked, []
+                return children, []
             else:
                 pool.append(hyp)
                 width -= 1
-                if ranks:
-                    # Its rank leaves with it: the ranks before it are the kept beams'.
-                    del ranks[len(active)]
     return pool, active
 
 
@@ -496,12 +479,15 @@ def bwbs_block(
     committed prefix, which is ``floor`` tokens long. All beams advance one
     token per step. The first step at which *any* beam shows a repetition or
     EOS ends the block: :func:`_beam_loop` returns that step's beams
-    untrimmed, and this op removes the last two tokens from every one of
-    them (never below ``floor``), keeps the beams the trim made equal once,
-    in rank order, and the beams wait for more source. No pruning to a
-    single hypothesis happens here, so snapshots may revise across blocks
-    (re-translation semantics). A block in which no beam has a finite
-    continuation returns the incoming beams.
+    untrimmed, and this op ranks them by ``(-score, tokens)``, removes the
+    last two tokens from every one of them (never below ``floor``), keeps
+    the first of the beams the trim made equal, and the beams wait for more
+    source. A block stopped at the length cap returns its beams ranked, and
+    one in which no step ran, or no beam had a finite continuation, returns
+    the incoming beams as given. No pruning to a single hypothesis happens
+    here, so snapshots may revise across blocks (re-translation semantics).
+    The loop returns its beams in token order, so a stable sort by score
+    alone ranks them, and no token tuple is compared.
 
     Source remains after the block: :func:`decode_session` runs the final
     block itself (:func:`_final_block`).
@@ -509,12 +495,15 @@ def bwbs_block(
     halted, active = _beam_loop(beams, session, cfg.beam_size, max_total,
                                 lambda h: detect_stop(h, cfg, eos_id) is not StopReason.NONE,
                                 halt=True)
+    ranked = sorted(halted or active, key=attrgetter("score"), reverse=True)
+    if not halted:  # the cap stopped the block, or no step ran or built a beam
+        return tuple(ranked if active and len(active[0]) > len(beams[0]) else beams)
     # The trim can make siblings equal: keep the first of each.
     kept: dict[tuple[int, ...], Hypothesis] = {}
-    for beam in halted:
+    for beam in ranked:
         beam = _trim_stop(beam, floor)
         kept.setdefault(beam.tokens, beam)
-    return tuple(kept.values() or active or beams)
+    return tuple(kept.values())
 
 
 def ibwbs_block(

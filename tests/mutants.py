@@ -1,6 +1,6 @@
 """Mutation gate for the beam step's hand-proved and differentially checked
-paths, the exact terms it sums, the token-order ranks it carries, the block
-ops' trims, the selection and the
+paths, the exact terms it sums, the token order the beam loop keeps, the
+block ops' trims, the rank order of ``bwbs``'s beams, the selection and the
 final block, the commit policies, the stop heuristic, the length cap, its
 overflow check and the transcript's checks, the latency and BLEU metrics,
 the harness's block durations and record ids, the settings types' type rule
@@ -11,7 +11,8 @@ Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 copies ``src/``, ``tests/``, ``demo/``, ``README.md`` and ``pyproject.toml``
 to a temporary directory, applies the edit, and runs the mutant's test
 subset there in one pytest process: the differential subset (``SUBSET``)
-for the beam step and the ``bwbs`` halt, with ``tests/test_core.py`` for
+for the beam step, the token order and the ``bwbs`` halt, the ``bwbs``
+test class for its rank order, with ``tests/test_core.py`` for
 the exact terms (``TERMS_SUBSET``), ``POLICY_SUBSET`` for ``apply_policy``
 and ``bleu_statistics``, one test class each for the lone-candidate path
 and the policy's successor, the block ops' test classes for their trims,
@@ -124,29 +125,34 @@ MUTANTS = (
            "            if not np.maximum.reduce(logprobs) < np.inf:"),
     Mutant("check-first-answer-only", SEARCH,
            "if not stacked.item(top) <= 0:", "if not np.maximum.reduce(answers[0]) <= 0:"),
-    # _expand: the lone candidate.
+    # _step: the lone candidate.
     Mutant("lone-path-ignores-top", SEARCH,
            "[active[top // size].extended(top % size, matrix.item(top))]",
            "[active[0].extended(0, matrix.item(0))]", subset=LONE_SUBSET),
-    # _beam_loop and _token_ranks: the seeds.
+    # _beam_loop and _token_order: the seeds.
     Mutant("seed-score-check-dropped", SEARCH, " or not s.score <= 0", ""),
     Mutant("distinct-seed-check-dropped", SEARCH,
-           "        if place and beams[i].tokens == beams[order[place - 1]].tokens:\n",
-           "        if False:\n"),
-    # _token_ranks, _step and _beam_loop: the token-order rank each beam carries.
-    Mutant("seeds-unranked", SEARCH, "        ranks[i] = place\n", "        ranks[i] = i\n"),
-    Mutant("parent-rank-is-row-index", SEARCH,
-           "(key, parent_ranks[row], token, beam, lp, terms)",
-           "(key, row, token, beam, lp, terms)"),
+           "if any(before.tokens == after.tokens for before, after in zip(ordered, ordered[1:])):",
+           "if False:"),
+    # _beam_loop and _step: the token order the active list carries.
+    Mutant("seeds-unranked", SEARCH,
+           "active = _token_order(seeds) if len(seeds) > 1 else list(seeds)",
+           "active = list(seeds) if _token_order(seeds) else []"),
+    Mutant("parent-rank-is-row-index", SEARCH,  # a score tie broken by token, then parent
+           "    ranked.sort()\n",
+           "    ranked.sort(key=lambda entry: (entry[0], entry[2], entry[1]))\n"),
     Mutant("child-ranks-in-ranked-order", SEARCH,
-           "ranks[:] = map(sorted(codes).index, codes)", "ranks[:] = range(len(codes))"),
-    Mutant("lone-step-keeps-ranks", SEARCH,
-           "        if ranks:\n            ranks.clear()\n", ""),
-    Mutant("stopped-beams-keep-ranks", SEARCH, "                    del ranks[len(active)]\n",
-           "                    pass\n"),
-    # bwbs_block: the halt keeps one beam of each copy its trim makes.
+           "sorted(ranked[:width], key=itemgetter(1))", "ranked[:width]"),
+    # bwbs_block: the halt keeps one beam of each copy its trim makes, and
+    # the beams come back ranked, though the loop keeps them in token order.
     Mutant("halt-copies-kept", SEARCH,
            "kept.setdefault(beam.tokens, beam)", "kept[id(beam)] = beam"),
+    Mutant("bwbs-halt-in-token-order", SEARCH,
+           "    for beam in ranked:\n", "    for beam in halted:\n",
+           subset=("tests/test_search.py::TestBwbsBlock",)),
+    Mutant("bwbs-cap-in-token-order", SEARCH,
+           "tuple(ranked if active and", "tuple(active if active and",
+           subset=("tests/test_search.py::TestBwbsBlock",)),
     # The block ops' trim, and what ibwbs does with the beams at the cap.
     Mutant("trim-by-one", SEARCH,
            "max(len(hyp.tokens) - 2, floor)", "max(len(hyp.tokens) - 1, floor)",
@@ -174,7 +180,7 @@ MUTANTS = (
            "max_output_tokens(elapsed)\n",
            "max_output_tokens(sum(b.duration_ms for b in blocks[: len(decisions) + 2]))\n",
            subset=("tests/test_causality.py",)),
-    # _expand: the cut.
+    # _step: the cut.
     Mutant("cut-threshold-one-place-off", SEARCH,
            "ordered[-width]", "ordered[1 - width]"),
     Mutant("cut-guarded-by-count", SEARCH, "    if cut > -math.inf:\n", "    if count > width:\n"),
@@ -188,12 +194,12 @@ MUTANTS = (
            equivalent=SMALLER_MARGIN),
     Mutant("margin-1-ulp-of-4K", SEARCH, "3 * math.ulp(4 * cut)", "math.ulp(4 * cut)",
            equivalent=SMALLER_MARGIN),
-    # _expand: the tie cap.
+    # _step: the tie cap.
     Mutant("tie-cap-unstable-sort", SEARCH,
            'values.argsort(kind="stable")', "values.argsort()"),
     Mutant("tie-cap-ignores-row", SEARCH, " & (owner[width:] == owner[:-width])", ""),
     Mutant("no-tie-cap", SEARCH, "    if flat.size > width:\n", "    if False:\n"),
-    # _expand: the exact ranking.
+    # _step: the exact ranking.
     Mutant("one-fsum-per-row", SEARCH,
            "if row != last_row or lp != last_lp:", "if row != last_row:"),
     Mutant("stored-score-sign", SEARCH, '"_score", -key)', '"_score", key)'),

@@ -127,6 +127,29 @@ class TestEval:
         assert exited.value.code == 2
         assert f"expected none, hold:N, or la:N, got {policy!r}" in capsys.readouterr().err
 
+    # ``int()`` alone reads each of these as a number: an integer flag takes
+    # only ASCII digits, after an optional minus.
+    @pytest.mark.parametrize("flag, value", [("--beam", "1_0"), ("--beam", "\u0661"),
+                                             ("--beam", " 6"), ("--beam", "+6"),
+                                             ("--block-symbols", "\u0662")])
+    def test_integer_flag_in_another_spelling_is_a_usage_error(self, workspace, capsys, flag,
+                                                                 value):
+        _, corpus, model = workspace
+        with pytest.raises(SystemExit) as exited:
+            run(["eval", "--corpus", corpus, "--model", model, flag, value])
+        assert exited.value.code == 2
+        assert f"argument {flag}: expected an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["hold:--1", "hold:\u00b2", "la:1_0", "hold:\u0662",
+                                        "la: 2", "hold:+1"])
+    def test_policy_number_in_another_spelling_is_a_usage_error(self, workspace, capsys,
+                                                                policy):
+        _, corpus, model = workspace
+        with pytest.raises(SystemExit) as exited:
+            run(["eval", "--corpus", corpus, "--model", model, "--policy", policy])
+        assert exited.value.code == 2
+        assert f"expected none, hold:N, or la:N, got {policy!r}" in capsys.readouterr().err
+
     def test_explicit_policy_none_is_the_default(self, workspace, capsys):
         _, corpus, model = workspace
         assert run(["eval", "--corpus", corpus, "--model", model]) == 0
@@ -362,6 +385,30 @@ class TestSweep:
              "--sweep-values", "a,b"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("values, bad", [("1_0, \u0661", "1_0"), ("1, \u0662", "\u0662"),
+                                             ("1,+2", "+2")])
+    def test_values_in_another_spelling_are_config_error(self, workspace, capsys, values, bad):
+        _, corpus, model = workspace
+        code = run(
+            ["sweep", "--corpus", corpus, "--model", model, "--sweep-param", "beam",
+             "--sweep-values", values]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"configuration error: bad sweep values {values!r}: "
+                       f"expected an integer, got {bad!r}\n")
+
+    def test_values_may_be_spaced(self, workspace, capsys):
+        _, corpus, model = workspace
+        code = run(
+            ["sweep", "--corpus", corpus, "--model", model, "--sweep-param", "beam",
+             "--sweep-values", " 1, 2 "]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 2
 
     @pytest.mark.parametrize("values", [",", " , "])
     def test_no_values_is_config_error(self, workspace, capsys, values):

@@ -269,6 +269,48 @@ class TestBwbsBlock:
         out = bwbs_block(*_script_seed(committed=(5,)), session, cfg, TWO_PATH_EOS, max_total=20)
         assert out[0].tokens == (5,)
 
+    # The beams come back ranked by ``(-score, tokens)``, as the reference's
+    # do, though the loop keeps them in token order. Here the two seeds' only
+    # children are (1, 2, token) at -1.2 and (2, 3, 4) at -0.7: the second
+    # ranks first.
+    SEEDS = (Hypothesis((1, 2), (-0.1, -0.1)), Hypothesis((2, 3), (-0.1, -0.1)))
+
+    @classmethod
+    def _ranked_block(cls, token):
+        def logprobs(level, prefix):
+            row = [-math.inf] * 6
+            if prefix == (1, 2):
+                row[token] = -1.0
+            else:
+                row[4] = -0.5
+            return row
+
+        cfg = SearchConfig(beam_size=2)
+        out = bwbs_block(cls.SEEDS, 0, VectorSession(logprobs), cfg, 5, 3)
+        assert out == reference_search.bwbs_block(cls.SEEDS, 0, VectorSession(logprobs), cfg, 5, 3)
+        return [h.tokens for h in out]
+
+    def test_halt_returns_the_trimmed_beams_ranked(self):
+        # (1, 2, 2) repeats its last token, so the first step halts the block.
+        assert self._ranked_block(2) == [(2,), (1,)]
+
+    def test_cap_returns_the_beams_ranked(self):
+        # Nothing stops, and the cap of 3 tokens ends the block after one step.
+        assert self._ranked_block(0) == [(2, 3, 4), (1, 2, 0)]
+
+    @pytest.mark.parametrize("max_total, passes", [(2, 0), (4, 2)],
+                             ids=["no-headroom", "no-finite"])
+    def test_no_step_returns_the_beams_as_given(self, max_total, passes):
+        # The beams are given out of rank order and out of token order; no
+        # step runs, or none builds a beam.
+        beams = (Hypothesis((2, 3), (-0.5, -0.5)), Hypothesis((1, 2), (-0.1, -0.1)))
+        session = VectorSession(lambda level, prefix: [-math.inf] * 6)
+        cfg = SearchConfig(beam_size=2)
+        out = bwbs_block(beams, 0, session, cfg, 5, max_total)
+        assert out == beams
+        assert out == reference_search.bwbs_block(beams, 0, session, cfg, 5, max_total)
+        assert session.forward_pass_count() == 2 * passes  # ours, then the reference's
+
 
 class TestIbwbsBlock:
     def test_two_path_fixture_keeps_the_long_beam(self):
@@ -548,9 +590,9 @@ class TestBeamStep:
             built.append(token)
             return extended(self, token, logprob)
 
-        def counted_step(active, ranks, session, width):
+        def counted_step(active, session, width):
             before = len(built)
-            children = step(active, ranks, session, width)
+            children = step(active, session, width)
             per_step.append(len(built) - before)
             return children
 
@@ -575,12 +617,11 @@ class TestBeamStep:
     @pytest.mark.parametrize("toy", ["wide", "noisy"])
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_step_ranks_and_builds_at_most_width_candidates(self, algo, toy, monkeypatch):
-        # Each step returns at most ``width`` distinct hypotheses, ranked by
-        # ``(-score, tokens)``, and builds only those; the ranks it leaves,
-        # if it built two or more, order them as their tokens do. On these toys it ranks at most
-        # ``2 x width`` candidates, and scores at most as many exactly: the
-        # tie cap keeps a row's tied noise tokens (1000 of them on the wide
-        # toy) out of the ranking.
+        # Each step returns at most ``width`` distinct hypotheses in token
+        # order, the top ``width`` by ``(-score, tokens)``, and builds only
+        # those. On these toys it ranks at most ``2 x width`` candidates, and
+        # scores at most as many exactly: the tie cap keeps a row's tied noise
+        # tokens (1000 of them on the wide toy) out of the ranking.
         extended = Hypothesis.extended
         step = search._step
         fsum = math.fsum
@@ -599,23 +640,20 @@ class TestBeamStep:
             counts["scored"] += 1
             return fsum(values)
 
-        def checked_step(active, ranks, session, width):
+        def checked_step(active, session, width):
             counts.update(built=0, ranked=0, scored=0)
-            ranked = step(active, ranks, session, width)
-            assert len(ranked) <= width
-            assert len({h.tokens for h in ranked}) == len(ranked)
-            assert ranked == sorted(ranked, key=lambda h: (-h.score, h.tokens))
-            assert counts["built"] == len(ranked)
+            children = step(active, session, width)
+            assert len(children) <= width
+            assert len({h.tokens for h in children}) == len(children)
+            assert counts["built"] == len(children)
             assert counts["ranked"] <= 2 * width
             assert counts["scored"] <= 2 * width
-            if len(ranked) < 2:
-                assert ranks == []
-            else:
-                assert sorted(ranks) == list(range(len(ranked)))
-                by_rank = sorted(range(len(ranked)), key=ranks.__getitem__)
-                assert by_rank == sorted(range(len(ranked)), key=lambda i: ranked[i].tokens)
+            assert [h.tokens for h in children] == sorted(h.tokens for h in children)
+            ranked = sorted(children, key=lambda h: (-h.score, h.tokens))
+            assert ranked == reference_search._prune(reference_search._expand(active, session),
+                                                     width)
             steps.append(width)
-            return ranked
+            return children
 
         monkeypatch.setattr(Hypothesis, "extended", counted_extended)
         # Only the search module's own ``divmod`` and ``fsum`` calls are
@@ -680,14 +718,15 @@ class TestBeamStep:
             )
 
 
-class TestCarriedRank:
-    """The beam loop ranks a block's seeds by their tokens once and carries
-    each beam's rank from step to step. Here every step ties children of
-    different parents exactly, so each step's order rests on the carried
-    ranks: the seeds, of one score, come out of token order; the first step
-    keeps a child whose score ranks it after a child it precedes in token
-    order; and in ``ibwbs`` and the final block a beam that ends in EOS at
-    the third step leaves the others with ranks that are not dense."""
+class TestTokenOrder:
+    """The beam loop puts a block's seeds in token order once, and from then
+    on the order of its active list is the token order, with no other
+    carrier. Here every step ties children of different parents exactly, so
+    each step's choice rests on that order: the seeds, of one score, are
+    given out of token order; the first step keeps a child whose score ranks
+    it after a child it precedes in token order; and in ``ibwbs`` and the
+    final block a beam that ends in EOS at the third step leaves the others
+    in the order they were."""
 
     EOS = 7
     SEEDS = (Hypothesis((4, 2), (-0.5, -0.5)), Hypothesis((0, 4), (-0.5, -0.5)),
@@ -707,12 +746,21 @@ class TestCarriedRank:
                                                                           final=True)),),
         ),
     }
-    # The ranks each step is given: the seeds', then the kept children's.
-    RANKS = {
-        "bwbs": [[2, 0, 1], [0, 2, 3, 1], [0, 1, 2, 3]],
-        "ibwbs": [[2, 0, 1], [0, 2, 3, 1], [0, 1, 2, 3], [0, 2, 3], [0, 1, 2]],
+    # The tokens of the beams each step is given, in the order given: the
+    # seeds', then the kept children's. (0, 4, 5) ranks last on the first
+    # step, and (0, 4, 0, 2, 7) stops on the third.
+    ACTIVE = {
+        "bwbs": [
+            [(0, 4), (2, 0), (4, 2)],
+            [(0, 4, 0), (0, 4, 5), (2, 0, 2), (4, 2, 4)],
+            [(0, 4, 0, 2), (0, 4, 5, 0), (2, 0, 2, 4), (4, 2, 4, 0)],
+        ],
     }
-    RANKS["final"] = RANKS["ibwbs"]
+    ACTIVE["ibwbs"] = ACTIVE["bwbs"] + [
+        [(0, 4, 0, 2, 4), (0, 4, 5, 0, 2), (2, 0, 2, 4, 0)],
+        [(0, 4, 0, 2, 4, 0), (0, 4, 5, 0, 2, 4), (2, 0, 2, 4, 0, 2)],
+    ]
+    ACTIVE["final"] = ACTIVE["ibwbs"]
 
     @classmethod
     def _session(cls):
@@ -744,20 +792,20 @@ class TestCarriedRank:
         step = search._step
         steps = []
 
-        def recorded(active, ranks, session, width):
-            given = list(ranks)  # the step overwrites them with its children's
-            built = step(active, ranks, session, width)
-            steps.append((list(active), given, width, built))
+        def recorded(active, session, width):
+            built = step(active, session, width)
+            steps.append((list(active), width, built))
             return built
 
         monkeypatch.setattr(search, "_step", recorded)
         new, reference = (fn(self.SEEDS, self._session(), SearchConfig(beam_size=4), self.EOS, 7)
                           for fn in self.OPS[op])
         assert new == reference
-        assert [ranks for _, ranks, _, _ in steps] == self.RANKS[op]
-        for active, _, width, built in steps:
+        assert [[beam.tokens for beam in active] for active, _, _ in steps] == self.ACTIVE[op]
+        for active, width, built in steps:
             twin = self._session()
-            assert built == reference_search._prune(reference_search._expand(active, twin), width)
+            ranked = sorted(built, key=lambda h: (-h.score, h.tokens))
+            assert ranked == reference_search._prune(reference_search._expand(active, twin), width)
             # Children of different parents tie exactly on every step.
             parents: dict[float, set] = {}
             for child in built:
@@ -839,6 +887,22 @@ class TestBatchedGuard:
             search._expand(active, session, 3)
         assert session.forward_pass_count() == beams
 
+    @pytest.mark.parametrize("op", sorted(TestBeamsOfOneLength.OPS))
+    def test_beams_are_queried_in_token_order(self, op):
+        # The first step's children are (0, 1) at -0.6 and (0, 2) at -0.2, so
+        # (0, 2) ranks first and (0, 1) comes first in token order. Both break
+        # the contract on the second step, and the error names the first
+        # queried.
+        def logprobs(level, prefix):
+            return [-math.inf, -0.5, -0.1, -math.inf] if prefix == (0,) else [0.5, -0.1, -2.0, -2.0]
+
+        session = VectorSession(logprobs)
+        with pytest.raises(ValueError,
+                           match=r"NaN or positive log-probability after prefix \(0, 1\)$"):
+            TestBeamsOfOneLength.OPS[op]([Hypothesis((0,), (-0.1,))], 0, session,
+                                         SearchConfig(beam_size=2), 3, 5)
+        assert session.forward_pass_count() == 3
+
     def test_lone_positive_entry(self):
         session = VectorSession(lambda level, prefix: [-math.inf, 0.5, -math.inf])
         with pytest.raises(ValueError,
@@ -862,10 +926,6 @@ class TestBatchedGuard:
         active = [Hypothesis((beam,), (-0.1,)) for beam in range(3)]
         assert search._expand(active, session, 3) == [Hypothesis((row, token), (-0.1, -0.3))]
         assert session.forward_pass_count() == 3
-        # The lone child needs no rank, and its parents' ranks are gone.
-        ranks = [2, 0, 1]
-        assert search._step(active, ranks, session, 3) == [Hypothesis((row, token), (-0.1, -0.3))]
-        assert ranks == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
     def test_later_position_of_the_re_scored_prefix(self, bad):
@@ -949,8 +1009,8 @@ def test_block_ops_return_exact_scores(model, beam, detection, data):
     seen: list[Hypothesis] = []
     steps = []
 
-    def recorded(active, ranks, session, width):
-        children = step(active, ranks, session, width)
+    def recorded(active, session, width):
+        children = step(active, session, width)
         seen.extend(children)
         steps.append(width)
         return children
@@ -1005,8 +1065,8 @@ def test_block_ops_return_terms_that_sum_to_each_score(model, beam, detection, d
     seen: list[Hypothesis] = []
     steps = []
 
-    def recorded(active, ranks, session, width):
-        children = step(active, ranks, session, width)
+    def recorded(active, session, width):
+        children = step(active, session, width)
         seen.extend(children)
         steps.append(width)
         return children
@@ -1043,9 +1103,9 @@ class TestDecodeSession:
         step = search._step
         parents: list[Hypothesis] = []
 
-        def recorded(active, ranks, session, width):
+        def recorded(active, session, width):
             parents.extend(active)
-            return step(active, ranks, session, width)
+            return step(active, session, width)
 
         monkeypatch.setattr(search, "_step", recorded)
         transcript = decode_session(factory, blocks, vocab.eos_id, policy=policy)

@@ -47,19 +47,22 @@ with one finite entry takes that entry from it. Each error is a
 of all the beams at once (:func:`_step`): one approximate cut across the
 stacked rows, whose threshold comes from one full sort (selection by
 partition stalls on the many tied log-probs of a row) and whose rounding
-margin from that threshold alone, and a cap on exact ties leave only the
-candidates that can place, and one exact sort, by the ``math.fsum`` score
-(summed over a few exact terms the parent carries, not over its history)
-and then by token order, ranks them. A block's beams are distinct, share
-one length (which :func:`_beam_loop` requires) and are in token order, so
-a candidate's index in the stacked rows orders as its tokens would: a score
-tie compares two ints, never two token tuples, and a candidate that does
-not place never gets a token tuple. Only the top ``width`` are built, in
-token order, each keeping the exact score it was ranked by and the terms it
-was summed from, so no hypothesis is summed twice, and the Python work
-besides the model grows with the candidates that can place, not with the
-vocabulary or the output. The children of distinct parents are distinct,
-so no step looks for repeats.
+margin from that threshold alone, leaves the candidates that can place or
+tie with one that does; one loop then scores them, passing over each group
+of exact ties beyond the ``width`` that can place (with a NumPy prefilter
+for that cap when many survive), and one exact sort, by the ``math.fsum``
+score (summed over a few exact terms the parent carries, not over its
+history) and then by token order, ranks them. A block's beams are
+distinct, share one length (which :func:`_beam_loop` requires) and are in
+token order, so a candidate's index in the stacked rows orders as its
+tokens would: a score tie compares two ints, never two token tuples, and a
+candidate that does not place never gets a token tuple. Only the top
+``width`` are built, in token order, each keeping the exact score it was
+ranked by and the terms it was summed from, so no hypothesis is summed
+twice, and the Python work besides the model grows with the candidates
+that can place (and the cut's survivors, up to the prefilter's bound), not
+with the vocabulary or the output. The children of distinct parents are
+distinct, so no step looks for repeats.
 
 :func:`decode_session` runs one of these per block over a full utterance,
 prunes to a single hypothesis in incremental mode, applies a hold-n or
@@ -234,6 +237,15 @@ def _expand(active: Sequence[Hypothesis], session: ModelSession, width: int) -> 
     return sorted(children, key=attrgetter("score"), reverse=True)
 
 
+# Survivors of the cut above which :func:`_step` caps tie groups in NumPy
+# before its ranking loop. The NumPy cap costs about 10 calls a step, the
+# loop's cap a few operations per survivor; timed on tied rows at width 6
+# they break even at about 95 survivors in one row and 110 across six. The
+# toy workloads' capped steps leave 21 to 26 survivors (V = 21) or 1,001 to
+# 1,006 (V = 1,001), far from the value on either side.
+_PREFILTER = 100
+
+
 def _step(active: Sequence[Hypothesis], session: ModelSession, width: int) -> list[Hypothesis]:
     """The top ``width`` single-token extensions of the active beams, which
     are distinct, of one length and in token order (:func:`_beam_loop`
@@ -246,7 +258,7 @@ def _step(active: Sequence[Hypothesis], session: ModelSession, width: int) -> li
     skipped: they can never belong to a valid hypothesis and would break
     score finiteness. A step with at most one finite candidate returns that
     one, if any: it is the maximum that :func:`_answers` found. Otherwise
-    three stages over the stacked rows leave only the candidates that can
+    two stages over the stacked rows leave only the candidates that can
     place, and only the placed ones are built:
 
     1. The cut, when the step has more than ``width`` finite entries. It
@@ -274,28 +286,35 @@ def _step(active: Sequence[Hypothesis], session: ModelSession, width: int) -> li
        ``3 ulp(K)`` would do, and the rest is slack. A ``K`` of ``-inf``
        (fewer than ``width`` finite ``a``, as when every parent is scored
        ``-inf``, which a forced prefix can be) leaves nothing to cut.
-    2. The tie cap. In one row, equal log-probs give equal exact scores, and
-       the new token's id breaks the tie; so of each ``(row, lp)`` group only
-       the ``width`` lowest ids can place. A stable sort by ``lp`` keeps each
-       group together in id order, and a candidate is dropped if the one
-       ``width`` places before it is of its group.
-    3. The exact ranking: what is left is scored with ``math.fsum``, once
-       per run of one ``(row, lp)`` group, and sorted by ``(-score, i)``,
-       where ``i = row * size + token`` is the candidate's index in the
-       stacked rows. The sum is not over the parent's history but over its
-       terms (``Hypothesis._terms``): a few floats with the same exact sum
-       as its log-probs, its score and the rounded remainders, filled once
-       per seed. ``fsum`` rounds the exact sum of its inputs once, so
-       ``fsum(terms + (lp,))`` is the child's exact score, at a cost that
-       grows with the steps since the seeds, not with the output. The
-       parents are distinct, of one length and in token order, and every
-       token id is below ``size``, so ``i`` orders as the child's tokens
-       would: a score tie compares two ints, never two token tuples that
-       share all but their last few tokens. The first ``width`` are sorted
-       again by ``i`` alone and built in that order, the token order the
-       next step needs; each stores the exact score it was ranked by, which
-       the next step's parent scores and :func:`select_best` read, and the
-       terms it was summed from, which the next step extends.
+    2. The exact ranking, which caps exact ties as it goes. In one row,
+       equal log-probs give equal exact scores, and the new token's id
+       breaks the tie; so of each ``(row, lp)`` group only the ``width``
+       lowest ids can place. When more than ``width`` candidates are left, a
+       stable sort by ``lp`` puts each group together in id order. The loop
+       walks the candidates in that order: one whose index lies in the row
+       of the group's first and whose ``lp`` is that one's belongs to the
+       group, takes its score, and is skipped once the group has ``width``
+       in the ranking. Above ``_PREFILTER`` survivors the same cap runs
+       first in NumPy, where a candidate is dropped if the one ``width``
+       places before it is of its group: that costs about 10 NumPy calls,
+       which only many survivors repay (see ``_PREFILTER``). The first of
+       each group is scored with ``math.fsum``, and the ranked candidates
+       are sorted by ``(-score, i)``, where ``i = row * size + token`` is the
+       candidate's index in the stacked rows. The sum is not over the
+       parent's history but over its terms (``Hypothesis._terms``): a few
+       floats with the same exact sum as its log-probs, its score and the
+       rounded remainders, filled once per seed. ``fsum`` rounds the exact
+       sum of its inputs once, so ``fsum(terms + (lp,))`` is the child's
+       exact score, at a cost that grows with the steps since the seeds,
+       not with the output. The parents are distinct, of one length and in
+       token order, and every token id is below ``size``, so ``i`` orders
+       as the child's tokens would: a score tie compares two ints, never two
+       token tuples that share all but their last few tokens. The first
+       ``width`` are sorted again by ``i`` alone and built in that order,
+       the token order the next step needs; each stores the exact score it
+       was ranked by, which the next step's parent scores and
+       :func:`select_best` read, and the terms it was summed from, which the
+       next step extends.
     """
     matrix, top = _answers(session, [hyp.tokens for hyp in active])
     size = matrix.size // len(active)
@@ -320,20 +339,28 @@ def _step(active: Sequence[Hypothesis], session: ModelSession, width: int) -> li
     if flat.size > width:
         order = values.argsort(kind="stable")
         flat, values = flat[order], values[order]
-        owner = flat // size
-        tied = np.zeros(flat.size, bool)
-        tied[width:] = (values[width:] == values[:-width]) & (owner[width:] == owner[:-width])
-        kept = ~tied
-        flat, values = flat[kept], values[kept]
-    # ``i`` orders as the child's tokens would (see stage 3), and the keys are
+        if flat.size > _PREFILTER:
+            owner = flat // size
+            tied = np.zeros(flat.size, bool)
+            tied[width:] = (values[width:] == values[:-width]) & (owner[width:] == owner[:-width])
+            kept = ~tied
+            flat, values = flat[kept], values[kept]
+    # ``i`` orders as the child's tokens would (see stage 2), and the keys are
     # distinct, so the sort never compares beams.
     ranked = []
-    last_row, last_lp = -1, 0.0
+    row, last_lp, placed = -1, 0.0, 0
     for i, lp in zip(flat.tolist(), values.tolist()):
-        row, token = divmod(i, size)
-        beam = active[row]
-        if row != last_row or lp != last_lp:
-            last_row, last_lp = row, lp
+        # A member of the group before shares its exact score. ``lp`` is
+        # compared first, so untied rows spend no division here.
+        if lp == last_lp and i // size == row:
+            if placed == width:  # the group's ``width`` lowest ids are ranked
+                continue
+            placed += 1
+            token = divmod(i, size)[1]
+        else:
+            row, token = divmod(i, size)
+            last_lp, placed = lp, 1
+            beam = active[row]
             terms = _exact_terms(beam) + (lp,)
             key = -math.fsum(terms)
         ranked.append((key, i, token, beam, lp, terms))
@@ -351,13 +378,16 @@ def _step(active: Sequence[Hypothesis], session: ModelSession, width: int) -> li
 def _selection_rank(hyp: Hypothesis) -> tuple:
     # Empty candidates rank last (their conventional score of 0 would
     # otherwise beat every real hypothesis) yet stay selectable when alone.
-    return (0 if hyp.tokens else 1, -normalized_score(hyp), -len(hyp.tokens), hyp.tokens)
+    # The log-probs come last, so candidates that tie on all the rest (one
+    # token sequence scored two ways) rank the same in any pool order.
+    return (0 if hyp.tokens else 1, -normalized_score(hyp), -len(hyp.tokens), hyp.tokens,
+            hyp.token_logprobs)
 
 
 def select_best(candidates: Sequence[Hypothesis]) -> Hypothesis:
     """Best hypothesis by length-normalized score; longer wins ties, then
-    token order. Non-empty candidates always outrank empty ones. A lone
-    candidate is returned without being ranked."""
+    token order, then log-prob order. Non-empty candidates always outrank
+    empty ones. A lone candidate is returned without being ranked."""
     if len(candidates) == 1:
         return candidates[0]
     if not candidates:

@@ -99,6 +99,10 @@ SMALLER_MARGIN = "at least 3 ulp(|K|), enough by the proof above; 3 ulp(4|K|) is
 # While LA-n waits for ``n`` outputs its candidate is the committed prefix,
 # and any candidate no longer than that prefix commits nothing.
 WAITING_CANDIDATE = "a candidate no longer than the committed prefix commits nothing"
+# The ranking loop caps every tie group at ``width`` members whether or not
+# NumPy capped it first: the prefilter changes the time a step takes, not
+# which candidates reach the ranking.
+PREFILTER_ONLY = "the ranking loop caps the same tie groups without the prefilter"
 # A child built without its terms fills them on first use from its own
 # log-probs: other floats, but the same exact sum, so the same scores.
 UNSTORED_TERMS = "a child without terms fills its own, with the same exact sum"
@@ -160,10 +164,12 @@ MUTANTS = (
     Mutant("ibwbs-cap-survivors-dropped", SEARCH,
            "    stopped.extend(active)  # length cap reached: survivors join unmodified\n", "",
            subset=("tests/test_search.py::TestIbwbsBlock",)),
-    # select_best: longer wins ties.
+    # select_best: longer wins ties, and the log-probs break a full tie.
     Mutant("shorter-wins-ties", SEARCH,
            "-normalized_score(hyp), -len(hyp.tokens)", "-normalized_score(hyp), len(hyp.tokens)",
            subset=("tests/test_search.py::TestSelectBest",)),
+    Mutant("selection-ignores-log-probs", SEARCH,
+           "hyp.tokens,\n            hyp.token_logprobs)", "hyp.tokens)"),
     # _final_block: a finished beam beats one left at the cap.
     Mutant("final-prefers-unfinished", SEARCH,
            "select_best(finished or leftover or seeds)",
@@ -194,14 +200,21 @@ MUTANTS = (
            equivalent=SMALLER_MARGIN),
     Mutant("margin-1-ulp-of-4K", SEARCH, "3 * math.ulp(4 * cut)", "math.ulp(4 * cut)",
            equivalent=SMALLER_MARGIN),
-    # _step: the tie cap.
+    # _step: the sort that puts each tie group together in id order.
     Mutant("tie-cap-unstable-sort", SEARCH,
            'values.argsort(kind="stable")', "values.argsort()"),
+    # _step: the tie cap's NumPy prefilter, above ``_PREFILTER`` survivors.
     Mutant("tie-cap-ignores-row", SEARCH, " & (owner[width:] == owner[:-width])", ""),
-    Mutant("no-tie-cap", SEARCH, "    if flat.size > width:\n", "    if False:\n"),
-    # _step: the exact ranking.
+    Mutant("no-prefilter", SEARCH, "        if flat.size > _PREFILTER:\n", "        if False:\n",
+           equivalent=PREFILTER_ONLY),
+    # _step: the exact ranking and the tie cap inside it.
+    Mutant("no-tie-cap", SEARCH, "if placed == width:", "if False:"),
+    Mutant("tie-cap-count-bound-width-plus-one", SEARCH,
+           "if placed == width:", "if placed == width + 1:"),
+    Mutant("tie-cap-ignores-row-bound", SEARCH,
+           "if lp == last_lp and i // size == row:", "if lp == last_lp:"),
     Mutant("one-fsum-per-row", SEARCH,
-           "if row != last_row or lp != last_lp:", "if row != last_row:"),
+           "if lp == last_lp and i // size == row:", "if i // size == row:"),
     Mutant("stored-score-sign", SEARCH, '"_score", -key)', '"_score", key)'),
     Mutant("children-without-terms", SEARCH, '        _set(hyp, "_terms", terms)\n', "",
            equivalent=UNSTORED_TERMS, subset=TERMS_SUBSET),

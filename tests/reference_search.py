@@ -57,7 +57,7 @@ def _prune(pool: Iterable[Hypothesis], width: int) -> list[Hypothesis]:
 
 def _selection_rank(hyp: Hypothesis) -> tuple:
     normalized = _score(hyp) / len(hyp.tokens) if hyp.tokens else 0.0
-    return (0 if hyp.tokens else 1, -normalized, -len(hyp.tokens), hyp.tokens)
+    return (0 if hyp.tokens else 1, -normalized, -len(hyp.tokens), hyp.tokens, hyp.token_logprobs)
 
 
 def select_best(candidates: Sequence[Hypothesis]) -> Hypothesis:

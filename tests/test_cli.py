@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from simulbeam import make_toy_model
-from simulbeam.cli import main
+from simulbeam.cli import build_parser, main
 
 from conftest import dump_corpus, ladder_record, ladder_spec, spec_to_json
 
@@ -139,6 +139,24 @@ class TestEval:
             run(["eval", "--corpus", corpus, "--model", model, flag, value])
         assert exited.value.code == 2
         assert f"argument {flag}: expected an integer, got {value!r}" in capsys.readouterr().err
+
+    # ``float()`` alone reads each of these as a number too: ``--block-ms``
+    # takes ASCII digits after an optional minus, with an optional fraction
+    # and exponent, or ``inf`` or ``nan``.
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", " 5 ", "+5", "5.", ".5", "Infinity",
+                                       "INF", "0x10", "1e"])
+    def test_block_ms_in_another_spelling_is_a_usage_error(self, workspace, capsys, value):
+        _, corpus, model = workspace
+        with pytest.raises(SystemExit) as exited:
+            run(["eval", "--corpus", corpus, "--model", model, "--block-ms", value])
+        assert exited.value.code == 2
+        assert f"argument --block-ms: expected a number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["10", "2.5", "25e-1", "1.5E+3", "-0"])
+    def test_block_ms_spellings_read_as_numbers(self, value):
+        args = build_parser().parse_args(["eval", "--corpus", "c", "--model", "m",
+                                          "--block-ms", value])
+        assert args.block_ms == float(value)
 
     @pytest.mark.parametrize("policy", ["hold:--1", "hold:\u00b2", "la:1_0", "hold:\u0662",
                                         "la: 2", "hold:+1"])

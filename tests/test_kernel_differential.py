@@ -130,6 +130,16 @@ def _outcome(fn, *args):
     algo="bwbs", beam=3, detection=True,
     data=ScriptedData([0], 1, [(1,), (1,), (2,)], [-0.05, -0.7], [-0.05, -0.05], [-0.05, -0.7], 3),
 )
+# Two seeds that differ in their last token stop at once and trim to one
+# token sequence scored two ways, tied in normalized score and length: the
+# selection takes the lower log-probs in tuple order, in any pool order.
+@example(
+    model=(partial(VectorSession, lambda level, prefix: [-3.0, -3.0, -0.1]),
+           3, 2, [Block((), 100.0), Block((), 100.0, True)], SMALL_LOGPROBS),
+    algo="ibwbs", beam=2, detection=True,
+    data=ScriptedData([0, 0, 0], 1, [(0,), (1,)], [-0.05, -0.05, -2.3, -0.7],
+                      [-0.05, -2.3, -0.05, -0.05], 6),
+)
 def test_kernel_matches_reference(model, algo, beam, detection, data):
     factory, vocab_size, eos_id, blocks, logprob = model
     cfg = SearchConfig(beam_size=beam, repetition_detection=detection)

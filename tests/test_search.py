@@ -23,7 +23,7 @@ from simulbeam import (
     make_toy_model,
     search,
 )
-from simulbeam.core import BlockDecision, SearchConfig, _exact_terms
+from simulbeam.core import BlockDecision, SearchConfig, _exact_terms, normalized_score
 from simulbeam.metrics import token_delays
 from simulbeam.model import InsufficientContextMode, ToyTransducerSpec
 from simulbeam.search import (
@@ -186,6 +186,15 @@ class TestSelectBest:
         x = Hypothesis((2, 1), (-1.0, -1.0))
         y = Hypothesis((1, 2), (-1.0, -1.0))
         assert select_best([x, y]) == y
+
+    def test_log_prob_order_breaks_full_ties(self):
+        # One token sequence scored two ways, tied in normalized score and
+        # length: the lower log-probs in tuple order win, in either pool order.
+        x = Hypothesis((0, 0, 0), (-0.05, -0.05, -2.3))
+        y = Hypothesis((0, 0, 0), (-0.05, -2.3, -0.05))
+        assert normalized_score(x) == normalized_score(y)
+        assert select_best([x, y]) is y
+        assert select_best([y, x]) is y
 
     def test_empty_never_beats_nonempty(self):
         empty = Hypothesis()
@@ -553,6 +562,51 @@ class TestBeamStep:
         # Token 500 is favoured; the other 1000 ids tie on the noise mass.
         assert [h.tokens for h in new] == [(500,), (0,), (1,)]
         assert new == reference
+
+    @pytest.mark.parametrize("size", [21, 1001])
+    @pytest.mark.parametrize("case", ["one-row", "two-rows"])
+    def test_tied_rows_on_both_sides_of_the_prefilter(self, case, size, monkeypatch):
+        # Rows of 21 tokens, as the V = 21 toy gives, leave fewer survivors
+        # than ``_PREFILTER``, and the ranking loop caps each tie group; rows
+        # of 1,001 leave more, and NumPy caps them first. Either way exactly
+        # the ``width`` lowest ids of each ``(row, lp)`` group the cut leaves
+        # reach the ranking, each with one ``divmod``.
+        if case == "one-row":
+            # One favoured token per row, the rest tied about 3 to 10 nats
+            # below it, and parent scores spread wider than that: the cut
+            # falls inside the first row's tie group, and that row's
+            # favoured token and its whole group survive.
+            noise = math.log(0.05 / (size - 1))
+            parents = [Hypothesis((i,), (score,))
+                       for i, score in enumerate([-0.05, -12.0, -25.0, -40.0, -55.0, -70.0])]
+            rows = {p.tokens: [noise] * size for p in parents}
+            for i, parent in enumerate(parents):
+                rows[parent.tokens][(i + 1) * 7 % size] = math.log(0.95)
+            survivors, ranked, placed = size, 1 + 6, [(0, 7), (0, 0), (0, 1), (0, 2), (0, 3),
+                                                      (0, 4)]
+        else:
+            # Two rows tied at one log-prob, under parents one ulp apart: the
+            # second row's children score one ulp higher, both groups survive
+            # the cut, and only a cap that keeps the rows apart lets the
+            # second row's lowest ids place.
+            parents = [Hypothesis((0,), (-1.5,)), Hypothesis((1,), (math.nextafter(-1.5, 0),))]
+            rows = {p.tokens: [-0.25] * size for p in parents}
+            assert math.fsum((parents[0].score, -0.25)) < math.fsum((parents[1].score, -0.25))
+            survivors, ranked, placed = 2 * size, 2 * 6, [(1, token) for token in range(6)]
+        assert (survivors > search._PREFILTER) is (size == 1001)
+        calls = []
+
+        def counted_divmod(index, divisor):
+            calls.append(index)
+            return divmod(index, divisor)
+
+        monkeypatch.setattr(search, "divmod", counted_divmod, raising=False)
+        new = search._expand(parents, VectorSession(lambda level, prefix: rows[prefix]), 6)
+        assert len(calls) == ranked
+        assert [h.tokens for h in new] == placed
+        assert new == reference_search._prune(
+            reference_search._expand(parents, VectorSession(lambda level, prefix: rows[prefix])),
+            6)
 
     @pytest.mark.parametrize("mode", list(InsufficientContextMode))
     @pytest.mark.parametrize("algo", list(Algorithm))

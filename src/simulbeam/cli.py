@@ -48,22 +48,10 @@ _SWEEP_FIELDS = {
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-# A number flag has one spelling too: ASCII digits after an optional ``-``,
-# an optional fraction and exponent, or ``inf`` or ``nan``, which reach the
-# run settings' own finite check.
-_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|inf|nan")
-
-
 def _int(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
-
-
-def _float(text: str) -> float:
-    if not _NUMBER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    return float(text)
 
 
 def _parse_policy(text: str) -> tuple[PolicyKind, int]:
@@ -89,9 +77,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--beam", type=_int, default=6, help="beam size")
     parser.add_argument("--block-symbols", type=_int, default=1, help="source symbols per block")
-    parser.add_argument(
-        "--block-ms", type=_float, default=None, help="override per-symbol duration (ms)"
-    )
     parser.add_argument(
         "--mode",
         choices=[m.value for m in ContextMode],
@@ -126,7 +111,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         policy_param=param,
         beam_size=args.beam,
         block_symbols=args.block_symbols,
-        block_ms=args.block_ms,
         context=ContextMode(args.mode),
         retranslation=args.retranslation,
         repetition_detection=args.repetition_detection,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, replace
+from math import fsum
 from pathlib import Path
 from typing import Sequence
 
@@ -92,21 +93,17 @@ class RunConfig:
     policy_param: int = 0
     beam_size: int = 6
     block_symbols: int = 1
-    block_ms: float | None = None  # overrides the per-record symbol duration
     context: ContextMode = ContextMode.BLOCKWISE
     retranslation: bool = False
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError, algo=Algorithm, policy=PolicyKind, policy_param=int,
-                    beam_size=int, block_symbols=int, block_ms=NUMBER, context=ContextMode,
+                    beam_size=int, block_symbols=int, context=ContextMode,
                     retranslation=bool, repetition_detection=bool)
         if self.block_symbols < 1:
             raise ConfigError(
                 f"block_symbols must be an integer, at least 1, got {self.block_symbols!r}")
-        # An integer past the float range would overflow the clock.
-        if self.block_ms is not None and not 0 < self.block_ms <= sys.float_info.max:
-            raise ConfigError("block_ms must be positive and finite")
         if self.retranslation and self.policy is not PolicyKind.NONE:
             raise ConfigError("commit policies do not apply to re-translation output")
         try:
@@ -180,14 +177,13 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
 
 def blocks_for(record: CorpusRecord, cfg: RunConfig) -> list[Block]:
     """Split an utterance's source into fixed-size blocks; the last is final."""
-    symbol_ms = cfg.block_ms if cfg.block_ms is not None else record.block_ms
     blocks = []
     for start in range(0, len(record.source), cfg.block_symbols):
         chunk = record.source[start : start + cfg.block_symbols]
         blocks.append(
             Block(
                 payload=tuple(chunk),
-                duration_ms=len(chunk) * symbol_ms,
+                duration_ms=len(chunk) * record.block_ms,
                 is_final=start + cfg.block_symbols >= len(record.source),
             )
         )
@@ -250,7 +246,9 @@ def run_corpus(
     eos_id: int,
 ) -> EvalReport:
     """Evaluate a whole corpus and aggregate quality/latency/compute. Record
-    ids must be unique, as :func:`load_corpus` requires of a file."""
+    ids must be unique, as :func:`load_corpus` requires of a file. The AL
+    and LAAL means sum with ``fsum``, whose rounding is the same on every
+    Python, as the built-in ``sum`` of floats is not."""
     if not corpus:
         raise CorpusError("cannot evaluate an empty corpus")
     ordered = sorted(corpus, key=lambda r: r.id)
@@ -266,8 +264,8 @@ def run_corpus(
         statistics.append(counts)
     return EvalReport(
         bleu=bleu_score([sum(column) for column in zip(*statistics)]),
-        al_ms=sum(r.al_ms for r in rows) / len(rows),
-        laal_ms=sum(r.laal_ms for r in rows) / len(rows),
+        al_ms=fsum(r.al_ms for r in rows) / len(rows),
+        laal_ms=fsum(r.laal_ms for r in rows) / len(rows),
         forward_passes=sum(r.forward_passes for r in rows),
         utterances=tuple(rows),
     )

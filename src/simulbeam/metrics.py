@@ -13,6 +13,7 @@ per-utterance row and the corpus row share one n-gram pass.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from math import exp, fsum, log
 from typing import Sequence
@@ -57,11 +58,9 @@ def _lagging(inp: LatencyInput, rate_denominator: int) -> float:
     if not delays:
         return total  # nothing emitted: as late as offline output
     step = total / rate_denominator
-    tau = len(delays)
-    for i, d in enumerate(delays):
-        if d >= total:
-            tau = i + 1
-            break
+    # The delays are non-decreasing and at most T (see LatencyInput): tau
+    # counts them up to the first that reaches T, or all of them.
+    tau = min(bisect.bisect_left(delays, total) + 1, len(delays))
     return fsum(delays[i] - i * step for i in range(tau)) / tau
 
 

@@ -171,9 +171,11 @@ def apply_policy(state: PolicyState, best: Hypothesis) -> tuple[PolicyState, tup
             for other in outputs[-state.n + 1 :]:
                 candidate = longest_common_prefix(candidate, other)
         history = outputs[-(state.n - 1) :]
-    new: tuple[int, ...] = ()
-    if len(candidate) > len(committed) and candidate[: len(committed)] == committed:
-        new = tuple(candidate[len(committed) :])
+    # ``committed`` and every candidate are prefixes of ``tokens``: the
+    # whole best, its hold-n cut, ``committed`` while LA-n waits, or the
+    # common prefix of a window whose last output is ``tokens``. So a longer
+    # candidate extends ``committed``, and a shorter one adds nothing.
+    new = candidate[len(committed) :]
     successor = _new(PolicyState)  # unchecked: see PolicyState
     _set(successor, "kind", state.kind)
     _set(successor, "n", state.n)
@@ -410,12 +412,13 @@ def _beam_loop(
     halt: bool = False,
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """Take the top ``width`` extensions and classify each until no
-    beam or slot is left or the length cap is reached. A candidate for which
+    beam is left or the length cap is reached. A candidate for which
     ``stops`` holds goes into the pool as it is and vacates its slot (no
     refill); with ``halt`` the first stop instead returns all of the step's
-    candidates as the pool and ends the loop. Nothing is trimmed here: each
-    block op trims its own pool (:func:`_trim_stop`). Returns
-    ``(pool, still_active)``.
+    candidates as the pool and ends the loop. A step returns at most
+    ``width`` children, so the active beams never outnumber the slots, and
+    a beam left means a slot left. Nothing is trimmed here: each block op
+    trims its own pool (:func:`_trim_stop`). Returns ``(pool, still_active)``.
 
     The seeds must be one or more distinct beams of one length, each scored
     at most 0, as every block's are (:func:`_step`'s cut rests on the
@@ -437,7 +440,7 @@ def _beam_loop(
         raise ValueError("a block needs one or more beams, all of one length and scored at most 0")
     active = _token_order(seeds) if len(seeds) > 1 else list(seeds)
     pool: list[Hypothesis] = []
-    while active and len(active[0].tokens) < max_total and width > 0:
+    while active and len(active[0].tokens) < max_total:
         children = _step(active, session, width)
         active = []
         for hyp in children:

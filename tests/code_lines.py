@@ -1,5 +1,6 @@
-"""Size of the package: total and code lines per ``src/`` module, and the
-names in ``__all__``.
+"""Size of the package: total and code lines per ``src/`` module, the
+names in ``__all__``, and the fields of each settings type, each a value a
+user can set on its own.
 
 A code line holds at least one token that is not a comment: blank lines,
 comment lines and the lines of module, class and function docstrings are
@@ -15,6 +16,7 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import io
 import sys
 import tokenize
@@ -54,6 +56,19 @@ def exported_names() -> list[str]:
     raise SystemExit(f"no __all__ in {PACKAGE / '__init__.py'}")
 
 
+def settings_fields() -> dict[str, int]:
+    # The package must import from this checkout, as the lines counted are.
+    sys.path.insert(0, str(PACKAGE.parent))
+    from simulbeam.core import SearchConfig, Vocabulary
+    from simulbeam.harness import CorpusRecord, RunConfig
+    from simulbeam.model import Block, ToyTransducerSpec
+    from simulbeam.search import PolicyState
+
+    return {cls.__name__: len(dataclasses.fields(cls))
+            for cls in (RunConfig, SearchConfig, PolicyState, ToyTransducerSpec, CorpusRecord,
+                        Vocabulary, Block)}
+
+
 def main() -> int:
     total = code = 0
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
@@ -65,6 +80,9 @@ def main() -> int:
         print(f"{path.name:<16}{lines:>7}{module_code:>7}")
     print(f"{'total':<16}{total:>7}{code:>7}")
     print(f"__all__: {len(exported_names())} names")
+    fields = settings_fields()
+    counts = ", ".join(f"{name} {count}" for name, count in fields.items())
+    print(f"settings fields: {counts}; {sum(fields.values())} in all")
     return 0
 
 

@@ -275,7 +275,8 @@ MUTANTS = (
            "            if not decision.source_ms >= last:\n", "            if False:\n",
            subset=CORE_SUBSET),
     # metrics: the lagging sums and BLEU's brevity penalty.
-    Mutant("tau-strict", METRICS, "if d >= total:", "if d > total:", subset=METRICS_SUBSET),
+    Mutant("tau-strict", METRICS, "bisect.bisect_left", "bisect.bisect_right",
+           subset=METRICS_SUBSET),
     Mutant("lag-step-off-by-one", METRICS,
            "delays[i] - i * step", "delays[i] - (i + 1) * step", subset=METRICS_SUBSET),
     Mutant("laal-computed-as-al", METRICS,
@@ -285,7 +286,8 @@ MUTANTS = (
            "1.0 - ref_len / hyp_len", "1.0 - hyp_len / ref_len", subset=METRICS_SUBSET),
     # blocks_for: a short final block's duration.
     Mutant("short-block-charged-in-full", HARNESS,
-           "duration_ms=len(chunk) * symbol_ms", "duration_ms=cfg.block_symbols * symbol_ms",
+           "duration_ms=len(chunk) * record.block_ms",
+           "duration_ms=cfg.block_symbols * record.block_ms",
            subset=("tests/test_harness.py",)),
     # CorpusRecord: every source and reference entry is an id, JSON or not.
     Mutant("record-ids-unchecked", HARNESS,

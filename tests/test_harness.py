@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 from dataclasses import replace
@@ -102,6 +101,41 @@ class TestLoadCorpus:
             ],
         )
         with pytest.raises(CorpusError, match=r":2: .*block_ms must be positive and finite"):
+            load_corpus(path)
+
+    # The corpus is the one carrier of a symbol's duration: a JSON number in
+    # any of its spellings, and nothing that only ``float()`` would read.
+    @pytest.mark.parametrize("value", ["10", "2.5", "25e-1", "1.5E+3", "1E-300"])
+    def test_block_ms_spellings_read_as_numbers(self, tmp_path, value):
+        path = self._write(
+            tmp_path,
+            ['{"id": "b", "source": [0], "reference": [0], "block_ms": %s}' % value],
+        )
+        assert load_corpus(path)[0].block_ms == float(value)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", "+5", "5.", ".5", "INF", "0x10",
+                                       "1e", "inf", "nan"])
+    def test_block_ms_outside_json_number_syntax_reports_line_number(self, tmp_path, value):
+        path = self._write(
+            tmp_path,
+            [
+                '{"id": "a", "source": [0], "reference": [0], "block_ms": 250}',
+                '{"id": "b", "source": [0], "reference": [0], "block_ms": %s}' % value,
+            ],
+        )
+        with pytest.raises(CorpusError, match=":2: Expecting"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", ["0", "-0", "-5", "-1e-300"])
+    def test_non_positive_block_ms_reports_line_number(self, tmp_path, value):
+        path = self._write(
+            tmp_path,
+            [
+                '{"id": "a", "source": [0], "reference": [0], "block_ms": 250}',
+                '{"id": "b", "source": [0], "reference": [0], "block_ms": %s}' % value,
+            ],
+        )
+        with pytest.raises(CorpusError, match=r":2: .*block_ms must be positive and finite$"):
             load_corpus(path)
 
     @pytest.mark.parametrize(
@@ -282,13 +316,12 @@ class TestRunUtterance:
         second = run_utterance(record, factory, cfg, vocab.eos_id)
         assert first == second
 
-    def test_block_ms_override_rescales_duration(self, ladder_setup):
+    @pytest.mark.parametrize("block_ms", [280.0, 0.001])
+    def test_record_block_ms_sets_duration(self, ladder_setup, block_ms):
         _, vocab, factory, _ = ladder_setup
-        record = ladder_record("u", 4)
-        transcript, _ = run_utterance(
-            record, factory, RunConfig(block_symbols=1, block_ms=280.0), vocab.eos_id
-        )
-        assert transcript.source_duration_ms == 4 * 280.0
+        record = ladder_record("u", 4, block_ms=block_ms)
+        transcript, _ = run_utterance(record, factory, RunConfig(block_symbols=1), vocab.eos_id)
+        assert transcript.source_duration_ms == 4 * block_ms
 
     def test_short_final_block_is_charged_its_own_symbols(self, ladder_setup):
         # 5 symbols in blocks of 2: the final block holds one symbol.
@@ -348,6 +381,24 @@ class TestRunCorpus:
         for row, output, reference in zip(report.utterances, outputs, references):
             assert row.bleu == reference_metrics.corpus_bleu([output], [reference])
 
+    def test_latency_means_round_once(self, ladder_setup, monkeypatch):
+        # The built-in sum of floats rounds every partial sum before Python
+        # 3.12 (0.1 + 0.2 + 0.3 gives 0.6000000000000001 there) and not from
+        # 3.12 on; the means must not depend on the interpreter.
+        _, vocab, factory, _ = ladder_setup
+        lags = iter([0.1, 0.2, 0.3])
+        measured = harness._utterance_report
+
+        def report(record, transcript):
+            row, statistics = measured(record, transcript)
+            lag = next(lags)
+            return replace(row, al_ms=lag, laal_ms=lag), statistics
+
+        monkeypatch.setattr(harness, "_utterance_report", report)
+        corpus = [ladder_record(f"u{index}", 4) for index in range(3)]
+        result = run_corpus(corpus, factory, RunConfig(), vocab.eos_id)
+        assert result.al_ms == result.laal_ms == 0.19999999999999998
+
     def test_forward_passes_sum(self, ladder_setup):
         _, vocab, factory, corpus = ladder_setup
         report = run_corpus(corpus, factory, RunConfig(block_symbols=2), vocab.eos_id)
@@ -386,11 +437,6 @@ class TestRunConfig:
         forced = RunConfig(context=ContextMode.FULL_CONTEXT, repetition_detection=True)
         assert forced.search_config().repetition_detection
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_non_finite_block_ms_rejected(self, value):
-        with pytest.raises(ConfigError, match="positive and finite"):
-            RunConfig(block_ms=value)
-
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
             RunConfig(beam_size=0)
@@ -405,11 +451,8 @@ class TestRunConfig:
             (dict(policy=PolicyKind.HOLD, policy_param=True),
              "policy_param must be an integer, got True"),
             (dict(policy_param=1.0), "policy_param must be an integer, got 1.0"),
-            (dict(block_ms=True), "block_ms must be a number, got True"),
-            (dict(block_ms="500"), "block_ms must be a number, got '500'"),
         ],
-        ids=["block-symbols-float", "beam-float", "hold-bool", "none-float", "block-ms-bool",
-             "block-ms-string"],
+        ids=["block-symbols-float", "beam-float", "hold-bool", "none-float"],
     )
     def test_non_integer_settings_rejected_with_name(self, fields, message):
         # Not truncated, converted or carried into a report.
@@ -431,10 +474,6 @@ class TestRunConfig:
         # A truthy "no" or "off" would otherwise turn the setting on.
         with pytest.raises(ConfigError, match=f"{message}$"):
             RunConfig(**fields)
-
-    def test_block_ms_past_the_float_range_rejected(self):
-        with pytest.raises(ConfigError, match="block_ms must be positive and finite$"):
-            RunConfig(block_ms=10**400)
 
     @pytest.mark.parametrize(
         "fields, message",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import re
 import typing
 
@@ -101,8 +102,8 @@ def test_wrong_type_raises_the_class_error_naming_the_field(cls, field, value, w
     assert type(caught.value) is error
 
 
-@pytest.mark.parametrize("cls, field, value", [(RunConfig, "block_ms", 250),
-                                               (CorpusRecord, "block_ms", 250),
+@pytest.mark.parametrize("cls, field, value", [(CorpusRecord, "block_ms", 250),
+                                               (Block, "duration_ms", 250),
                                                (ToyTransducerSpec, "noise_epsilon", 0)])
 def test_a_number_field_takes_an_int(cls, field, value):
     assert getattr(_build(cls, **{field: value}), field) == value
@@ -135,6 +136,7 @@ class TestNamedHoles:
     @pytest.mark.parametrize(
         "field, value, message",
         [("block_ms", True, "block_ms must be a number, got True"),
+         ("block_ms", "500", "block_ms must be a number, got '500'"),
          ("id", 5, "id must be a string, got 5"),
          ("source", [1], r"source must be a tuple, got \[1\]")],
     )
@@ -142,6 +144,11 @@ class TestNamedHoles:
         # A true block_ms decoded as a 1 ms symbol.
         with pytest.raises(CorpusError, match=f"^{message}$"):
             _build(CorpusRecord, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_corpus_record_block_ms_not_finite(self, value):
+        with pytest.raises(CorpusError, match="block_ms must be positive and finite$"):
+            _build(CorpusRecord, block_ms=value)
 
     def test_corpus_record_block_ms_past_the_float_range(self):
         # An int is a number, but this one would overflow the clock.

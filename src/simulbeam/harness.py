@@ -30,7 +30,7 @@ from math import fsum
 from pathlib import Path
 from typing import Sequence
 
-from .core import NUMBER, SearchConfig, SessionTranscript, check_types
+from .core import NUMBER, SearchConfig, SessionTranscript, _set, check_types
 from .metrics import (
     EvalReport,
     LatencyInput,
@@ -86,7 +86,14 @@ class CorpusRecord:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one evaluation run."""
+    """Everything needed to reproduce one evaluation run.
+
+    The constructor builds the run's :class:`~simulbeam.core.SearchConfig`
+    and :class:`~simulbeam.search.PolicyState`, which check their own
+    settings, and keeps them: :meth:`search_config` and
+    :meth:`policy_state` return those same objects, so a run checks its
+    settings once, not once per utterance.
+    """
 
     algo: Algorithm = Algorithm.IBWBS
     policy: PolicyKind = PolicyKind.NONE
@@ -97,6 +104,12 @@ class RunConfig:
     retranslation: bool = False
     repetition_detection: bool | None = None  # None: on for blockwise, off for full
 
+    # The checked settings objects. Not fields, as ``Hypothesis._score`` is
+    # not: eq, hash, repr and ``dataclasses.replace`` ignore them, and every
+    # instance builds its own. Both are frozen, so a run can share them.
+    _search = None
+    _policy = None
+
     def __post_init__(self) -> None:
         check_types(self, ConfigError, algo=Algorithm, policy=PolicyKind, policy_param=int,
                     beam_size=int, block_symbols=int, context=ContextMode,
@@ -106,20 +119,21 @@ class RunConfig:
                 f"block_symbols must be an integer, at least 1, got {self.block_symbols!r}")
         if self.retranslation and self.policy is not PolicyKind.NONE:
             raise ConfigError("commit policies do not apply to re-translation output")
+        detection = self.repetition_detection
+        if detection is None:
+            detection = self.context is ContextMode.BLOCKWISE
         try:
-            self.search_config()
-            self.policy_state()
+            _set(self, "_search", SearchConfig(beam_size=self.beam_size,
+                                                repetition_detection=detection))
+            _set(self, "_policy", PolicyState(self.policy, self.policy_param))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def search_config(self) -> SearchConfig:
-        detection = self.repetition_detection
-        if detection is None:
-            detection = self.context is ContextMode.BLOCKWISE
-        return SearchConfig(beam_size=self.beam_size, repetition_detection=detection)
+        return self._search
 
     def policy_state(self) -> PolicyState:
-        return PolicyState(self.policy, self.policy_param)
+        return self._policy
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from math import exp, fsum, log
+from math import exp, fsum, inf, log
 from typing import Sequence
 
 from .core import SessionTranscript
@@ -27,6 +27,9 @@ class LatencyInput:
 
     ``delays_ms[i]`` is the source time consumed when output token ``i`` was
     emitted; every token a block committed carries that block's timestamp.
+    The duration must be positive and finite, and the delays non-decreasing
+    from 0 and at most the duration. Each check is written so that NaN
+    fails it, since every comparison with NaN is false.
     """
 
     delays_ms: tuple[float, ...]
@@ -34,15 +37,15 @@ class LatencyInput:
     ref_len: int
 
     def __post_init__(self) -> None:
-        if self.source_duration_ms <= 0:
-            raise ValueError("source_duration_ms must be positive")
+        if not 0 < self.source_duration_ms < inf:
+            raise ValueError("source_duration_ms must be positive and finite")
         if self.ref_len < 1:
             raise ValueError("ref_len must be positive")
         last = 0.0
         for d in self.delays_ms:
-            if d < last:
+            if not d >= last:
                 raise ValueError("delays must be non-decreasing")
-            if d > self.source_duration_ms:
+            if not d <= self.source_duration_ms:
                 raise ValueError("a delay cannot exceed the source duration")
             last = d
 
@@ -94,17 +97,23 @@ def bleu_statistics(hypothesis: Sequence[int], reference: Sequence[int]) -> tupl
     The clipped n-gram matches for n = 1..4, then the hypothesis's n-gram
     totals for n = 1..4, then the hypothesis and reference lengths. Corpus
     statistics are the element-wise sum over pairs (see :func:`bleu_score`).
+
+    Each side is sliced once per call: its n-grams are ``zip`` over the
+    first n of its shifted copies, and its unigrams are its tokens
+    themselves, not 1-tuples of them.
     """
+    hyp_shifts = [hypothesis[i:] for i in range(BLEU_MAX_ORDER)]
+    ref_shifts = [reference[i:] for i in range(BLEU_MAX_ORDER)]
     matches = []
     totals = []
     for n in range(1, BLEU_MAX_ORDER + 1):
-        unmatched: dict[tuple[int, ...], int] = {}
-        for gram in zip(*[reference[i:] for i in range(n)]):
+        unmatched: dict[int | tuple[int, ...], int] = {}
+        for gram in zip(*ref_shifts[:n]) if n > 1 else reference:
             unmatched[gram] = unmatched.get(gram, 0) + 1
         # Each hypothesis n-gram consumes one unmatched reference copy, so
         # the hits are the counts clipped by the reference's.
         hits = 0
-        for gram in zip(*[hypothesis[i:] for i in range(n)]):
+        for gram in zip(*hyp_shifts[:n]) if n > 1 else hypothesis:
             left = unmatched.get(gram)
             if left:
                 hits += 1

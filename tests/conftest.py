@@ -106,10 +106,12 @@ class ScriptedSession(ModelSession):
 class VectorSession(ModelSession):
     """Model whose log-probability vectors come straight from a function of
     ``(blocks ingested, prefix)``, so tests can set exact float values:
-    ties, one-ulp neighbours, NaN or ``+inf``."""
+    ties, one-ulp neighbours, NaN or ``+inf``. The vectors have ``dtype``,
+    float64 unless another is given."""
 
-    def __init__(self, logprobs):
+    def __init__(self, logprobs, dtype=float):
         self._logprobs = logprobs
+        self._dtype = dtype
         self._blocks = 0
         self._forward_passes = 0
 
@@ -118,7 +120,7 @@ class VectorSession(ModelSession):
 
     def next_token_logprobs(self, prefix) -> np.ndarray:
         self._forward_passes += 1
-        logprobs = np.array(self._logprobs(self._blocks, tuple(prefix)), dtype=float)
+        logprobs = np.array(self._logprobs(self._blocks, tuple(prefix)), dtype=self._dtype)
         logprobs.flags.writeable = False  # a write by the decoder fails loudly
         return logprobs
 

@@ -3,8 +3,9 @@ paths, the exact terms it sums, the token order the beam loop keeps, the
 block ops' trims, the rank order of ``bwbs``'s beams, the selection and the
 final block, the commit policies, the stop heuristic, the length cap, its
 overflow check and the transcript's checks, the latency and BLEU metrics,
-the harness's block durations and record ids, the settings types' type rule
-and the toy model's confidence, noise, target ids and vocabulary.
+the harness's block durations, record ids and kept policy state, the
+settings types' type rule and the toy model's confidence, noise, target ids
+and vocabulary.
 
 Each mutant is a named textual edit ``(file, old, new)`` of ``src/``, and
 ``old`` must occur exactly once in that file. For each mutant the script
@@ -21,7 +22,7 @@ block, and the session's EOS and cap-overflow checks,
 ``tests/test_causality.py`` for the cap's causality,
 ``tests/test_core.py`` and ``tests/test_metrics.py`` alone for the rest of
 ``core`` and ``metrics``, the harness's own tests for ``blocks_for`` and
-``CorpusRecord``'s ids,
+``CorpusRecord``'s ids and ``RunConfig``'s policy state,
 ``tests/test_types.py`` for ``core.check_types``, and
 ``tests/test_model.py`` for the toy model.
 A failing run kills the mutant.
@@ -186,6 +187,9 @@ MUTANTS = (
            "max_output_tokens(elapsed)\n",
            "max_output_tokens(sum(b.duration_ms for b in blocks[: len(decisions) + 2]))\n",
            subset=("tests/test_causality.py",)),
+    # _step: the finite mask skips ``-inf`` entries.
+    Mutant("finite-mask-keeps-minus-inf", SEARCH,
+           "finite = matrix > _NEG_INF", "finite = matrix >= _NEG_INF"),
     # _step: the cut.
     Mutant("cut-threshold-one-place-off", SEARCH,
            "ordered[-width]", "ordered[1 - width]"),
@@ -250,7 +254,10 @@ MUTANTS = (
     Mutant("la-history-one-short", SEARCH,
            "history = outputs[-(state.n - 1) :]", "history = outputs[-(state.n - 2) :]",
            subset=POLICY_SUBSET),
-    # bleu_statistics: clipping and totals.
+    # bleu_statistics: the shifted copies, clipping and totals.
+    Mutant("bleu-shift-off-by-one", METRICS,
+           "hyp_shifts = [hypothesis[i:] for", "hyp_shifts = [hypothesis[i + 1 :] for",
+           subset=POLICY_SUBSET),
     Mutant("bleu-unclipped", METRICS, "if left:\n", "if left is not None:\n",
            subset=POLICY_SUBSET),
     Mutant("bleu-reference-copy-kept", METRICS,
@@ -288,6 +295,10 @@ MUTANTS = (
     Mutant("short-block-charged-in-full", HARNESS,
            "duration_ms=len(chunk) * record.block_ms",
            "duration_ms=cfg.block_symbols * record.block_ms",
+           subset=("tests/test_harness.py",)),
+    # RunConfig: the policy state it keeps carries the configured ``n``.
+    Mutant("run-config-policy-default-n", HARNESS,
+           "PolicyState(self.policy, self.policy_param)", "PolicyState(self.policy)",
            subset=("tests/test_harness.py",)),
     # CorpusRecord: every source and reference entry is an id, JSON or not.
     Mutant("record-ids-unchecked", HARNESS,

@@ -27,6 +27,7 @@ from simulbeam import (
     sweep,
 )
 from simulbeam import harness
+from simulbeam.core import SearchConfig
 from simulbeam.harness import blocks_for
 from simulbeam.harness import (
     CSV_HEADER,
@@ -35,6 +36,7 @@ from simulbeam.harness import (
     report_to_json,
     sweep_to_csv,
 )
+from simulbeam.search import PolicyState
 import reference_metrics
 from conftest import dump_corpus, ladder_record, ladder_spec, random_toy, reference_for
 
@@ -45,6 +47,17 @@ def ladder_setup():
     factory = make_toy_model(spec, vocab)
     corpus = [ladder_record("u1", 6), ladder_record("u2", 4)]
     return spec, vocab, factory, corpus
+
+
+@pytest.fixture
+def settings_built(monkeypatch):
+    """Each ``SearchConfig`` and ``PolicyState`` checked from now on, in order."""
+    built = []
+    for kind in (SearchConfig, PolicyState):
+        check = kind.__post_init__
+        monkeypatch.setattr(kind, "__post_init__",
+                            lambda self, check=check: built.append(self) or check(self))
+    return built
 
 
 class TestLoadCorpus:
@@ -421,8 +434,37 @@ class TestRunCorpus:
         with pytest.raises(CorpusError, match="duplicate record id 'b'"):
             run_corpus(corpus, factory, RunConfig(), vocab.eos_id)
 
+    def test_settings_are_not_rebuilt_per_utterance(self, ladder_setup, settings_built):
+        _, vocab, factory, _ = ladder_setup
+        cfg = RunConfig(policy=PolicyKind.LOCAL_AGREEMENT, policy_param=2, block_symbols=2)
+        assert len(settings_built) == 2
+        corpus = [ladder_record(f"u{index}", 4) for index in range(5)]
+        run_corpus(corpus, factory, cfg, vocab.eos_id)
+        assert len(settings_built) == 2
+
 
 class TestRunConfig:
+    def test_settings_objects_are_the_checked_ones(self, settings_built):
+        cfg = RunConfig(policy=PolicyKind.HOLD, policy_param=3, beam_size=4)
+        assert len(settings_built) == 2
+        assert cfg.search_config() is settings_built[0]
+        assert cfg.policy_state() is settings_built[1]
+        assert cfg.search_config() == SearchConfig(beam_size=4, repetition_detection=True)
+        assert cfg.policy_state() == PolicyState(PolicyKind.HOLD, 3)
+
+    def test_replace_builds_settings_objects_with_the_new_values(self):
+        cfg = RunConfig(policy=PolicyKind.HOLD, policy_param=1)
+        wider = replace(cfg, beam_size=2)
+        assert wider.search_config() is not cfg.search_config()
+        assert wider.search_config().beam_size == 2
+        assert cfg.search_config().beam_size == 6
+        held = replace(cfg, policy_param=4)
+        assert held.policy_state() is not cfg.policy_state()
+        assert held.policy_state() == PolicyState(PolicyKind.HOLD, 4)
+        assert cfg.policy_state() == PolicyState(PolicyKind.HOLD, 1)
+        full = replace(cfg, context=ContextMode.FULL_CONTEXT)
+        assert not full.search_config().repetition_detection
+
     def test_local_agreement_needs_two_contexts(self):
         with pytest.raises(ConfigError):
             RunConfig(policy=PolicyKind.LOCAL_AGREEMENT, policy_param=1)

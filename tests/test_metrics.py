@@ -89,10 +89,24 @@ class TestLaal:
 
 
     def test_duration_and_reference_length_must_be_positive(self):
-        with pytest.raises(ValueError, match="^source_duration_ms must be positive$"):
+        with pytest.raises(ValueError, match="^source_duration_ms must be positive and finite$"):
             LatencyInput((), 0.0, 2)
         with pytest.raises(ValueError, match="^ref_len must be positive$"):
             LatencyInput((), 3000.0, 0)
+
+    @pytest.mark.parametrize(
+        "delays, duration, message",
+        [
+            ((10.0, math.nan, 20.0), 100.0, "non-decreasing"),
+            ((math.nan,), 100.0, "non-decreasing"),
+            ((10.0,), math.nan, "positive and finite"),
+            ((10.0,), math.inf, "positive and finite"),
+            ((), math.inf, "positive and finite"),
+        ],
+    )
+    def test_nan_and_infinite_inputs_are_rejected(self, delays, duration, message):
+        with pytest.raises(ValueError, match=message):
+            LatencyInput(delays, duration, 3)
 
 
 class TestCorpusBleu:
@@ -162,6 +176,10 @@ class TestCorpusBleu:
 
 # A three-token alphabet makes repeated n-grams, and so clipping, common.
 TOKENS = st.lists(st.integers(0, 2), max_size=12).map(tuple)
+# A long pair with repeated n-grams of every order: a period-5 pattern,
+# against the same pattern shifted, with two edits.
+LONG_HYP = tuple(i * i % 5 for i in range(120))
+LONG_REF = LONG_HYP[3:60] + (2, 2) + LONG_HYP[60:] + (0,)
 
 
 class TestBleuStatistics:
@@ -174,6 +192,11 @@ class TestBleuStatistics:
     @example(hyp=(1, 2, 1), ref=(1, 2, 1, 2))
     @example(hyp=(0, 0, 0, 0, 0, 0), ref=(0, 0, 0, 0))
     @example(hyp=(1, 2, 1, 2, 1, 2), ref=(1, 2, 1, 2, 1, 2))
+    @example(hyp=(2,), ref=(2, 2, 1))  # fewer n-grams than orders
+    @example(hyp=(1, 2), ref=(1, 2, 1, 2))
+    @example(hyp=(0, 1, 0), ref=(0, 1, 0, 1, 0))
+    @example(hyp=(1, 1, 2, 1, 1, 2, 1, 1), ref=(1, 1, 2, 1, 1))  # repeated n-grams
+    @example(hyp=LONG_HYP, ref=LONG_REF)
     @given(hyp=TOKENS, ref=TOKENS)
     def test_pair_matches_counter_reference_bit_for_bit(self, hyp, ref):
         stats = bleu_statistics(hyp, ref)

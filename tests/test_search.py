@@ -550,6 +550,34 @@ class TestBeamStep:
         assert new.decisions[0].committed == (0,)
         assert new == reference
 
+    @pytest.mark.parametrize("dtype", [np.float32, object])
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_answers_of_another_dtype_decode_as_float64(self, algo, dtype):
+        # Every entry is exact in float32. The rows mix a lone finite entry,
+        # exact ties, ``-inf`` entries and more finite entries than the width.
+        rows = [
+            [-0.5, -1.0, -2.0, -math.inf, -3.0],
+            [-math.inf, -0.25, -math.inf, -math.inf, -math.inf],
+            [-1.0, -1.0, -1.0, -0.5, -2.0],
+            [-2.0, -0.75, -math.inf, -1.5, -0.125],
+        ]
+
+        def logprobs(level, prefix):
+            return rows[(7 * level + 3 * sum(prefix) + len(prefix)) % len(rows)]
+
+        blocks = [Block(payload=(), duration_ms=100.0, is_final=False)] * 3 + [
+            Block(payload=(), duration_ms=100.0, is_final=True)]
+        for policy, retranslation in ((PolicyState(), False), (PolicyState(), True),
+                                      (PolicyState(PolicyKind.LOCAL_AGREEMENT, 2), False)):
+            wide, other = (
+                decode_session(lambda: VectorSession(logprobs, kind), blocks, eos_id=4,
+                               algo=algo, policy=policy, retranslation=retranslation,
+                               cfg=SearchConfig(beam_size=3))
+                for kind in (float, dtype)
+            )
+            assert wide.final_output
+            assert other == wide
+
     def test_exact_ties_keep_lowest_ids(self):
         spec, vocab = _wide_toy()
         results = []
